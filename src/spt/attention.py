@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .masks import AttentionMask, mask_bits
+from .masks import AttentionMask
 from .rng import SplitMix64
 from .tensor import Tensor
 
@@ -77,9 +77,8 @@ class AttentionLayerParams:
 
 @dataclass
 class AttentionRecord:
-    """Post-softmax attention of one layer: per head, and averaged over heads."""
+    """Post-softmax attention of one layer, averaged over heads."""
 
-    per_head: Tensor      # (heads, N, N), detached
     head_average: Tensor  # (N, N), detached
 
 
@@ -102,17 +101,16 @@ def project_qkv(x: Tensor, params: AttentionLayerParams, heads: int):
     return q, k, v
 
 
-def masked_self_attention(x: Tensor, mask, params: AttentionLayerParams, heads: int,
-                          need_record: bool = False):
+def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
+                          heads: int, need_record: bool = False):
     """Multi-head self-attention with the softmax restricted to the mask.
 
-    Returns (output, AttentionRecord or None).  The record holds detached
-    probability maps so retaining it never grows the tape.
+    Returns (output, AttentionRecord or None).  The record holds a detached
+    probability map so retaining it never grows the tape.
     """
     n, d = x.shape
-    bits = mask_bits(mask)
-    if bits.shape != (n, n):
-        raise ConfigError(f"mask shape {bits.shape} does not match {n} tokens")
+    if mask.bits.shape != (n, n):
+        raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
     head_dim = d // heads
     q, k, v = project_qkv(x, params, heads)
     logits = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(head_dim))
@@ -120,18 +118,12 @@ def masked_self_attention(x: Tensor, mask, params: AttentionLayerParams, heads: 
     context = T.matmul(probs, v)                           # (heads, N, head_dim)
     merged = T.reshape(T.transpose(context, (1, 0, 2)), (n, d))
     out = T.matmul(merged, params.output_projection)
-    record = None
-    if need_record:
-        per_head = probs.data.copy()
-        record = AttentionRecord(
-            per_head=Tensor(per_head),
-            head_average=Tensor(per_head.mean(axis=0)),
-        )
+    record = AttentionRecord(Tensor(probs.data.mean(axis=0))) if need_record else None
     return out, record
 
 
-def encoder_block(x: Tensor, mask, params: AttentionLayerParams, heads: int,
-                  need_record: bool = False):
+def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
+                  heads: int, need_record: bool = False):
     """Pre-norm transformer block; output shape equals input shape."""
     attended, record = masked_self_attention(
         T.layer_norm(x, params.norm1_gain, params.norm1_bias), mask, params, heads,
@@ -143,7 +135,3 @@ def encoder_block(x: Tensor, mask, params: AttentionLayerParams, heads: int,
     z = T.gelu(z)
     z = T.add_bias(T.matmul(z, params.mlp_w2), params.mlp_b2)
     return T.add(h, z), record
-
-
-def dense_mask(n: int) -> AttentionMask:
-    return AttentionMask.ones(n)

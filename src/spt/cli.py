@@ -16,21 +16,19 @@ import dataclasses
 import hashlib
 import json
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (Annotation, SyntheticSceneConfig, generate_sample,
-                   generate_synthetic, load_annotations, render_target_heatmaps,
-                   save_annotations)
+                   generate_synthetic, load_annotations, save_annotations)
 from .errors import (AnnotationError, CheckpointError, ConfigError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
 from .formats import load_pgm, save_csv, save_pbm, save_pgm
-from .model import (ModelConfig, PoseModelParams, forward, load_checkpoint,
-                    save_checkpoint, train_step, AdamState)
+from .model import (ModelConfig, check_config_keys, forward, load_checkpoint,
+                    save_checkpoint, train_model)
 from .pruning import K_MODES
 from .skeleton import compile_joint_mask, default_skeleton, load_skeleton
 
@@ -66,11 +64,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
+        check_config_keys(cls, doc, "run")
         model = ModelConfig.from_json_dict(doc.get("model", {}))
+        check_config_keys(TrainingConfig, doc.get("training", {}), "training")
         training = TrainingConfig(**doc.get("training", {}))
         return cls(
             model=model,
@@ -206,27 +202,13 @@ def cmd_train(args) -> int:
     if not train_samples:
         raise AnnotationError("training dataset is empty")
     cfg, tr = run.model, run.training
-    params = PoseModelParams.init(cfg, seed=tr.seed)
-    optimizer = AdamState(lr=tr.learning_rate)
-    prepared = [
-        (image,
-         render_target_heatmaps(ann, cfg.heatmap_h, cfg.heatmap_w, tr.target_sigma,
-                                cfg.image_h, cfg.image_w),
-         ann.visibility)
-        for image, ann in train_samples
-    ]
-    cursor = 0
     with open(out_dir / "log.jsonl", "w") as log:
-        for step in range(tr.steps):
-            batch = []
-            for _ in range(tr.batch_size):
-                batch.append(prepared[cursor])
-                cursor = (cursor + 1) % len(prepared)
-            started = time.monotonic()
-            loss = train_step(batch, params, cfg, joint_mask, optimizer)
-            wall_ms = 1000.0 * (time.monotonic() - started)
-            log.write(json.dumps({"step": step, "loss": loss, "wall_ms": wall_ms,
+        def log_step(step, loss, seconds):
+            log.write(json.dumps({"step": step, "loss": loss, "wall_ms": 1000.0 * seconds,
                                   "config_digest": digest}) + "\n")
+
+        params, _ = train_model(train_samples, cfg, joint_mask, tr.steps, tr.batch_size,
+                                tr.learning_rate, tr.seed, tr.target_sigma, log_fn=log_step)
     save_checkpoint(out_dir / "checkpoint", params, cfg, extra={"config_digest": digest})
     _, diag = forward(train_samples[0][0], params, cfg, joint_mask)
     stats = diag.sparsity.to_json_dict()
@@ -291,7 +273,7 @@ def cmd_masks(args) -> int:
     heatmaps, diag = forward(image, params, config, joint_mask, keep_records=True)
 
     comment = f"config {digest}"
-    for stage, mask in enumerate(diag.stage_masks, start=1):
+    for stage, mask in enumerate(diag.mask_state.masks[1:], start=1):
         save_pbm(out_dir / f"visual_mask_stage_{stage}.pbm", mask.bits, comment=comment)
     save_pbm(out_dir / "joint_mask.pbm", joint_mask.bits, comment=comment)
     for i, record in enumerate(diag.records, start=1):
@@ -309,7 +291,7 @@ def cmd_masks(args) -> int:
         "sparsity": diag.sparsity.to_json_dict(),
     }
     (out_dir / "masks_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(diag.stage_masks)} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
+    print(f"wrote {diag.mask_state.stage} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
     return 0
 
 

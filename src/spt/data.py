@@ -252,9 +252,3 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
             ref = str(image)
         annotations.append(Annotation(joints, visible, head_size, ref))
     return annotations
-
-
-def head_segment_length(config: SyntheticSceneConfig) -> float:
-    """Template head-segment length in pixels (before jitter)."""
-    template = _template_in_pixels(config.image_h, config.image_w)
-    return float(np.linalg.norm(template[_HEAD_TOP] - template[_UPPER_NECK]))

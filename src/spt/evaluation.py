@@ -5,7 +5,7 @@ predicted location lies within alpha * head_size of ground truth (boundary
 inclusive).  Joints invisible in ground truth are excluded from both
 numerator and denominator.  The decoder is argmax plus a quarter-pixel
 shift toward the larger axis neighbor; plain argmax is selectable for
-debugging.
+debugging.  Training lives in ``model.train_model``; the sweep only calls it.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import render_target_heatmaps
 from .errors import ConfigError
-from .model import AdamState, PoseModelParams, forward, train_step
+from .model import forward, train_model
 from .skeleton import compile_joint_mask, default_skeleton
 
 DEFAULT_ALPHAS = (0.5, 0.1)
@@ -147,38 +146,6 @@ class SweepRow:
     keep_ratio: float
     report: PckhReport
     sparsity: object
-
-
-def train_model(train_samples, config, skeleton_mask, steps: int, batch_size: int,
-                learning_rate: float, seed: int, target_sigma: float = 1.5,
-                params: PoseModelParams | None = None, log_fn=None):
-    """Train from scratch on (image, Annotation) pairs; returns (params, losses).
-
-    Batches cycle through the dataset in order, so runs are a pure function
-    of (seed, data, budget).
-    """
-    if params is None:
-        params = PoseModelParams.init(config, seed=seed)
-    optimizer = AdamState(lr=learning_rate)
-    prepared = [
-        (image,
-         render_target_heatmaps(ann, config.heatmap_h, config.heatmap_w,
-                                target_sigma, config.image_h, config.image_w),
-         ann.visibility)
-        for image, ann in train_samples
-    ]
-    losses = []
-    cursor = 0
-    for step in range(steps):
-        batch = []
-        for _ in range(batch_size):
-            batch.append(prepared[cursor])
-            cursor = (cursor + 1) % len(prepared)
-        loss = train_step(batch, params, config, skeleton_mask, optimizer)
-        losses.append(loss)
-        if log_fn is not None:
-            log_fn(step, loss)
-    return params, losses
 
 
 def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,

@@ -68,9 +68,3 @@ class AttentionMask:
 
     def __repr__(self):
         return f"AttentionMask({self.rows}x{self.cols}, density={self.density():.3f})"
-
-
-def mask_bits(mask) -> np.ndarray:
-    """Accept an AttentionMask, a JointMask-like object, or a raw array."""
-    bits = getattr(mask, "bits", mask)
-    return np.asarray(bits)

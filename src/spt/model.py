@@ -16,22 +16,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .attention import AttentionLayerParams, encoder_block
+from .data import render_target_heatmaps
 from .errors import CheckpointError, ConfigError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
 from .masks import AttentionMask
 from .pruning import MaskState, PruneSchedule, apply_prune_schedule, sparsity_report
 from .rng import SplitMix64
-from .skeleton import JointMask
 from .tensor import ComputationTape, Tensor
 
 POSITIONAL_MODES = ("learned", "sinusoidal")
+
+
+def check_config_keys(cls, doc: dict, block: str) -> None:
+    """Reject keys of a config block that are not fields of ``cls``."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {block} config keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -126,6 +134,7 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelConfig":
+        check_config_keys(cls, doc, "model")
         doc = dict(doc)
         sched = doc.pop("schedule", {})
         schedule = PruneSchedule(
@@ -230,7 +239,6 @@ class Diagnostics:
 
     mask_state: MaskState
     sparsity: object
-    stage_masks: list            # visual-block mask after each update
     records: list | None = None  # encoder then graph AttentionRecords, if retained
 
 
@@ -269,26 +277,23 @@ def _as_image_tensor(image, config: ModelConfig) -> Tensor:
     return Tensor(data)
 
 
-def forward(image, params: PoseModelParams, config: ModelConfig, skeleton_mask,
-            keep_records: bool = False):
+def forward(image, params: PoseModelParams, config: ModelConfig,
+            skeleton_mask: AttentionMask, keep_records: bool = False):
     """Run the full network on one image.
 
     Returns (heatmaps (J, H_h, W_h), Diagnostics).  ``skeleton_mask`` is the
-    constant joint mask for the graph stage (JointMask or AttentionMask).
+    constant J x J joint mask for the graph stage.
     """
-    joint_mask = (skeleton_mask.as_attention_mask()
-                  if isinstance(skeleton_mask, JointMask) else skeleton_mask)
     j = config.joint_count
-    if joint_mask.rows != j or joint_mask.cols != j:
+    if skeleton_mask.rows != j or skeleton_mask.cols != j:
         raise ConfigError(
-            f"joint mask is {joint_mask.rows}x{joint_mask.cols}, config wants {j}x{j}"
+            f"joint mask is {skeleton_mask.rows}x{skeleton_mask.cols}, config wants {j}x{j}"
         )
     img = _as_image_tensor(image, config)
     visual = patchify_embed(img, params, config)
     tokens = T.concat([params.keypoint_tokens, visual], axis=0)
 
     state = MaskState.dense(config.num_patches)
-    stage_masks = []
     records = [] if keep_records else None
     mask = full_token_mask(state.current, j)
     for layer in range(1, config.encoder_layers + 1):
@@ -297,15 +302,12 @@ def forward(image, params: PoseModelParams, config: ModelConfig, skeleton_mask,
                                        config.heads, need_record=need_record)
         if keep_records:
             records.append(record)
-        before = state.stage
-        apply_prune_schedule(layer, record, state, config.schedule, keypoint_count=j)
-        if state.stage != before:
-            stage_masks.append(state.current.copy())
+        if apply_prune_schedule(layer, record, state, config.schedule, keypoint_count=j):
             mask = full_token_mask(state.current, j)
 
     kp = T.narrow(tokens, 0, 0, j)
     for block in params.graph_blocks:
-        kp, record = encoder_block(kp, joint_mask, block, config.heads,
+        kp, record = encoder_block(kp, skeleton_mask, block, config.heads,
                                    need_record=keep_records)
         if keep_records:
             records.append(record)
@@ -319,7 +321,6 @@ def forward(image, params: PoseModelParams, config: ModelConfig, skeleton_mask,
     diagnostics = Diagnostics(
         mask_state=state,
         sparsity=sparsity_report(state, config),
-        stage_masks=stage_masks,
         records=records,
     )
     return heatmaps, diagnostics
@@ -397,6 +398,40 @@ def train_step(batch, params: PoseModelParams, config: ModelConfig, skeleton_mas
     return loss.item()
 
 
+def train_model(train_samples, config: ModelConfig, skeleton_mask: AttentionMask,
+                steps: int, batch_size: int, learning_rate: float, seed: int,
+                target_sigma: float = 1.5, log_fn=None):
+    """Train from scratch on (image, Annotation) pairs; returns (params, losses).
+
+    Batches cycle through the dataset in order, so runs are a pure function
+    of (seed, data, budget).  ``log_fn(step, loss, seconds)``, if given, is
+    called after every step with that step's wall time.
+    """
+    params = PoseModelParams.init(config, seed=seed)
+    optimizer = AdamState(lr=learning_rate)
+    prepared = [
+        (image,
+         render_target_heatmaps(ann, config.heatmap_h, config.heatmap_w,
+                                target_sigma, config.image_h, config.image_w),
+         ann.visibility)
+        for image, ann in train_samples
+    ]
+    losses = []
+    cursor = 0
+    for step in range(steps):
+        batch = []
+        for _ in range(batch_size):
+            batch.append(prepared[cursor])
+            cursor = (cursor + 1) % len(prepared)
+        started = time.monotonic()
+        loss = train_step(batch, params, config, skeleton_mask, optimizer)
+        seconds = time.monotonic() - started
+        losses.append(loss)
+        if log_fn is not None:
+            log_fn(step, loss, seconds)
+    return params, losses
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: a directory of SPT1 tensors plus a manifest
 # ---------------------------------------------------------------------------
@@ -430,9 +465,17 @@ def load_checkpoint(directory):
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise CheckpointError(f"{directory}: unreadable manifest.json: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{directory}: manifest.json is not a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{directory}: unknown format {manifest.get('format')!r}")
+    absent = [key for key in ("config", "params") if key not in manifest]
+    if absent:
+        raise CheckpointError(f"{directory}: manifest.json lacks {absent}")
     config = ModelConfig.from_json_dict(manifest["config"])
     params = PoseModelParams.init(config, seed=0)
     expected = dict(params.named_parameters())

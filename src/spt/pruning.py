@@ -15,7 +15,7 @@ at small N and Python's bankers rounding would be surprising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,29 @@ class PruneSchedule:
 
 @dataclass
 class MaskState:
-    """Evolving visual-token mask plus the support history of each stage."""
+    """The visual-token mask of every stage so far, starting with the dense one.
 
-    current: AttentionMask
-    stage: int = 0
-    history: list = field(default_factory=list)  # per-stage row-support vectors
+    Masks are appended, never changed, so earlier stages stay readable.
+    """
+
+    masks: list
 
     @classmethod
     def dense(cls, n: int) -> "MaskState":
-        return cls(current=AttentionMask.ones(n))
+        return cls([AttentionMask.ones(n)])
+
+    @property
+    def current(self) -> AttentionMask:
+        return self.masks[-1]
+
+    @property
+    def stage(self) -> int:
+        return len(self.masks) - 1
+
+    @property
+    def history(self) -> list:
+        """Row-support vector of each stage after the dense one."""
+        return [m.row_support for m in self.masks[1:]]
 
 
 def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
@@ -90,43 +104,41 @@ def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
 
 
 def apply_prune_schedule(layer_index: int, record, state: MaskState,
-                         schedule: PruneSchedule, keypoint_count: int = 0) -> MaskState:
-    """Advance the mask state after encoder layer ``layer_index`` (1-indexed).
+                         schedule: PruneSchedule, keypoint_count: int = 0) -> bool:
+    """Append the next stage's mask after encoder layer ``layer_index`` (1-indexed).
 
     On a scheduled layer the head-averaged attention, restricted to the
     visual-by-visual block (keypoint rows/columns stripped off the front),
     elects the next mask.  The caller runs layer ``layer_index`` under the
-    pre-existing mask and only later layers see the update.
+    pre-existing mask and only later layers see the update.  Returns whether
+    a mask was appended.
     """
     if layer_index not in schedule.update_layers:
-        return state
+        return False
     if record is None:
         raise ConfigError(
             f"layer {layer_index} is a scheduled update but no attention record was retained"
         )
     avg = np.asarray(record.head_average.data)
     visual = avg[keypoint_count:, keypoint_count:]
-    state.current = topk_row_mask(visual, state.current, schedule.keep_ratio, schedule.k_mode)
-    state.stage += 1
-    state.history.append(state.current.row_support.copy())
-    return state
+    state.masks.append(topk_row_mask(visual, state.current, schedule.keep_ratio,
+                                     schedule.k_mode))
+    return True
 
 
 @dataclass
 class SparsityStats:
     """Attention-stage sparsity accounting for one forward pass.
 
-    ``mac_*`` fields count multiply-accumulates of the two N x N attention
-    products (QK^T and AV) across all encoder layers; the ratio equals the
-    layer-weighted mask density.
+    ``mac_ratio`` is the predicted multiply-accumulate count of the two
+    N x N attention products (QK^T and AV) across all encoder layers,
+    relative to dense; it equals the layer-weighted mask density.
     """
 
     stages: int
     per_stage_density: list
     layer_weighted_density: float
     mac_ratio: float
-    mac_attention_masked: int
-    mac_attention_dense: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,8 +155,8 @@ def sparsity_report(state: MaskState, config) -> SparsityStats:
     layers = config.encoder_layers
     schedule = config.schedule
     cell_count = float(n) * float(n)
-    stage_density = [float(h.sum()) / cell_count for h in state.history]
-    live_after_stage = [n * n] + [int(h.sum()) for h in state.history]
+    live_after_stage = [int(m.row_support.sum()) for m in state.masks]
+    stage_density = [live / cell_count for live in live_after_stage[1:]]
 
     per_layer_live = []
     for layer in range(1, layers + 1):
@@ -160,6 +172,4 @@ def sparsity_report(state: MaskState, config) -> SparsityStats:
         per_stage_density=stage_density,
         layer_weighted_density=weighted,
         mac_ratio=mac_masked / mac_dense,
-        mac_attention_masked=mac_masked,
-        mac_attention_dense=mac_dense,
     )

@@ -38,16 +38,12 @@ def mix64(z: int) -> int:
 class SplitMix64:
     """Counter-based SplitMix64 stream over a 64-bit state.
 
-    One state increment per output word; array draws consume exactly
-    ``n`` increments, so scalar and vector paths share the stream.
+    One state increment per output word; a draw of ``n`` words consumes
+    exactly ``n`` increments, so consecutive draws continue one stream.
     """
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return mix64(self._state)
 
     def _raw_block(self, n: int) -> np.ndarray:
         # Vectorized counter advance; wraparound on uint64 is intended.
@@ -60,10 +56,6 @@ class SplitMix64:
             z = z ^ (z >> np.uint64(31))
         self._state = (self._state + n * _GAMMA) & _MASK64
         return z
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * _INV53
-        return lo + (hi - lo) * u
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
@@ -82,10 +74,6 @@ class SplitMix64:
         theta = 2.0 * np.pi * u2
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return (sigma * out).reshape(shape)
-
-    def derive(self, index: int) -> "SplitMix64":
-        """Independent substream for sample ``index`` of this seed."""
-        return SplitMix64(mix64(self._state ^ mix64(index + 1)))
 
 
 def sample_stream(seed: int, index: int) -> SplitMix64:

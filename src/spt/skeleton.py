@@ -1,10 +1,10 @@
 """Articulated-body skeletons and their compiled joint attention masks.
 
 A skeleton lists kinematic edges and left/right symmetric pairs; the
-compiled J x J mask keeps, for each joint, itself, its adjacent joints,
-and its symmetric partner.  The diagonal stays on so a keypoint token can
-retain its own state through the residual path (standard for graph
-attention; the mask is used as a constant and never trained).
+compiled J x J AttentionMask keeps, for each joint, itself, its adjacent
+joints, and its symmetric partner.  The diagonal stays on so a keypoint
+token can retain its own state through the residual path (standard for
+graph attention; the mask is used as a constant and never trained).
 
 Skeletons live in JSON files (keys: joint_count, names, edges,
 symmetric_pairs) so joint conventions are user-definable, never baked in.
@@ -72,26 +72,8 @@ def validate_spec(spec: SkeletonSpec) -> list:
     return violations
 
 
-class JointMask:
-    """Constant J x J 0/1 matrix: diagonal + adjacency + symmetry."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        self.bits = np.ascontiguousarray(bits, dtype=np.uint8)
-
-    @property
-    def joint_count(self) -> int:
-        return self.bits.shape[0]
-
-    def as_attention_mask(self) -> AttentionMask:
-        return AttentionMask(self.bits)
-
-    def __repr__(self):
-        return f"JointMask(J={self.joint_count}, kept={int(self.bits.sum())})"
-
-
-def compile_joint_mask(spec: SkeletonSpec) -> JointMask:
+def compile_joint_mask(spec: SkeletonSpec) -> AttentionMask:
+    """Constant J x J mask of one skeleton: diagonal + adjacency + symmetry."""
     violations = validate_spec(spec)
     if violations:
         raise SkeletonError(violations)
@@ -100,7 +82,7 @@ def compile_joint_mask(spec: SkeletonSpec) -> JointMask:
     for a, b in spec.edges + spec.symmetric_pairs:
         bits[a, b] = 1
         bits[b, a] = 1
-    return JointMask(bits)
+    return AttentionMask(bits)
 
 
 # 16-joint MPII-convention default: community-standard kinematic chain and

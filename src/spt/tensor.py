@@ -19,8 +19,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DegenerateMaskRowError, NonFiniteValueError, ShapeError
-from .masks import AttentionMask, mask_bits
+from .errors import NonFiniteValueError, ShapeError
+from .masks import AttentionMask
 
 _tls = threading.local()
 _FINITE_CHECKS = False
@@ -69,9 +69,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # Operators are thin sugar over the module-level primitives.
     def __add__(self, other):
@@ -134,9 +131,6 @@ class ComputationTape:
 
     def __len__(self):
         return len(self._records)
-
-    def backward(self, loss: "Tensor") -> None:
-        backward(loss, self)
 
 
 def _active_tape():
@@ -387,27 +381,17 @@ def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     return _finish(out_data, (x,), pullback)
 
 
-def rowwise_masked_softmax(logits: Tensor, mask) -> Tensor:
+def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     """Softmax normalized over unmasked entries only; masked entries are exactly 0.
 
-    ``mask`` is a 2-D 0/1 matrix (AttentionMask or raw array) matching the
-    trailing two axes of ``logits``; leading axes share it.  The row max is
-    taken over unmasked entries only, so huge masked logits cannot underflow
-    the live ones.  Every mask row must keep at least one position.
+    ``mask`` matches the trailing two axes of ``logits``; leading axes share
+    it.  The row max is taken over unmasked entries only, so huge masked
+    logits cannot underflow the live ones.  AttentionMask guarantees every
+    row keeps at least one position.
     """
-    bits = mask_bits(mask)
-    if bits.ndim != 2 or logits.shape[-2:] != bits.shape:
-        raise ShapeError(f"mask shape {bits.shape} does not match logits {logits.shape}")
-    if isinstance(mask, AttentionMask):
-        live = mask.bits.astype(bool)
-    else:
-        live = bits.astype(bool)
-        dead = np.flatnonzero(~live.any(axis=1))
-        if dead.size:
-            raise DegenerateMaskRowError(
-                f"mask rows {dead.tolist()} have no admissible positions"
-            )
-    gated = np.where(live, logits.data, -np.inf)
+    if logits.shape[-2:] != mask.bits.shape:
+        raise ShapeError(f"mask shape {mask.bits.shape} does not match logits {logits.shape}")
+    gated = np.where(mask.bits.astype(bool), logits.data, -np.inf)
     shifted = gated - gated.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)  # exp(-inf) == 0.0 exactly at masked positions
     out_data = expd / expd.sum(axis=-1, keepdims=True)

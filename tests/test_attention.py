@@ -12,7 +12,7 @@ from spt.masks import AttentionMask
 from spt.rng import SplitMix64
 from spt.tensor import Tensor
 
-from dense_reference import ref_attention
+from dense_reference import ref_attention, ref_softmax
 from gradcheck import finite_difference_check
 
 
@@ -68,8 +68,7 @@ class TestMaskedSelfAttention:
         _, record = masked_self_attention(
             Tensor(x), AttentionMask.identity(n), params, heads=2, need_record=True
         )
-        for head_probs in record.per_head.data:
-            assert np.array_equal(head_probs, np.eye(n))
+        assert np.array_equal(record.head_average.data, np.eye(n))
 
     def test_three_token_hand_oracle(self):
         # one head, hand-fixed Q, K, V; row 0 masked to tokens {0, 1}:
@@ -111,7 +110,7 @@ class TestMaskedSelfAttention:
         assert np.array_equal(ctx_a[:, i, :], ctx_b[:, i, :])
         assert not np.array_equal(ctx_a, ctx_b)
 
-    def test_permutation_equivariance_under_dense_mask(self):
+    def test_permutation_equivariance_under_all_ones_mask(self):
         rng = np.random.default_rng(6)
         n, d, heads = 5, 8, 2
         params = make_params(d, seed=7)
@@ -128,13 +127,15 @@ class TestMaskedSelfAttention:
         params = make_params(d, seed=9)
         bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
         bits[:, 0] = 1
-        _, record = masked_self_attention(Tensor(rng.normal(size=(n, d))),
-                                          AttentionMask(bits), params, heads,
+        x = rng.normal(size=(n, d))
+        _, record = masked_self_attention(Tensor(x), AttentionMask(bits), params, heads,
                                           need_record=True)
-        sums = record.per_head.data.sum(axis=2)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        np.testing.assert_allclose(record.head_average.data,
-                                   record.per_head.data.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(record.head_average.data.sum(axis=1), 1.0, atol=1e-9)
+        packed = (x @ params.qkv_projection.data).reshape(n, 3, heads, d // heads)
+        q, k = packed[:, 0].transpose(1, 0, 2), packed[:, 1].transpose(1, 0, 2)
+        logits = q @ k.transpose(0, 2, 1) / math.sqrt(d // heads)
+        probs = ref_softmax(np.where(bits == 1, logits, -np.inf))
+        np.testing.assert_allclose(record.head_average.data, probs.mean(axis=0), atol=1e-12)
 
 
 class TestEncoderBlock:

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spt.cli import main
+from spt.cli import build_parser, main
+from spt.data import SyntheticSceneConfig, generate_synthetic
+from spt.errors import SptError
 from spt.formats import load_pgm
-from spt.model import PoseModelParams, load_checkpoint
+from spt.model import ModelConfig, PoseModelParams, load_checkpoint, train_model
+from spt.skeleton import compile_joint_mask, default_skeleton
 
 
 def write_run_config(tmp_path, **overrides):
@@ -118,8 +121,29 @@ class TestTrain:
         assert len(lines) == 3
         records = [json.loads(l) for l in lines]
         assert [r["step"] for r in records] == [0, 1, 2]
-        assert all("loss" in r and "wall_ms" in r and "config_digest" in r
+        assert all(sorted(r) == ["config_digest", "loss", "step", "wall_ms"]
                    for r in records)
+
+    def test_cli_and_library_train_identically(self, tmp_path):
+        # 4 steps of batch 2 over 6 samples: the batch cursor wraps once.
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "4"]) == 0
+        doc = json.loads(cfg.read_text())
+        scene = SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16,
+                                     **doc["data"]["synthetic"])
+        train = generate_synthetic(scene, 9)[:6]
+        tr = doc["training"]
+        params, losses = train_model(
+            train, ModelConfig.from_json_dict(doc["model"]),
+            compile_joint_mask(default_skeleton()), 4, tr["batch_size"],
+            tr["learning_rate"], tr["seed"], tr["target_sigma"],
+        )
+        cli_params, _, _ = load_checkpoint(tmp_path / "out" / "checkpoint")
+        for (name, a), (_, b) in zip(cli_params.named_parameters(),
+                                     params.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        log = (tmp_path / "out" / "log.jsonl").read_text().splitlines()
+        assert [json.loads(l)["loss"] for l in log] == losses
 
     def test_sparsity_artifact_written(self, tmp_path):
         cfg = write_run_config(tmp_path)
@@ -217,6 +241,46 @@ class TestSweep:
         assert all("sparsity" in row for row in doc["rows"])
 
 
+def extra_key(block, key):
+    """A train run whose config has an unknown key in one block."""
+    def setup(tmp_path):
+        cfg = write_run_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc[block][key] = 1
+        cfg.write_text(json.dumps(doc))
+        return ["train", "--config", str(cfg)]
+    return setup
+
+
+def edited_manifest(edit):
+    """An eval run on a checkpoint whose manifest text went through ``edit``."""
+    def setup(tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        manifest = tmp_path / "out" / "checkpoint" / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        return ["eval", "--checkpoint", str(manifest.parent), "--config", str(cfg),
+                "--out", str(tmp_path / "e")]
+    return setup
+
+
+def without(key):
+    def edit(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+    return edit
+
+
+MALFORMED = [
+    ("unknown_model_key", extra_key("model", "depth"), 2),
+    ("unknown_training_key", extra_key("training", "epochs"), 2),
+    ("truncated_manifest", edited_manifest(lambda text: text[: len(text) // 2]), 6),
+    ("manifest_without_config", edited_manifest(without("config")), 6),
+    ("manifest_without_params", edited_manifest(without("params")), 6),
+]
+
+
 class TestErrors:
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -227,3 +291,12 @@ class TestErrors:
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({"bogus": 1}))
         assert main(["train", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("setup, code", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_input_exit_codes(self, tmp_path, setup, code):
+        argv = setup(tmp_path)
+        args = build_parser().parse_args(argv)
+        with pytest.raises(SptError):
+            args.fn(args)
+        assert main(argv) == code

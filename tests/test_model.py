@@ -12,7 +12,7 @@ from spt.model import (AdamState, ModelConfig, PoseModelParams, forward,
                        patchify_embed, save_checkpoint, train_step)
 from spt.pruning import PruneSchedule
 from spt.rng import SplitMix64
-from spt.skeleton import JointMask, SkeletonSpec, compile_joint_mask, default_skeleton
+from spt.skeleton import SkeletonSpec, compile_joint_mask, default_skeleton
 from spt.tensor import Tensor
 
 from dense_reference import ref_forward
@@ -41,7 +41,7 @@ def chain_skeleton(j):
 
 
 def dense_joint_mask(j):
-    return JointMask(np.ones((j, j), dtype=np.uint8))
+    return AttentionMask.ones(j)
 
 
 class TestConfig:
@@ -155,8 +155,8 @@ class TestForward:
         _, diag = forward(np.ones((16, 16)), params, cfg,
                           compile_joint_mask(chain_skeleton(4)))
         assert diag.mask_state.stage == 2
-        assert len(diag.stage_masks) == 2
-        for stage_mask in diag.stage_masks:
+        assert len(diag.mask_state.masks) == 3
+        for stage_mask in diag.mask_state.masks[1:]:
             full = full_token_mask(stage_mask, 4)
             assert (full.bits[:4, :] == 1).all()
             assert (full.bits[:, :4] == 1).all()

@@ -13,7 +13,7 @@ from spt.tensor import Tensor
 
 
 def record_from(avg: np.ndarray) -> AttentionRecord:
-    return AttentionRecord(per_head=Tensor(avg[None]), head_average=Tensor(avg))
+    return AttentionRecord(head_average=Tensor(avg))
 
 
 def brute_force_topk_row(values, kept_columns, k):
