@@ -9,7 +9,7 @@ reverse-mode differentiation, so toy-scale training needs no framework.
 """
 
 from .errors import (AnnotationError, CheckpointError, ConfigError,
-                     DegenerateMaskRowError, NonFiniteLossError,
+                     DegenerateMaskRowError, FormatError, NonFiniteLossError,
                      NonFiniteValueError, ShapeError, SkeletonError, SptError)
 from .masks import AttentionMask
 from .tensor import ComputationTape, Tensor, backward

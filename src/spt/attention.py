@@ -113,7 +113,10 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
         raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
     head_dim = d // heads
     q, k, v = project_qkv(x, params, heads)
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(head_dim))
+    # Scaling q (heads, N, head_dim) rather than the (heads, N, N) logits
+    # saves a full N x N pass forward and backward.
+    q = T.scale(q, 1.0 / math.sqrt(head_dim))
+    logits = T.matmul(q, T.transpose(k, (0, 2, 1)))
     probs = T.rowwise_masked_softmax(logits, mask)         # (heads, N, N)
     context = T.matmul(probs, v)                           # (heads, N, head_dim)
     merged = T.reshape(T.transpose(context, (1, 0, 2)), (n, d))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (Annotation, SyntheticSceneConfig, generate_sample,
                    generate_synthetic, load_annotations, save_annotations)
-from .errors import (AnnotationError, CheckpointError, ConfigError,
+from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
 from .formats import load_pgm, save_csv, save_pbm, save_pgm
@@ -40,6 +40,14 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     target_sigma: float = 1.5
+
+    def __post_init__(self):
+        # bool subclasses int, so JSON true/false would pass a plain int check.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            accepted = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"training.{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -389,6 +397,7 @@ _EXIT_CODES = (
     (ConfigError, 2),
     (SkeletonError, 3),
     (AnnotationError, 3),
+    (FormatError, 3),
     (NonFiniteLossError, 4),
     (CheckpointError, 6),
 )

@@ -47,6 +47,10 @@ class AnnotationError(SptError, ValueError):
         super().__init__(message)
 
 
+class FormatError(SptError, ValueError):
+    """A file does not follow its on-disk format (SPT1 tensor, PGM image)."""
+
+
 class CheckpointError(SptError, ValueError):
     """A checkpoint directory is missing pieces or inconsistent with its manifest."""
 

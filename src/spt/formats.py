@@ -14,10 +14,13 @@ binary PGM (P5, 8-bit).  PNM comment lines carry provenance digests.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .errors import FormatError
 
 MAGIC = b"SPT1"
 
@@ -32,16 +35,24 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read an SPT1 tensor; the file length must match its header exactly."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not an SPT1 tensor (magic {blob[:4]!r})")
+        raise FormatError(f"{path}: not an SPT1 tensor (magic {blob[:4]!r})")
+    if len(blob) < 8:
+        raise FormatError(f"{path}: truncated SPT1 header")
     (rank,) = struct.unpack_from("<I", blob, 4)
-    shape = struct.unpack_from(f"<{rank}I", blob, 8)
     offset = 8 + 4 * rank
-    count = int(np.prod(shape)) if rank else 1
+    if len(blob) < offset:
+        raise FormatError(f"{path}: truncated SPT1 header (rank {rank})")
+    shape = struct.unpack_from(f"<{rank}I", blob, 8)
+    count = math.prod(shape)
+    expected = offset + 8 * count
+    if len(blob) != expected:
+        raise FormatError(
+            f"{path}: {len(blob)} bytes, but shape {shape} needs {expected}"
+        )
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    if payload.size != count:
-        raise ValueError(f"{path}: truncated payload")
     return payload.astype(np.float64).reshape(shape)
 
 
@@ -90,7 +101,7 @@ def load_pgm(path) -> np.ndarray:
     """Read a binary 8-bit PGM back to floats in [0, 1]."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM")
+        raise FormatError(f"{path}: not a binary PGM")
     fields, pos = [], 2
     while len(fields) < 3:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
@@ -102,8 +113,15 @@ def load_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"{path}: truncated or malformed PGM header")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if not 0 < maxval < 256:
+        raise FormatError(f"{path}: PGM maxval {maxval} is not 8-bit")
+    if len(blob) < pos + w * h:
+        raise FormatError(f"{path}: truncated PGM body ({w}x{h} needs {w * h} bytes)")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return data.reshape(h, w).astype(np.float64) / float(maxval)

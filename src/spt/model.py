@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionLayerParams, encoder_block
 from .data import render_target_heatmaps
-from .errors import CheckpointError, ConfigError, NonFiniteLossError
+from .errors import CheckpointError, ConfigError, FormatError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
 from .masks import AttentionMask
 from .pruning import MaskState, PruneSchedule, apply_prune_schedule, sparsity_report
@@ -476,10 +476,14 @@ def load_checkpoint(directory):
     absent = [key for key in ("config", "params") if key not in manifest]
     if absent:
         raise CheckpointError(f"{directory}: manifest.json lacks {absent}")
+    stored = manifest["params"]
+    if not isinstance(manifest["config"], dict):
+        raise CheckpointError(f"{directory}: manifest config is not an object")
+    if not isinstance(stored, dict) or not all(isinstance(f, str) for f in stored.values()):
+        raise CheckpointError(f"{directory}: manifest params is not an object of file names")
     config = ModelConfig.from_json_dict(manifest["config"])
     params = PoseModelParams.init(config, seed=0)
     expected = dict(params.named_parameters())
-    stored = manifest["params"]
     missing = sorted(set(expected) - set(stored))
     extra_names = sorted(set(stored) - set(expected))
     if missing or extra_names:
@@ -487,7 +491,10 @@ def load_checkpoint(directory):
             f"{directory}: manifest/config mismatch (missing {missing}, unexpected {extra_names})"
         )
     for name, tensor in expected.items():
-        arr = load_tensor(directory / stored[name])
+        try:
+            arr = load_tensor(directory / stored[name])
+        except FormatError as exc:
+            raise CheckpointError(f"{directory}: parameter {name}: {exc}") from exc
         if arr.shape != tensor.shape:
             raise CheckpointError(
                 f"{directory}: parameter {name} has shape {arr.shape}, expected {tensor.shape}"

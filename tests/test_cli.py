@@ -9,7 +9,7 @@ import pytest
 from spt.cli import build_parser, main
 from spt.data import SyntheticSceneConfig, generate_synthetic
 from spt.errors import SptError
-from spt.formats import load_pgm
+from spt.formats import load_pgm, save_pgm
 from spt.model import ModelConfig, PoseModelParams, load_checkpoint, train_model
 from spt.skeleton import compile_joint_mask, default_skeleton
 
@@ -252,16 +252,21 @@ def extra_key(block, key):
     return setup
 
 
-def edited_manifest(edit):
-    """An eval run on a checkpoint whose manifest text went through ``edit``."""
+def edited_checkpoint(name, edit):
+    """An eval run on a checkpoint whose file ``name`` had its bytes go through ``edit``."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
-        manifest = tmp_path / "out" / "checkpoint" / "manifest.json"
-        manifest.write_text(edit(manifest.read_text()))
-        return ["eval", "--checkpoint", str(manifest.parent), "--config", str(cfg),
+        path = tmp_path / "out" / "checkpoint" / name
+        path.write_bytes(edit(path.read_bytes()))
+        return ["eval", "--checkpoint", str(path.parent), "--config", str(cfg),
                 "--out", str(tmp_path / "e")]
     return setup
+
+
+def edited_manifest(edit):
+    """An eval run on a checkpoint whose manifest text went through ``edit``."""
+    return edited_checkpoint("manifest.json", lambda blob: edit(blob.decode()).encode())
 
 
 def without(key):
@@ -272,12 +277,52 @@ def without(key):
     return edit
 
 
+def replaced(key, value):
+    def edit(text):
+        doc = json.loads(text)
+        doc[key] = value
+        return json.dumps(doc)
+    return edit
+
+
+def training_value(key, value):
+    """A train run whose config sets one training field to ``value``."""
+    def setup(tmp_path):
+        cfg = write_run_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["training"][key] = value
+        cfg.write_text(json.dumps(doc))
+        return ["train", "--config", str(cfg)]
+    return setup
+
+
+def truncated_image(keep):
+    """A masks run on a PGM cut to its first ``keep`` bytes."""
+    def setup(tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        image = tmp_path / "cut.pgm"
+        save_pgm(image, np.full((32, 32), 0.5))
+        image.write_bytes(image.read_bytes()[:keep])
+        return ["masks", "--checkpoint", str(tmp_path / "out" / "checkpoint"),
+                "--config", str(cfg), "--image", str(image), "--out", str(tmp_path / "m")]
+    return setup
+
+
 MALFORMED = [
     ("unknown_model_key", extra_key("model", "depth"), 2),
     ("unknown_training_key", extra_key("training", "epochs"), 2),
     ("truncated_manifest", edited_manifest(lambda text: text[: len(text) // 2]), 6),
     ("manifest_without_config", edited_manifest(without("config")), 6),
     ("manifest_without_params", edited_manifest(without("params")), 6),
+    ("manifest_params_not_object", edited_manifest(replaced("params", 5)), 6),
+    ("manifest_config_not_object", edited_manifest(replaced("config", 5)), 6),
+    ("tensor_cut_to_10_bytes", edited_checkpoint("head_b1.spt", lambda blob: blob[:10]), 6),
+    ("tensor_trailing_byte", edited_checkpoint("head_b1.spt", lambda blob: blob + b"\0"), 6),
+    ("training_steps_string", training_value("steps", "3"), 2),
+    ("training_seed_bool", training_value("seed", True), 2),
+    ("pgm_truncated_header", truncated_image(6), 3),
+    ("pgm_truncated_body", truncated_image(100), 3),
 ]
 
 

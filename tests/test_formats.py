@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from spt.errors import FormatError
 from spt.formats import (load_pgm, load_tensor, save_csv, save_pbm, save_pgm,
                          save_tensor)
+
+
+def damaged_copies(path):
+    """Every truncation of the file, plus the file with one byte appended."""
+    blob = path.read_bytes()
+    return [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]
 
 
 class TestBinaryTensor:
@@ -34,6 +41,14 @@ class TestBinaryTensor:
         with pytest.raises(ValueError, match="magic"):
             load_tensor(path)
 
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "t.spt"
+        save_tensor(path, np.arange(6.0).reshape(2, 3))
+        for damaged in damaged_copies(path):
+            path.write_bytes(damaged)
+            with pytest.raises(FormatError):
+                load_tensor(path)
+
 
 class TestCsv:
     def test_seventeen_significant_digits(self, tmp_path):
@@ -61,6 +76,14 @@ class TestPnm:
         back = load_pgm(path)
         assert back.shape == img.shape
         assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        save_pgm(path, np.full((2, 3), 0.5), comment="config deadbeef")
+        for damaged in damaged_copies(path)[:-1]:
+            path.write_bytes(damaged)
+            with pytest.raises(FormatError):
+                load_pgm(path)
 
     def test_pbm_bits(self, tmp_path):
         path = tmp_path / "m.pbm"

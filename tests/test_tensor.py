@@ -139,6 +139,56 @@ class TestMaskedSoftmax:
             [logits],
         )
 
+    def test_head_stack_matches_where_inf_formula(self):
+        rng = np.random.default_rng(13)
+        heads, n, k = 3, 12, 5
+        bits = np.zeros((n, n), dtype=np.uint8)
+        for row in range(n):
+            keep = (1, k, n)[row % 3]
+            bits[row, rng.choice(n, size=keep, replace=False)] = 1
+        logits = rng.normal(scale=3.0, size=(heads, n, n))
+        masked = np.broadcast_to(bits == 0, logits.shape)
+        logits[masked] = np.where(rng.random(int(masked.sum())) < 0.5, 1e300, -1e300)
+        gated = np.where(bits.astype(bool), logits, -np.inf)
+        e = np.exp(gated - gated.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        out = T.rowwise_masked_softmax(Tensor(logits), AttentionMask(bits)).data
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+        assert (out[masked] == 0.0).all()
+
+
+def _forward_and_pullback(op, x):
+    """Run a one-tensor op under a tape; return its output and its pullback."""
+    with ComputationTape() as tape:
+        out = op(x)
+    (record,) = tape._records
+    return out, record[2]
+
+
+class TestKernelsLeaveInputsAlone:
+    @pytest.mark.parametrize("op", [
+        T.gelu,
+        lambda x: T.rowwise_masked_softmax(
+            x, AttentionMask(np.tril(np.ones((6, 6), dtype=np.uint8)))),
+    ], ids=["gelu", "rowwise_masked_softmax"])
+    def test_forward_and_pullback_do_not_write_inputs(self, op):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(scale=2.0, size=(2, 6, 6)), requires_grad=True)
+        x_before = x.data.copy()
+        out, pullback = _forward_and_pullback(op, x)
+        out_before = out.data.copy()
+        assert np.array_equal(x.data, x_before)
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        store = {}
+        pullback(g, store)
+        assert np.array_equal(g, g_before)
+        assert np.array_equal(x.data, x_before)
+        assert np.array_equal(out.data, out_before)
+        grad = store[id(x)][1]
+        for array in (g, x.data, out.data):
+            assert not np.shares_memory(grad, array)
+
 
 class TestLayerNorm:
     def test_constant_rows_normalize_to_bias(self):
@@ -261,6 +311,12 @@ class TestStructuralOps:
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
         finite_difference_check(lambda: T.sum_all(T.add_bias(x, b)), [x, b])
+
+    def test_gelu_matches_tanh_formula(self):
+        x = np.linspace(-10, 10, 2001)
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        expected = 0.5 * x * (1 + np.tanh(c * (x + a * x * x * x)))
+        np.testing.assert_allclose(T.gelu(Tensor(x)).data, expected, rtol=1e-15, atol=0.0)
 
     def test_gelu_gradients_and_values(self):
         assert T.gelu(Tensor([0.0])).data[0] == 0.0
