@@ -12,11 +12,10 @@ Exit codes: 0 success, 2 config/usage error, 3 data validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +26,12 @@ from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
 from .formats import load_pgm, save_csv, save_pbm, save_pgm
-from .model import (ModelConfig, check_config_keys, forward, load_checkpoint,
-                    save_checkpoint, train_model)
+from .model import ModelConfig, forward, load_checkpoint, save_checkpoint, train_model
 from .pruning import K_MODES
+from .schema import from_json, read_json
 from .skeleton import compile_joint_mask, default_skeleton, load_skeleton
+
+DECODERS = ("refined", "argmax")
 
 
 @dataclass
@@ -42,12 +43,20 @@ class TrainingConfig:
     target_sigma: float = 1.5
 
     def __post_init__(self):
-        # bool subclasses int, so JSON true/false would pass a plain int check.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            accepted = int if f.type == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"training.{f.name} must be {f.type}, got {value!r}")
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {self.steps} "
+                              f"and {self.batch_size}")
+
+
+@dataclass
+class DataConfig:
+    """The run config's ``data`` block: a synthetic scene or annotation files."""
+
+    synthetic: SyntheticSceneConfig = field(default_factory=SyntheticSceneConfig)
+    train_count: int = 64
+    test_count: int = 16
+    annotations: str | None = None
+    test_annotations: str | None = None
 
 
 @dataclass
@@ -60,54 +69,37 @@ class RunConfig:
     output_dir: str = "out"
     decoder: str = "refined"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.to_json_dict(),
-            "skeleton": self.skeleton,
-            "data": self.data,
-            "training": dataclasses.asdict(self.training),
-            "output_dir": self.output_dir,
-            "decoder": self.decoder,
-        }
+    def __post_init__(self):
+        if self.decoder not in DECODERS:
+            raise ConfigError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
+        self.data_config()
+
+    def data_config(self) -> DataConfig:
+        """The ``data`` block, checked; ``data`` itself stays as written."""
+        return from_json(DataConfig, self.data, "data")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunConfig":
-        check_config_keys(cls, doc, "run")
-        model = ModelConfig.from_json_dict(doc.get("model", {}))
-        check_config_keys(TrainingConfig, doc.get("training", {}), "training")
-        training = TrainingConfig(**doc.get("training", {}))
-        return cls(
-            model=model,
-            skeleton=doc.get("skeleton"),
-            data=doc.get("data", {"synthetic": {}, "train_count": 64, "test_count": 16}),
-            training=training,
-            output_dir=doc.get("output_dir", "out"),
-            decoder=doc.get("decoder", "refined"),
-        )
+        return from_json(cls, doc, "run")
 
     def digest(self) -> str:
         # output_dir is where results land, not what they are; exclude it so
         # the same run written elsewhere hashes identically.
-        doc = self.to_json_dict()
+        doc = asdict(self)
         doc.pop("output_dir", None)
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return RunConfig.from_json_dict(doc)
+    return RunConfig.from_json_dict(read_json(path))
 
 
 def _scene_config(run: RunConfig) -> SyntheticSceneConfig:
-    scene = dict(run.data.get("synthetic") or {})
-    scene.setdefault("image_h", run.model.image_h)
-    scene.setdefault("image_w", run.model.image_w)
-    scene.setdefault("joint_count", run.model.joint_count)
-    return SyntheticSceneConfig(**scene)
+    """The synthetic scene; extents and joint count default to the model's."""
+    scene = {"image_h": run.model.image_h, "image_w": run.model.image_w,
+             "joint_count": run.model.joint_count, **run.data.get("synthetic", {})}
+    return from_json(SyntheticSceneConfig, scene, "data.synthetic")
 
 
 def _skeleton(run: RunConfig):
@@ -124,16 +116,14 @@ def _resolve_image(ann: Annotation, run: RunConfig, base_dir: Path) -> np.ndarra
 
 def _dataset(run: RunConfig):
     """(train, test) lists of (image, Annotation) from the run's data block."""
-    data = run.data
-    if "annotations" in data:
-        train = _file_samples(run, data["annotations"])
-        test = _file_samples(run, data["test_annotations"]) if "test_annotations" in data else []
+    data = run.data_config()
+    if data.annotations is not None:
+        train = _file_samples(run, data.annotations)
+        test = (_file_samples(run, data.test_annotations)
+                if data.test_annotations is not None else [])
         return train, test
-    scene = _scene_config(run)
-    train_count = int(data.get("train_count", 64))
-    test_count = int(data.get("test_count", 16))
-    samples = generate_synthetic(scene, train_count + test_count)
-    return samples[:train_count], samples[train_count:]
+    samples = generate_synthetic(_scene_config(run), data.train_count + data.test_count)
+    return samples[:data.train_count], samples[data.train_count:]
 
 
 def _file_samples(run: RunConfig, path):
@@ -145,7 +135,7 @@ def _file_samples(run: RunConfig, path):
 def _write_run_config(run: RunConfig, out_dir: Path) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = run.digest()
-    doc = run.to_json_dict()
+    doc = asdict(run)
     doc["config_digest"] = digest
     (out_dir / "run_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return digest
@@ -162,7 +152,7 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
         training = replace(training, steps=args.steps)
     if getattr(args, "seed", None) is not None:
         training = replace(training, seed=args.seed)
-    run = replace(run, model=model.validate(), training=training)
+    run = replace(run, model=model, training=training)
     if getattr(args, "out", None):
         run = replace(run, output_dir=args.out)
     if getattr(args, "decoder", None):
@@ -180,7 +170,7 @@ def cmd_gen_data(args) -> int:
     out_dir = Path(args.out or run.output_dir)
     digest = _write_run_config(run, out_dir)
     scene = _scene_config(run)
-    count = args.count if args.count is not None else int(run.data.get("train_count", 64))
+    count = args.count if args.count is not None else run.data_config().train_count
     annotations = []
     files = []
     for index in range(count):
@@ -358,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--akr", type=float, help="override attention keep ratio")
         p.add_argument("--k-mode", choices=K_MODES, dest="k_mode",
                        help="top-K basis: fraction of current row support, or of N")
-        p.add_argument("--decoder", choices=("refined", "argmax"),
+        p.add_argument("--decoder", choices=DECODERS,
                        help="heatmap decoder variant")
 
     p = sub.add_parser("gen-data", help="write synthetic PGM images + annotations")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import AnnotationError, ConfigError
 from .rng import sample_stream
+from .schema import read_json
 
 # Template pose in normalized [0, 1]^2 figure coordinates, MPII joint order.
 # The head segment (head-top to upper-neck) is deliberately long so PCKh
@@ -85,7 +86,7 @@ class SyntheticSceneConfig:
     image_w: int = 64
     jitter: float = 6.0  # per-joint uniform jitter amplitude, pixels
 
-    def validate(self):
+    def __post_init__(self):
         if self.joint_count != TEMPLATE_POSE.shape[0]:
             raise ConfigError(
                 f"synthetic scenes use the default {TEMPLATE_POSE.shape[0]}-joint "
@@ -142,7 +143,6 @@ def render_scene(joints: np.ndarray, config: SyntheticSceneConfig) -> np.ndarray
 
 def generate_sample(config: SyntheticSceneConfig, index: int):
     """One deterministic (image, Annotation) pair for (config.seed, index)."""
-    config.validate()
     template = _template_in_pixels(config.image_h, config.image_w)
     rng = sample_stream(config.seed, index)
     # Draw order is part of the format: joint 0 dx, dy, joint 1 dx, dy, ...
@@ -214,17 +214,18 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
     Bounds checking of visible joints needs image extents; pass them when
     known (the file format does not embed extents).
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, AnnotationError)
     if not isinstance(doc, list):
         raise AnnotationError(f"{path}: top level must be an array")
     annotations = []
     for index, rec in enumerate(doc):
         try:
             image = rec["image"]
+            ref = ((int(image["seed"]), int(image["index"])) if isinstance(image, dict)
+                   else str(image))
             joints = np.asarray(rec["joints"], dtype=np.float64)
+            if not all(isinstance(flag, bool) for flag in rec["visible"]):
+                raise TypeError(f"visible must hold JSON booleans, got {rec['visible']!r}")
             visible = np.asarray(rec["visible"], dtype=bool)
             head_size = float(rec["head_size"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -246,9 +247,5 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
                       & (vis[:, 1] >= 0) & (vis[:, 1] <= image_h - 1))
             if not inside.all():
                 raise AnnotationError("visible joint outside image bounds", index=index)
-        if isinstance(image, dict):
-            ref = (int(image["seed"]), int(image["index"]))
-        else:
-            ref = str(image)
         annotations.append(Annotation(joints, visible, head_size, ref))
     return annotations

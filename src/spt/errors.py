@@ -24,12 +24,12 @@ class ConfigError(SptError, ValueError):
 class SkeletonError(SptError, ValueError):
     """A skeleton definition violates its invariants.
 
-    Carries the full violation list so callers can report every breach
-    at once instead of fixing them one by one.
+    Carries the full violation list (a single message is a list of one) so
+    callers can report every breach at once instead of fixing them one by one.
     """
 
     def __init__(self, violations):
-        self.violations = list(violations)
+        self.violations = [violations] if isinstance(violations, str) else list(violations)
         super().__init__("invalid skeleton: " + "; ".join(self.violations))
 
 

@@ -10,7 +10,6 @@ debugging.  Training lives in ``model.train_model``; the sweep only calls it.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -112,22 +111,13 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
                       sample_count=len(annotations))
 
 
-def _workers_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("SPT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS,
-                   refine: bool = True, workers: int | None = None) -> PckhReport:
+                   refine: bool = True, workers: int = 1) -> PckhReport:
     """Forward + decode every (image, Annotation) sample, then score PCKh.
 
     ``workers`` > 1 opts into thread-parallel evaluation; the dataset and
     parameters are shared read-only.
     """
-    workers = _workers_from_env() if workers is None else workers
-
     def predict(sample):
         image, _ = sample
         heatmaps, _ = forward(image, params, config, skeleton_mask)
@@ -161,7 +151,7 @@ def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
     joint_mask = compile_joint_mask(skeleton)
     rows = []
     for keep_ratio in keep_ratios:
-        config = base_config.with_keep_ratio(float(keep_ratio)).validate()
+        config = base_config.with_keep_ratio(float(keep_ratio))
         params, _ = train_model(train_samples, config, joint_mask, train_budget,
                                 batch_size, learning_rate, seed, target_sigma)
         report = evaluate_model(params, config, joint_mask, test_samples, alphas, refine)

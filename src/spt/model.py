@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +30,10 @@ from .formats import load_tensor, save_tensor
 from .masks import AttentionMask
 from .pruning import MaskState, PruneSchedule, apply_prune_schedule, sparsity_report
 from .rng import SplitMix64
+from .schema import from_json, read_json
 from .tensor import ComputationTape, Tensor
 
 POSITIONAL_MODES = ("learned", "sinusoidal")
-
-
-def check_config_keys(cls, doc: dict, block: str) -> None:
-    """Reject keys of a config block that are not fields of ``cls``."""
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {block} config keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -63,6 +57,9 @@ class ModelConfig:
     mlp_ratio: int = 3
     pos_encoding: str = "learned"
     schedule: PruneSchedule = field(default_factory=PruneSchedule)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "ModelConfig":
         if self.downsample < 1:
@@ -120,29 +117,11 @@ class ModelConfig:
         return self.channels * self.patch_h * self.patch_w
 
     def to_json_dict(self) -> dict:
-        doc = {k: getattr(self, k) for k in (
-            "image_h", "image_w", "channels", "downsample", "patch_h", "patch_w",
-            "embed_dim", "heads", "encoder_layers", "graph_layers", "joint_count",
-            "heatmap_h", "heatmap_w", "mlp_ratio", "pos_encoding",
-        )}
-        doc["schedule"] = {
-            "update_layers": list(self.schedule.update_layers),
-            "keep_ratio": self.schedule.keep_ratio,
-            "k_mode": self.schedule.k_mode,
-        }
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        check_config_keys(cls, doc, "model")
-        doc = dict(doc)
-        sched = doc.pop("schedule", {})
-        schedule = PruneSchedule(
-            update_layers=tuple(sched.get("update_layers", (3, 6, 9))),
-            keep_ratio=float(sched.get("keep_ratio", 0.6)),
-            k_mode=sched.get("k_mode", "support"),
-        )
-        return cls(schedule=schedule, **doc).validate()
+        return from_json(cls, doc, "model")
 
     def with_keep_ratio(self, keep_ratio: float) -> "ModelConfig":
         return replace(self, schedule=replace(self.schedule, keep_ratio=keep_ratio))
@@ -176,7 +155,6 @@ class PoseModelParams:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "PoseModelParams":
-        config.validate()
         rng = SplitMix64(seed)
         d = config.embed_dim
         std = 0.02
@@ -465,10 +443,7 @@ def load_checkpoint(directory):
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CheckpointError(f"{directory}: missing manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise CheckpointError(f"{directory}: unreadable manifest.json: {exc}") from exc
+    manifest = read_json(manifest_path, CheckpointError)
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{directory}: manifest.json is not a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -477,11 +452,10 @@ def load_checkpoint(directory):
     if absent:
         raise CheckpointError(f"{directory}: manifest.json lacks {absent}")
     stored = manifest["params"]
-    if not isinstance(manifest["config"], dict):
-        raise CheckpointError(f"{directory}: manifest config is not an object")
     if not isinstance(stored, dict) or not all(isinstance(f, str) for f in stored.values()):
         raise CheckpointError(f"{directory}: manifest params is not an object of file names")
-    config = ModelConfig.from_json_dict(manifest["config"])
+    config = from_json(ModelConfig, manifest["config"], f"{manifest_path} config",
+                       CheckpointError)
     params = PoseModelParams.init(config, seed=0)
     expected = dict(params.named_parameters())
     missing = sorted(set(expected) - set(stored))

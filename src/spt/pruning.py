@@ -15,7 +15,7 @@ at small N and Python's bankers rounding would be surprising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +33,12 @@ def round_half_up(x: float) -> int:
 class PruneSchedule:
     """Which encoder layers update the mask, and how much each update keeps."""
 
-    update_layers: tuple = (3, 6, 9)
+    update_layers: tuple[int, ...] = (3, 6, 9)
     keep_ratio: float = 0.6
     k_mode: str = "support"
 
     def __post_init__(self):
-        layers = tuple(int(l) for l in self.update_layers)
-        object.__setattr__(self, "update_layers", layers)
+        layers = self.update_layers
         if any(b <= a for a, b in zip(layers, layers[1:])) or (layers and layers[0] < 1):
             raise ConfigError(f"update layers must be strictly increasing and >= 1: {layers}")
         if not 0.0 < self.keep_ratio <= 1.0:
@@ -141,12 +140,7 @@ class SparsityStats:
     mac_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "stages": self.stages,
-            "per_stage_density": self.per_stage_density,
-            "layer_weighted_density": self.layer_weighted_density,
-            "mac_ratio": self.mac_ratio,
-        }
+        return asdict(self)
 
 
 def sparsity_report(state: MaskState, config) -> SparsityStats:

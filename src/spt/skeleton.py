@@ -13,29 +13,22 @@ symmetric_pairs) so joint conventions are user-definable, never baked in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SkeletonError
 from .masks import AttentionMask
+from .schema import from_json, read_json
 
 
 @dataclass(frozen=True)
 class SkeletonSpec:
     joint_count: int
-    names: tuple
-    edges: tuple            # unordered joint-index pairs, kinematic adjacency
-    symmetric_pairs: tuple  # unordered left/right pairs, each joint in at most one
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "edges", tuple(tuple(int(i) for i in e) for e in self.edges))
-        object.__setattr__(
-            self, "symmetric_pairs",
-            tuple(tuple(int(i) for i in p) for p in self.symmetric_pairs),
-        )
+    names: tuple[str, ...]
+    edges: tuple[tuple[int, int], ...]            # unordered joint-index pairs, adjacency
+    symmetric_pairs: tuple[tuple[int, int], ...]  # left/right pairs, each joint in at most one
 
 
 def validate_spec(spec: SkeletonSpec) -> list:
@@ -114,26 +107,12 @@ def default_skeleton() -> SkeletonSpec:
 
 
 def save_skeleton(spec: SkeletonSpec, path) -> None:
-    doc = {
-        "joint_count": spec.joint_count,
-        "names": list(spec.names),
-        "edges": [list(e) for e in spec.edges],
-        "symmetric_pairs": [list(p) for p in spec.symmetric_pairs],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_skeleton(path) -> SkeletonSpec:
-    doc = json.loads(Path(path).read_text())
-    try:
-        spec = SkeletonSpec(
-            joint_count=int(doc["joint_count"]),
-            names=tuple(doc["names"]),
-            edges=tuple(tuple(e) for e in doc["edges"]),
-            symmetric_pairs=tuple(tuple(p) for p in doc["symmetric_pairs"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SkeletonError([f"malformed skeleton file {path}: {exc!r}"]) from exc
+    spec = from_json(SkeletonSpec, read_json(path, SkeletonError), f"skeleton file {path}",
+                     SkeletonError)
     violations = validate_spec(spec)
     if violations:
         raise SkeletonError(violations)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spt.cli import build_parser, main
+from spt.cli import RunConfig, build_parser, main
 from spt.data import SyntheticSceneConfig, generate_synthetic
 from spt.errors import SptError
 from spt.formats import load_pgm, save_pgm
 from spt.model import ModelConfig, PoseModelParams, load_checkpoint, train_model
-from spt.skeleton import compile_joint_mask, default_skeleton
+from spt.skeleton import compile_joint_mask, default_skeleton, save_skeleton
 
 
 def write_run_config(tmp_path, **overrides):
@@ -241,14 +241,56 @@ class TestSweep:
         assert all("sparsity" in row for row in doc["rows"])
 
 
-def extra_key(block, key):
-    """A train run whose config has an unknown key in one block."""
+class TestRunConfig:
+    def test_digest_known_answers(self, tmp_path):
+        doc = json.loads(write_run_config(tmp_path).read_text())
+        assert RunConfig.from_json_dict(doc).digest() == \
+            "5c653a0049503e6f58a726b315d9a4caac0acdbe46df25028716e50588b570ce"
+        assert RunConfig().digest() == \
+            "cd7ad8278f2c9b6f840fe7a5b13627965e51a8f7b0c73b29ff8c6905c2bce7b1"
+
+    def test_int_in_float_field_is_stored_as_float(self):
+        run = RunConfig.from_json_dict({"training": {"learning_rate": 1}})
+        assert type(run.training.learning_rate) is float
+
+
+def assign(doc, path, value):
+    """Set the value at a dotted key path of a JSON document."""
+    *outer, key = path.split(".")
+    for name in outer:
+        doc = doc[name]
+    doc[key] = value
+
+
+def run_value(path, value):
+    """A train run whose config has ``value`` at the dotted key ``path``."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         doc = json.loads(cfg.read_text())
-        doc[block][key] = 1
+        assign(doc, path, value)
         cfg.write_text(json.dumps(doc))
         return ["train", "--config", str(cfg)]
+    return setup
+
+
+def skeleton_file(edit):
+    """A train run on a skeleton file whose JSON text went through ``edit``."""
+    def setup(tmp_path):
+        path = tmp_path / "skeleton.json"
+        save_skeleton(default_skeleton(), path)
+        path.write_text(edit(path.read_text()))
+        return run_value("skeleton", str(path))(tmp_path)
+    return setup
+
+
+def annotation_record(**fields):
+    """A train run on a one-record annotation file with ``fields`` replaced."""
+    def setup(tmp_path):
+        record = {"image": {"seed": 11, "index": 0}, "joints": [[5.0, 5.0]] * 16,
+                  "visible": [True] * 16, "head_size": 3.0, **fields}
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps([record]))
+        return run_value("data", {"annotations": str(path)})(tmp_path)
     return setup
 
 
@@ -277,23 +319,12 @@ def without(key):
     return edit
 
 
-def replaced(key, value):
+def replaced(path, value):
     def edit(text):
         doc = json.loads(text)
-        doc[key] = value
+        assign(doc, path, value)
         return json.dumps(doc)
     return edit
-
-
-def training_value(key, value):
-    """A train run whose config sets one training field to ``value``."""
-    def setup(tmp_path):
-        cfg = write_run_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["training"][key] = value
-        cfg.write_text(json.dumps(doc))
-        return ["train", "--config", str(cfg)]
-    return setup
 
 
 def truncated_image(keep):
@@ -310,8 +341,8 @@ def truncated_image(keep):
 
 
 MALFORMED = [
-    ("unknown_model_key", extra_key("model", "depth"), 2),
-    ("unknown_training_key", extra_key("training", "epochs"), 2),
+    ("unknown_model_key", run_value("model.depth", 1), 2),
+    ("unknown_training_key", run_value("training.epochs", 1), 2),
     ("truncated_manifest", edited_manifest(lambda text: text[: len(text) // 2]), 6),
     ("manifest_without_config", edited_manifest(without("config")), 6),
     ("manifest_without_params", edited_manifest(without("params")), 6),
@@ -319,10 +350,38 @@ MALFORMED = [
     ("manifest_config_not_object", edited_manifest(replaced("config", 5)), 6),
     ("tensor_cut_to_10_bytes", edited_checkpoint("head_b1.spt", lambda blob: blob[:10]), 6),
     ("tensor_trailing_byte", edited_checkpoint("head_b1.spt", lambda blob: blob + b"\0"), 6),
-    ("training_steps_string", training_value("steps", "3"), 2),
-    ("training_seed_bool", training_value("seed", True), 2),
+    ("training_steps_string", run_value("training.steps", "3"), 2),
+    ("training_seed_bool", run_value("training.seed", True), 2),
     ("pgm_truncated_header", truncated_image(6), 3),
     ("pgm_truncated_body", truncated_image(100), 3),
+    ("model_value_string", run_value("model.embed_dim", "16"), 2),
+    ("model_float_for_int", run_value("model.heads", 2.0), 2),
+    ("model_not_object", run_value("model", []), 2),
+    ("schedule_not_object", run_value("model.schedule", 5), 2),
+    ("unknown_schedule_key", run_value("model.schedule.keepratio", 0.3), 2),
+    ("keep_ratio_string", run_value("model.schedule.keep_ratio", "0.5"), 2),
+    ("keep_ratio_bool", run_value("model.schedule.keep_ratio", True), 2),
+    ("update_layer_float", run_value("model.schedule.update_layers", [1.7]), 2),
+    ("skeleton_not_string", run_value("skeleton", 5), 2),
+    ("unknown_decoder", run_value("decoder", "refine"), 2),
+    ("output_dir_not_string", run_value("output_dir", 5), 2),
+    ("data_not_object", run_value("data", 5), 2),
+    ("unknown_data_key", run_value("data.tarin_count", 5), 2),
+    ("data_count_float", run_value("data.train_count", 5.9), 2),
+    ("synthetic_not_object", run_value("data.synthetic", 5), 2),
+    ("unknown_synthetic_key", run_value("data.synthetic.blur", 1), 2),
+    ("synthetic_value_string", run_value("data.synthetic.jitter", "3"), 2),
+    ("negative_training_steps", run_value("training.steps", -1), 2),
+    ("skeleton_pair_string", skeleton_file(replaced("edges", [["a", 1]])), 3),
+    ("skeleton_pair_triple", skeleton_file(replaced("symmetric_pairs", [[0, 5, 1]])), 3),
+    ("skeleton_count_string", skeleton_file(replaced("joint_count", "16")), 3),
+    ("skeleton_unparsable", skeleton_file(lambda text: text[:20]), 3),
+    ("annotation_ref_without_index", annotation_record(image={"seed": 1}), 3),
+    ("annotation_ref_seed_string", annotation_record(image={"seed": "x", "index": 0}), 3),
+    ("annotation_visible_strings", annotation_record(visible=["yes"] * 16), 3),
+    ("manifest_config_value_string", edited_manifest(replaced("config.heads", "2")), 6),
+    ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
+    ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),
 ]
 
 
