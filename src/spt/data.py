@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AnnotationError, ConfigError
 from .rng import sample_stream
-from .schema import read_json
+from .schema import json_value, read_json
 
 # Template pose in normalized [0, 1]^2 figure coordinates, MPII joint order.
 # The head segment (head-top to upper-neck) is deliberately long so PCKh
@@ -211,8 +211,11 @@ def save_annotations(annotations, path) -> None:
 def load_annotations(path, image_h: int | None = None, image_w: int | None = None):
     """Parse and validate an annotation file.
 
-    Bounds checking of visible joints needs image extents; pass them when
-    known (the file format does not embed extents).
+    JSON types are checked, never coerced: an image ref's ``seed`` and
+    ``index`` are integers, joint coordinates and ``head_size`` are numbers,
+    ``visible`` flags are booleans and an image path is a string.  Bounds
+    checking of visible joints needs image extents; pass them when known
+    (the file format does not embed extents).
     """
     doc = read_json(path, AnnotationError)
     if not isinstance(doc, list):
@@ -221,13 +224,14 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
     for index, rec in enumerate(doc):
         try:
             image = rec["image"]
-            ref = ((int(image["seed"]), int(image["index"])) if isinstance(image, dict)
-                   else str(image))
-            joints = np.asarray(rec["joints"], dtype=np.float64)
-            if not all(isinstance(flag, bool) for flag in rec["visible"]):
-                raise TypeError(f"visible must hold JSON booleans, got {rec['visible']!r}")
-            visible = np.asarray(rec["visible"], dtype=bool)
-            head_size = float(rec["head_size"])
+            ref = ((json_value(int, image["seed"], "image.seed", TypeError),
+                    json_value(int, image["index"], "image.index", TypeError))
+                   if isinstance(image, dict) else json_value(str, image, "image", TypeError))
+            joints = np.asarray(json_value(tuple[tuple[float, ...], ...], rec["joints"],
+                                           "joints", TypeError), dtype=np.float64)
+            visible = np.asarray(json_value(tuple[bool, ...], rec["visible"], "visible",
+                                            TypeError), dtype=bool)
+            head_size = json_value(float, rec["head_size"], "head_size", TypeError)
         except (KeyError, TypeError, ValueError) as exc:
             raise AnnotationError(f"malformed record: {exc!r}", index=index) from exc
         if joints.ndim != 2 or joints.shape[1] != 2:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import forward, train_model
 from .skeleton import compile_joint_mask, default_skeleton
+from .tensor import finite_checks_enabled, set_finite_checks
 
 DEFAULT_ALPHAS = (0.5, 0.1)
 
@@ -116,7 +117,8 @@ def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS
     """Forward + decode every (image, Annotation) sample, then score PCKh.
 
     ``workers`` > 1 opts into thread-parallel evaluation; the dataset and
-    parameters are shared read-only.
+    parameters are shared read-only, and every worker thread runs under the
+    caller's NaN/Inf guard setting.
     """
     def predict(sample):
         image, _ = sample
@@ -124,7 +126,8 @@ def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS
         return decode_heatmaps(heatmaps, config.image_h, config.image_w, refine)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=set_finite_checks,
+                                initargs=(finite_checks_enabled(),)) as pool:
             preds = list(pool.map(predict, samples))
     else:
         preds = [predict(s) for s in samples]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -419,8 +421,14 @@ CHECKPOINT_FORMAT = "spt-checkpoint-v1"
 
 def save_checkpoint(directory, params: PoseModelParams, config: ModelConfig,
                     extra: dict | None = None) -> None:
+    """Write a checkpoint directory, replacing any previous one by renames.
+
+    Every file is written into a sibling temporary directory first, so an
+    interrupted save leaves the previous checkpoint as it was and removes
+    its own partial files.  Only a crash between the two final renames
+    leaves no checkpoint at ``directory``.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": config.to_json_dict(),
@@ -428,13 +436,23 @@ def save_checkpoint(directory, params: PoseModelParams, config: ModelConfig,
     }
     if extra:
         manifest.update(extra)
-    for name, p in params.named_parameters():
-        filename = name.replace(".", "_") + ".spt"
-        save_tensor(directory / filename, p.data)
-        manifest["params"][name] = filename
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=f".{directory.name}-", dir=directory.parent))
+    try:
+        staged, retired = scratch / "new", scratch / "old"
+        staged.mkdir()
+        for name, p in params.named_parameters():
+            filename = name.replace(".", "_") + ".spt"
+            save_tensor(staged / filename, p.data)
+            manifest["params"][name] = filename
+        (staged / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+        if directory.exists():
+            directory.rename(retired)
+        staged.rename(directory)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def load_checkpoint(directory):

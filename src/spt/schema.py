@@ -42,7 +42,7 @@ def from_json(cls, doc, block: str, error=ConfigError):
     if missing:
         raise error(f"{block} lacks keys {missing}")
     hints = get_type_hints(cls)
-    values = {name: _value(hints[name], value, f"{block}.{name}", error)
+    values = {name: json_value(hints[name], value, f"{block}.{name}", error)
               for name, value in doc.items()}
     try:
         return cls(**values)
@@ -50,7 +50,12 @@ def from_json(cls, doc, block: str, error=ConfigError):
         raise error(f"{block}: {exc}") from exc
 
 
-def _value(hint, value, where: str, error):
+def json_value(hint, value, where: str, error):
+    """Check one JSON value ``where`` against ``hint``; returns it converted.
+
+    A bool is never a number, an int in a float position becomes a float,
+    and a list matches a tuple hint item by item.
+    """
     if is_dataclass(hint):
         return from_json(hint, value, where, error)
     origin, args = get_origin(hint), get_args(hint)
@@ -63,10 +68,10 @@ def _value(hint, value, where: str, error):
         if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
             raise error(f"{where} must be a list matching {hint}, got {value!r}")
         items = args[:1] * len(value) if variadic else args
-        return tuple(_value(item, v, f"{where}[{i}]", error)
+        return tuple(json_value(item, v, f"{where}[{i}]", error)
                      for i, (item, v) in enumerate(zip(items, value)))
     if hint is float and type(value) is int:
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, hint):
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
         raise error(f"{where} must be {hint.__name__}, got {value!r}")
     return value

@@ -379,6 +379,14 @@ MALFORMED = [
     ("annotation_ref_without_index", annotation_record(image={"seed": 1}), 3),
     ("annotation_ref_seed_string", annotation_record(image={"seed": "x", "index": 0}), 3),
     ("annotation_visible_strings", annotation_record(visible=["yes"] * 16), 3),
+    ("annotation_ref_seed_numeric_string",
+     annotation_record(image={"seed": "5", "index": 0}), 3),
+    ("annotation_ref_index_bool", annotation_record(image={"seed": 5, "index": True}), 3),
+    ("annotation_image_path_number", annotation_record(image=5), 3),
+    ("annotation_joint_numeric_string", annotation_record(joints=[["1.5", 5.0]] * 16), 3),
+    ("annotation_joint_bool", annotation_record(joints=[[5.0, True]] * 16), 3),
+    ("annotation_head_size_numeric_string", annotation_record(head_size="3"), 3),
+    ("annotation_head_size_bool", annotation_record(head_size=True), 3),
     ("manifest_config_value_string", edited_manifest(replaced("config.heads", "2")), 6),
     ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
     ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),

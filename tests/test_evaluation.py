@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import spt.evaluation
+import spt.tensor as T
 from spt.data import Annotation, SyntheticSceneConfig, generate_synthetic, \
     render_target_heatmaps
 from spt.errors import ConfigError
@@ -221,6 +223,26 @@ class TestEvaluateModel:
         par = evaluate_model(params, cfg, joint_mask, samples, workers=4)
         for alpha in seq.per_joint:
             assert np.array_equal(seq.per_joint[alpha], par.per_joint[alpha])
+
+    def test_workers_run_under_the_callers_finite_guard(self, monkeypatch):
+        cfg = sweep_fixture_config()
+        params = PoseModelParams.init(cfg, seed=4)
+        joint_mask = compile_joint_mask(default_skeleton())
+        scene = SyntheticSceneConfig(seed=5, image_h=32, image_w=32, jitter=3.0,
+                                     blob_sigma=1.2)
+        samples = generate_synthetic(scene, 4)
+        seen = set()
+
+        def spy(*args, **kwargs):
+            seen.add(T.finite_checks_enabled())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(spt.evaluation, "forward", spy)
+        for enabled in (True, False):
+            seen.clear()
+            with T.finite_checks(enabled):
+                evaluate_model(params, cfg, joint_mask, samples, workers=2)
+            assert seen == {enabled}
 
     def test_decode_heatmaps_stacks(self):
         cfg = sweep_fixture_config()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spt.model
 import spt.tensor as T
 from spt.attention import encoder_block
 from spt.errors import CheckpointError, ConfigError, NonFiniteLossError
@@ -335,6 +336,37 @@ class TestCheckpoint:
         for (name_a, a), (name_b, b) in zip(params.named_parameters(),
                                             loaded.named_parameters()):
             assert name_a == name_b
+            assert np.array_equal(a.data, b.data)
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        old = PoseModelParams.init(cfg, seed=24)
+        save_checkpoint(tmp_path / "ckpt", old, cfg)
+        real_save = spt.model.save_tensor
+        calls = []
+
+        def failing_save(path, array):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            real_save(path, array)
+
+        monkeypatch.setattr(spt.model, "save_tensor", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "ckpt", PoseModelParams.init(cfg, seed=25), cfg)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        for (_, a), (_, b) in zip(old.named_parameters(), loaded.named_parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_save_replaces_a_previous_checkpoint(self, tmp_path):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ckpt", PoseModelParams.init(cfg, seed=26), cfg)
+        new = PoseModelParams.init(cfg, seed=27)
+        save_checkpoint(tmp_path / "ckpt", new, cfg)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        for (_, a), (_, b) in zip(new.named_parameters(), loaded.named_parameters()):
             assert np.array_equal(a.data, b.data)
 
     def test_missing_manifest(self, tmp_path):

@@ -1,6 +1,8 @@
 """Tensor core: op semantics, masked softmax, and taped gradients."""
 
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ def _forward_and_pullback(op, x):
     with ComputationTape() as tape:
         out = op(x)
     (record,) = tape._records
-    return out, record[2]
+    return out, record[1]
 
 
 class TestKernelsLeaveInputsAlone:
@@ -185,7 +187,7 @@ class TestKernelsLeaveInputsAlone:
         assert np.array_equal(g, g_before)
         assert np.array_equal(x.data, x_before)
         assert np.array_equal(out.data, out_before)
-        grad = store[id(x)][1]
+        grad = store[x][0]
         for array in (g, x.data, out.data):
             assert not np.shares_memory(grad, array)
 
@@ -280,6 +282,55 @@ class TestBackward:
         assert np.array_equal(x.grad, [8.0])
 
 
+class TestTapeMemory:
+    def test_softmax_does_not_keep_its_logits(self):
+        mask = AttentionMask(np.tril(np.ones((5, 5), dtype=np.uint8)))
+
+        def gradients(drop_logits):
+            rng = np.random.default_rng(6)
+            q = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+            k_t = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+            weights = Tensor(rng.normal(size=(2, 5, 5)))
+            with ComputationTape() as tape:
+                logits = T.matmul(q, k_t)
+                probs = T.rowwise_masked_softmax(logits, mask)
+                if drop_logits:
+                    logits_data = weakref.ref(logits.data)
+                    del logits
+                    assert logits_data() is None
+                loss = T.sum_all(T.mul(probs, weights))
+            backward(loss, tape)
+            return q.grad, k_t.grad
+
+        for kept, dropped in zip(gradients(False), gradients(True)):
+            assert np.array_equal(kept, dropped)
+
+    def test_matmul_keeps_and_differentiates_only_what_needs_a_gradient(self):
+        rng = np.random.default_rng(8)
+        constant = Tensor(rng.normal(size=(4, 6)))
+        w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        out, pullback = _forward_and_pullback(lambda x: T.matmul(constant, x), w)
+        store = {}
+        pullback(np.ones(out.shape), store)
+        assert list(store) == [w]
+        with ComputationTape():
+            hidden = T.scale(w, 2.0)
+            T.matmul(constant, hidden)
+            hidden_data = weakref.ref(hidden.data)
+            del hidden
+            assert hidden_data() is None
+
+    def test_backward_consumes_the_tape_and_keeps_its_length(self):
+        x = Tensor([2.0], requires_grad=True)
+        with ComputationTape() as tape:
+            loss = T.sum_all(T.mul(x, x))
+        assert len(tape) == 2
+        backward(loss, tape)
+        assert tape._records == []
+        assert len(tape) == 2
+        assert np.array_equal(x.grad, [4.0])
+
+
 class TestStructuralOps:
     def test_reshape_transpose_round_trip(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
@@ -343,6 +394,16 @@ class TestStructuralOps:
 
 class TestFiniteChecks:
     def test_non_finite_result_raises_when_enabled(self):
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteValueError):
+            T.scale(Tensor([1e308]), 10.0)
+
+    def test_guard_is_per_thread(self):
+        assert T.finite_checks_enabled()  # turned on for this thread by conftest
+        other = threading.Thread(target=T.set_finite_checks, args=(False,))
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert T.finite_checks_enabled()
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteValueError):
             T.scale(Tensor([1e308]), 10.0)
 
