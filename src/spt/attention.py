@@ -10,7 +10,7 @@ counts.  Blocks are pre-norm: x + attn(norm(x)), then + mlp(norm(.)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,13 @@ from .errors import ConfigError
 from .masks import AttentionMask
 from .rng import SplitMix64
 from .tensor import Tensor
+
+
+def initial_array(fill: str, shape: tuple, rng: SplitMix64, std: float = 0.02) -> np.ndarray:
+    """A parameter's starting value: N(0, std^2) draws from ``rng``, zeros or ones."""
+    if fill == "normal":
+        return rng.normal_array(shape, std)
+    return np.zeros(shape) if fill == "zeros" else np.ones(shape)
 
 
 @dataclass
@@ -42,37 +49,34 @@ class AttentionLayerParams:
     mlp_w2: Tensor
     mlp_b2: Tensor
 
+    @staticmethod
+    def layout(embed_dim: int, mlp_ratio: int) -> list:
+        """(field, shape, fill) of every weight, in field order."""
+        d, hidden = embed_dim, mlp_ratio * embed_dim
+        return [
+            ("qkv_projection", (d, 3 * d), "normal"),
+            ("output_projection", (d, d), "normal"),
+            ("norm1_gain", (d,), "ones"),
+            ("norm1_bias", (d,), "zeros"),
+            ("norm2_gain", (d,), "ones"),
+            ("norm2_bias", (d,), "zeros"),
+            ("mlp_w1", (d, hidden), "normal"),
+            ("mlp_b1", (hidden,), "zeros"),
+            ("mlp_w2", (hidden, d), "normal"),
+            ("mlp_b2", (d,), "zeros"),
+        ]
+
     @classmethod
     def init(cls, embed_dim: int, mlp_ratio: int, rng: SplitMix64,
              weight_std: float = 0.02) -> "AttentionLayerParams":
-        hidden = mlp_ratio * embed_dim
-
-        def w(shape):
-            return Tensor(rng.normal_array(shape, weight_std), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
-
-        return cls(
-            qkv_projection=w((embed_dim, 3 * embed_dim)),
-            output_projection=w((embed_dim, embed_dim)),
-            norm1_gain=ones((embed_dim,)),
-            norm1_bias=zeros((embed_dim,)),
-            norm2_gain=ones((embed_dim,)),
-            norm2_bias=zeros((embed_dim,)),
-            mlp_w1=w((embed_dim, hidden)),
-            mlp_b1=zeros((hidden,)),
-            mlp_w2=w((hidden, embed_dim)),
-            mlp_b2=zeros((embed_dim,)),
-        )
+        return cls(**{
+            name: Tensor(initial_array(fill, shape, rng, weight_std), requires_grad=True)
+            for name, shape, fill in cls.layout(embed_dim, mlp_ratio)
+        })
 
     def named(self, prefix: str):
-        for field in ("qkv_projection", "output_projection", "norm1_gain", "norm1_bias",
-                      "norm2_gain", "norm2_bias", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            yield f"{prefix}.{field}", getattr(self, field)
+        for f in fields(self):
+            yield f"{prefix}.{f.name}", getattr(self, f.name)
 
 
 @dataclass
@@ -105,21 +109,26 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
                           heads: int, need_record: bool = False):
     """Multi-head self-attention with the softmax restricted to the mask.
 
+    An r x n mask over n tokens makes the first r tokens the queries: every
+    token still supplies keys and values, and the output has r rows.
     Returns (output, AttentionRecord or None).  The record holds a detached
     probability map so retaining it never grows the tape.
     """
     n, d = x.shape
-    if mask.bits.shape != (n, n):
+    r = mask.rows
+    if mask.cols != n or r > n:
         raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
     head_dim = d // heads
     q, k, v = project_qkv(x, params, heads)
-    # Scaling q (heads, N, head_dim) rather than the (heads, N, N) logits
-    # saves a full N x N pass forward and backward.
+    if r < n:
+        q = T.narrow(q, 1, 0, r)
+    # Scaling q (heads, r, head_dim) rather than the (heads, r, N) logits
+    # saves a full r x N pass forward and backward.
     q = T.scale(q, 1.0 / math.sqrt(head_dim))
     logits = T.matmul(q, T.transpose(k, (0, 2, 1)))
-    probs = T.rowwise_masked_softmax(logits, mask)         # (heads, N, N)
-    context = T.matmul(probs, v)                           # (heads, N, head_dim)
-    merged = T.reshape(T.transpose(context, (1, 0, 2)), (n, d))
+    probs = T.rowwise_masked_softmax(logits, mask)         # (heads, r, N)
+    context = T.matmul(probs, v)                           # (heads, r, head_dim)
+    merged = T.reshape(T.transpose(context, (1, 0, 2)), (r, d))
     out = T.matmul(merged, params.output_projection)
     record = AttentionRecord(Tensor(probs.data.mean(axis=0))) if need_record else None
     return out, record
@@ -127,11 +136,17 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
 
 def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
                   heads: int, need_record: bool = False):
-    """Pre-norm transformer block; output shape equals input shape."""
+    """Pre-norm transformer block.
+
+    Under an r x n mask only the first r tokens are updated and returned
+    (see ``masked_self_attention``); a square mask keeps the input's shape.
+    """
     attended, record = masked_self_attention(
         T.layer_norm(x, params.norm1_gain, params.norm1_bias), mask, params, heads,
         need_record=need_record,
     )
+    if mask.rows < x.shape[0]:
+        x = T.narrow(x, 0, 0, mask.rows)
     h = T.add(x, attended)
     z = T.layer_norm(h, params.norm2_gain, params.norm2_bias)
     z = T.add_bias(T.matmul(z, params.mlp_w1), params.mlp_b1)

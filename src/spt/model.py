@@ -7,6 +7,12 @@ encoder, the keypoint token rows pass through the graph stage (the same
 block structure under the constant joint mask) and a small MLP head maps
 each token to one heatmap.
 
+Only the keypoint rows of the last encoder layer's output are read, so
+unless that layer's attention is recorded, it runs with the J x (J+N)
+keypoint rows of the mask as queries: every token still supplies keys and
+values, and only the J keypoint tokens are updated (TokenPose reads out
+keypoint tokens the same way).  The heatmaps are bit-identical either way.
+
 There is no CNN backbone: images are optionally average-pool downsampled
 (emulating a stem's stride) and then patchified directly, so the sparsity
 machinery under study is the whole model.
@@ -19,13 +25,13 @@ import math
 import shutil
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionLayerParams, encoder_block
+from .attention import AttentionLayerParams, encoder_block, initial_array
 from .data import render_target_heatmaps
 from .errors import CheckpointError, ConfigError, FormatError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
@@ -139,9 +145,38 @@ def sinusoidal_encoding(grid_h: int, grid_w: int, embed_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(xs), np.cos(xs), np.sin(ys), np.cos(ys)], axis=1)
 
 
+def parameter_layout(config: ModelConfig) -> list:
+    """(name, shape, fill) of every trainable tensor, in ``named_parameters`` order.
+
+    ``PoseModelParams.init`` draws the "normal" entries from one SplitMix64
+    stream in this order, and ``load_checkpoint`` checks a checkpoint's
+    names and shapes against it.  A sinusoidal positional table is fixed,
+    so it is not listed.
+    """
+    d = config.embed_dim
+    layout = [("patch_projection", (config.patch_dim, d), "normal")]
+    if config.pos_encoding == "learned":
+        layout.append(("positional_encoding", (config.num_patches, d), "normal"))
+    layout.append(("keypoint_tokens", (config.joint_count, d), "normal"))
+    block = AttentionLayerParams.layout(d, config.mlp_ratio)
+    for stack, count in (("encoder", config.encoder_layers), ("graph", config.graph_layers)):
+        layout.extend((f"{stack}.{i}.{name}", shape, fill)
+                      for i in range(count) for name, shape, fill in block)
+    out_dim = config.heatmap_h * config.heatmap_w
+    layout.extend([
+        ("head_norm_gain", (d,), "ones"),
+        ("head_norm_bias", (d,), "zeros"),
+        ("head_w1", (d, d), "normal"),
+        ("head_b1", (d,), "zeros"),
+        ("head_w2", (d, out_dim), "normal"),
+        ("head_b2", (out_dim,), "zeros"),
+    ])
+    return layout
+
+
 @dataclass
 class PoseModelParams:
-    """All trainable tensors.  Keypoint tokens start from N(0, 0.02^2)."""
+    """All trainable tensors.  Weights and keypoint tokens start from N(0, 0.02^2)."""
 
     patch_projection: Tensor
     positional_encoding: Tensor
@@ -158,54 +193,46 @@ class PoseModelParams:
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "PoseModelParams":
         rng = SplitMix64(seed)
-        d = config.embed_dim
-        std = 0.02
-        patch_projection = Tensor(rng.normal_array((config.patch_dim, d), std),
-                                  requires_grad=True)
-        if config.pos_encoding == "learned":
-            positional = Tensor(rng.normal_array((config.num_patches, d), std),
-                                requires_grad=True)
-        else:
-            positional = Tensor(sinusoidal_encoding(config.grid_h, config.grid_w, d))
-        keypoint_tokens = Tensor(rng.normal_array((config.joint_count, d), std),
-                                 requires_grad=True)
-        encoder_blocks = [AttentionLayerParams.init(d, config.mlp_ratio, rng)
-                          for _ in range(config.encoder_layers)]
-        graph_blocks = [AttentionLayerParams.init(d, config.mlp_ratio, rng)
-                        for _ in range(config.graph_layers)]
-        out_dim = config.heatmap_h * config.heatmap_w
-        return cls(
-            patch_projection=patch_projection,
-            positional_encoding=positional,
-            keypoint_tokens=keypoint_tokens,
-            encoder_blocks=encoder_blocks,
-            graph_blocks=graph_blocks,
-            head_norm_gain=Tensor(np.ones(d), requires_grad=True),
-            head_norm_bias=Tensor(np.zeros(d), requires_grad=True),
-            head_w1=Tensor(rng.normal_array((d, d), std), requires_grad=True),
-            head_b1=Tensor(np.zeros(d), requires_grad=True),
-            head_w2=Tensor(rng.normal_array((d, out_dim), std), requires_grad=True),
-            head_b2=Tensor(np.zeros(out_dim), requires_grad=True),
-        )
+        return cls.from_arrays(config, {
+            name: initial_array(fill, shape, rng) for name, shape, fill in parameter_layout(config)
+        })
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict) -> "PoseModelParams":
+        """Wrap one array per ``parameter_layout`` name as trainable tensors.
+
+        A sinusoidal positional table is computed here, as a constant.
+        """
+        tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        if config.pos_encoding == "sinusoidal":
+            tensors["positional_encoding"] = Tensor(
+                sinusoidal_encoding(config.grid_h, config.grid_w, config.embed_dim))
+
+        def stack(prefix, count):
+            return [AttentionLayerParams(**{f.name: tensors[f"{prefix}.{i}.{f.name}"]
+                                            for f in fields(AttentionLayerParams)})
+                    for i in range(count)]
+
+        return cls(encoder_blocks=stack("encoder", config.encoder_layers),
+                   graph_blocks=stack("graph", config.graph_layers),
+                   **{f.name: tensors[f.name] for f in fields(cls)
+                      if not f.name.endswith("_blocks")})
 
     def named_parameters(self):
-        """Deterministically ordered (name, tensor) pairs of trainable leaves."""
-        pairs = [("patch_projection", self.patch_projection)]
-        if self.positional_encoding.requires_grad:
-            pairs.append(("positional_encoding", self.positional_encoding))
-        pairs.append(("keypoint_tokens", self.keypoint_tokens))
-        for i, block in enumerate(self.encoder_blocks):
-            pairs.extend(block.named(f"encoder.{i}"))
-        for i, block in enumerate(self.graph_blocks):
-            pairs.extend(block.named(f"graph.{i}"))
-        pairs.extend([
-            ("head_norm_gain", self.head_norm_gain),
-            ("head_norm_bias", self.head_norm_bias),
-            ("head_w1", self.head_w1),
-            ("head_b1", self.head_b1),
-            ("head_w2", self.head_w2),
-            ("head_b2", self.head_b2),
-        ])
+        """Deterministically ordered (name, tensor) pairs of trainable leaves.
+
+        Field order; a block list ``<stack>_blocks`` yields ``<stack>.<i>.<field>``,
+        and a tensor without ``requires_grad`` (the sinusoidal table) is skipped.
+        """
+        pairs = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_blocks"):
+                stack = f.name[:-len("_blocks")]
+                for i, block in enumerate(value):
+                    pairs.extend(block.named(f"{stack}.{i}"))
+            elif value.requires_grad:
+                pairs.append((f.name, value))
         return pairs
 
     def zero_grad(self) -> None:
@@ -263,6 +290,11 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
 
     Returns (heatmaps (J, H_h, W_h), Diagnostics).  ``skeleton_mask`` is the
     constant J x J joint mask for the graph stage.
+
+    The last encoder layer updates only the J keypoint tokens, under the
+    all-ones keypoint rows of the mask, unless it records attention: when
+    it is a scheduled update layer or ``keep_records`` is set, it runs on
+    every row.
     """
     j = config.joint_count
     if skeleton_mask.rows != j or skeleton_mask.cols != j:
@@ -276,9 +308,13 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
     state = MaskState.dense(config.num_patches)
     records = [] if keep_records else None
     mask = full_token_mask(state.current, j)
-    for layer in range(1, config.encoder_layers + 1):
+    last = config.encoder_layers
+    for layer in range(1, last + 1):
         need_record = keep_records or layer in config.schedule.update_layers
-        tokens, record = encoder_block(tokens, mask, params.encoder_blocks[layer - 1],
+        # Only the keypoint rows of the last layer's output are read, and
+        # keypoint rows of the mask are all-ones.
+        layer_mask = mask if need_record or layer < last else AttentionMask.ones(j, mask.cols)
+        tokens, record = encoder_block(tokens, layer_mask, params.encoder_blocks[layer - 1],
                                        config.heads, need_record=need_record)
         if keep_records:
             records.append(record)
@@ -474,22 +510,22 @@ def load_checkpoint(directory):
         raise CheckpointError(f"{directory}: manifest params is not an object of file names")
     config = from_json(ModelConfig, manifest["config"], f"{manifest_path} config",
                        CheckpointError)
-    params = PoseModelParams.init(config, seed=0)
-    expected = dict(params.named_parameters())
+    expected = {name: shape for name, shape, _ in parameter_layout(config)}
     missing = sorted(set(expected) - set(stored))
     extra_names = sorted(set(stored) - set(expected))
     if missing or extra_names:
         raise CheckpointError(
             f"{directory}: manifest/config mismatch (missing {missing}, unexpected {extra_names})"
         )
-    for name, tensor in expected.items():
+    arrays = {}
+    for name, shape in expected.items():
         try:
             arr = load_tensor(directory / stored[name])
         except FormatError as exc:
             raise CheckpointError(f"{directory}: parameter {name}: {exc}") from exc
-        if arr.shape != tensor.shape:
+        if arr.shape != shape:
             raise CheckpointError(
-                f"{directory}: parameter {name} has shape {arr.shape}, expected {tensor.shape}"
+                f"{directory}: parameter {name} has shape {arr.shape}, expected {shape}"
             )
-        tensor.data = arr
-    return params, config, manifest
+        arrays[name] = arr
+    return PoseModelParams.from_arrays(config, arrays), config, manifest

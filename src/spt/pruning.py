@@ -80,6 +80,7 @@ def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
 
     Ties break toward the lower column index.  Every row keeps at least one
     column, and the result's support is always a subset of ``prev``'s.
+    Scores must be finite.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep ratio must be in (0, 1], got {keep_ratio}")
@@ -89,17 +90,23 @@ def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
     n = prev.rows
     if scores.shape != (n, prev.cols):
         raise ConfigError(f"attention shape {scores.shape} does not match mask {n}x{prev.cols}")
-    # Dropped columns rank last (-score becomes +inf); stable argsort keeps
-    # ascending column order among equal values, which is the tie rule.
-    ranked = np.argsort(np.where(prev.bits.astype(bool), -scores, np.inf),
-                        axis=1, kind="stable")
-    out = np.zeros_like(prev.bits)
-    for i in range(n):
-        support = int(prev.row_support[i])
-        basis = support if k_mode == "support" else prev.cols
-        k = min(support, max(1, round_half_up(keep_ratio * basis)))
-        out[i, ranked[i, :k]] = 1
-    return AttentionMask._trusted(out)
+    if not np.isfinite(scores).all():
+        raise ConfigError("attention scores must be finite")
+    support = prev.row_support
+    basis = support if k_mode == "support" else prev.cols
+    # round_half_up, elementwise: floor(x + 0.5) in float64.
+    k = np.minimum(support, np.maximum(1, np.floor(keep_ratio * basis + 0.5).astype(np.int64)))
+    # Dropped columns score -inf, so they rank last.  A row keeps every
+    # column above its K-th largest score, then the lowest-index columns
+    # equal to it until K are kept.  Sorting the values is several times
+    # cheaper than a stable argsort of the same rows.
+    value = scores + prev.gate_bias()[1]
+    kth = np.take_along_axis(np.sort(value, axis=1), (prev.cols - k)[:, None], axis=1)
+    above = value > kth
+    tied = value == kth
+    room = k - above.sum(axis=1)
+    keep = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room[:, None]))
+    return AttentionMask._trusted(keep.view(np.uint8))
 
 
 def apply_prune_schedule(layer_index: int, record, state: MaskState,

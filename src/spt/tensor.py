@@ -93,40 +93,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Operators are thin sugar over the module-level primitives.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not a primitive; divide by a scalar")
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -476,20 +442,29 @@ def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     logits cannot underflow the live ones.  AttentionMask guarantees every
     row keeps at least one position.
 
-    No ``-inf`` reaches ``np.exp``: numpy leaves its vectorized exp loop on
-    non-finite input and runs about 10x slower.  Every cell is exponentiated
-    at ``min(logit - max, 0)``, which only clamps masked cells (live cells
-    sit at or below the live max), and the mask then zeroes the masked ones.
-    Live cells therefore get the same bits as gating with ``-inf``.
+    On an all-ones mask the softmax is plain: max, subtract, exp, sum and
+    divide, with no gating pass.  Any other mask uses its cached float
+    ``gate`` and ``bias`` (``AttentionMask.gate_bias``).  No ``-inf``
+    reaches ``np.exp``: numpy leaves its vectorized exp loop on non-finite
+    input and runs about 10x slower.  Every cell is exponentiated at
+    ``min(logit - max, 0)``, which only clamps masked cells (live cells sit
+    at or below the live max), and the gate then zeroes the masked ones.
+    Live cells therefore get the same bits as gating with ``-inf``, and an
+    all-ones mask the same bits on either path.
     """
     if logits.shape[-2:] != mask.bits.shape:
         raise ShapeError(f"mask shape {mask.bits.shape} does not match logits {logits.shape}")
-    out_data = logits.data + np.where(mask.bits, 0.0, -np.inf)
-    row_max = out_data.max(axis=-1, keepdims=True)
-    np.subtract(logits.data, row_max, out=out_data)
-    np.minimum(out_data, 0.0, out=out_data)
-    np.exp(out_data, out=out_data)
-    out_data *= mask.bits
+    if mask.all_ones:
+        out_data = logits.data - logits.data.max(axis=-1, keepdims=True)
+        np.exp(out_data, out=out_data)
+    else:
+        gate, bias = mask.gate_bias()
+        out_data = logits.data + bias
+        row_max = out_data.max(axis=-1, keepdims=True)
+        np.subtract(logits.data, row_max, out=out_data)
+        np.minimum(out_data, 0.0, out=out_data)
+        np.exp(out_data, out=out_data)
+        out_data *= gate
     out_data /= out_data.sum(axis=-1, keepdims=True)
     kl = _key(logits)
 

@@ -8,6 +8,7 @@ import pytest
 import spt.tensor as T
 from spt.attention import (AttentionLayerParams, encoder_block,
                            masked_self_attention, project_qkv)
+from spt.errors import ConfigError
 from spt.masks import AttentionMask
 from spt.rng import SplitMix64
 from spt.tensor import Tensor
@@ -187,3 +188,39 @@ class TestEncoderBlock:
             return T.sum_all(T.mul(out, weights))
 
         finite_difference_check(build, targets)
+
+    def test_leading_row_mask_updates_only_those_rows(self):
+        # An r x n mask makes the first r tokens the queries; their outputs
+        # equal the first r rows of the square-mask block, bit for bit.
+        rng = np.random.default_rng(17)
+        n, d, r = 9, 8, 3
+        params = make_params(d, seed=18)
+        x = Tensor(rng.normal(size=(n, d)))
+        bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
+        np.fill_diagonal(bits, 1)
+        full, _ = encoder_block(x, AttentionMask(bits), params, heads=2)
+        rows, record = encoder_block(x, AttentionMask(bits[:r]), params, heads=2,
+                                     need_record=True)
+        assert rows.shape == (r, d)
+        assert np.array_equal(rows.data, full.data[:r])
+        assert record.head_average.shape == (r, n)
+
+    def test_leading_row_mask_gradient_wrt_input(self):
+        rng = np.random.default_rng(19)
+        n, d, r = 5, 8, 2
+        params = make_params(d, seed=20)
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(r, d)))
+
+        def build():
+            out, _ = encoder_block(x, AttentionMask.ones(r, n), params, heads=2)
+            return T.sum_all(T.mul(out, weights))
+
+        finite_difference_check(build, [x])
+
+    def test_mask_wider_or_taller_than_tokens_is_rejected(self):
+        params = make_params(4)
+        x = Tensor(np.zeros((3, 4)))
+        for mask in (AttentionMask.ones(3, 4), AttentionMask.ones(4, 3)):
+            with pytest.raises(ConfigError):
+                encoder_block(x, mask, params, heads=2)

@@ -1,5 +1,6 @@
 """Synthetic scene generation, heatmap targets, annotation IO."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -71,6 +72,31 @@ class TestGenerator:
     def test_wrong_joint_count_rejected(self):
         with pytest.raises(ConfigError):
             generate_synthetic(scene(joint_count=5), 1)
+
+
+def sha256_f8(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestSceneKnownAnswers:
+    """Pin generate_sample's image bytes and annotation for two (seed, index) pairs."""
+
+    @pytest.mark.parametrize("seed, index, image_sha, joints_sha, head_size", [
+        (5, 0, "3fdad4bab450f4223c76db5cafe8d4ccee961b8301926358134601bc439eb587",
+         "266d8c4d1148d9447cc0a8c2177d6a9b703d2155cd1b0cbe57278fecbbe6f746",
+         "0x1.0b3b98cd21554p+4"),
+        (11, 3, "148333a806931e7f356cbe700818858bd07f195906fef70497a1cea8e03cf0da",
+         "3dd5e853eda9f5ef121d0dab0dd8ac79ee413847d49d4ac96432ef016673063c",
+         "0x1.36a7a5b73ab1dp+3"),
+    ])
+    def test_sample_digests(self, seed, index, image_sha, joints_sha, head_size):
+        image, ann = generate_sample(scene(seed=seed), index)
+        assert image.shape == (64, 64)
+        assert sha256_f8(image) == image_sha
+        assert sha256_f8(ann.joints) == joints_sha
+        assert ann.head_size.hex() == head_size
+        assert ann.visibility.tolist() == [True] * 16
+        assert ann.image_ref == (seed, index)
 
 
 class TestTargetHeatmaps:

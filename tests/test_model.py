@@ -7,6 +7,7 @@ import spt.model
 import spt.tensor as T
 from spt.attention import encoder_block
 from spt.errors import CheckpointError, ConfigError, NonFiniteLossError
+from spt.formats import save_tensor
 from spt.masks import AttentionMask
 from spt.model import (AdamState, ModelConfig, PoseModelParams, forward,
                        full_token_mask, load_checkpoint, loss_mse,
@@ -171,6 +172,37 @@ class TestForward:
         _, with_records = forward(np.zeros((16, 16)), params, cfg, mask,
                                   keep_records=True)
         assert len(with_records.records) == 3  # 2 encoder + 1 graph
+
+    def test_keypoint_only_last_layer_matches_full_rows(self):
+        # Without records the last encoder layer computes only the keypoint
+        # rows; keep_records=True runs it on every row.  Heatmaps agree bitwise.
+        cfg = tiny_config(encoder_layers=3, joint_count=4,
+                          schedule=PruneSchedule(update_layers=(1, 2), keep_ratio=0.5))
+        params = PoseModelParams.init(cfg, seed=30)
+        mask = compile_joint_mask(chain_skeleton(4))
+        image = np.random.default_rng(31).uniform(size=(16, 16))
+        fast, diag_fast = forward(image, params, cfg, mask)
+        full, diag_full = forward(image, params, cfg, mask, keep_records=True)
+        assert np.array_equal(fast.data, full.data)
+        for a, b in zip(diag_fast.mask_state.masks, diag_full.mask_state.masks):
+            assert a.same_bits(b)
+        assert diag_full.records[2].head_average.shape == (20, 20)
+
+    def test_last_encoder_layer_gradients_match_finite_differences(self):
+        cfg = tiny_config(schedule=PruneSchedule(update_layers=(1,), keep_ratio=0.5))
+        params = PoseModelParams.init(cfg, seed=32)
+        mask = compile_joint_mask(chain_skeleton(4))
+        rng = np.random.default_rng(33)
+        image = rng.uniform(size=(16, 16))
+        target = rng.uniform(size=(4, 4, 4))
+        last = params.encoder_blocks[-1]
+
+        def build():
+            heatmaps, _ = forward(image, params, cfg, mask)
+            return loss_mse(heatmaps, target, np.ones(4, bool))
+
+        finite_difference_check(build, [last.mlp_w1, last.qkv_projection],
+                                rtol=1e-3, max_coords=12)
 
     def test_head_last_layer_linearity(self):
         cfg = tiny_config()
@@ -337,6 +369,40 @@ class TestCheckpoint:
                                             loaded.named_parameters()):
             assert name_a == name_b
             assert np.array_equal(a.data, b.data)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        params = PoseModelParams.init(cfg, seed=28)
+        save_checkpoint(tmp_path / "ckpt", params, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(SplitMix64, "normal_array", no_draws)
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        for (name_a, a), (name_b, b) in zip(params.named_parameters(),
+                                            loaded.named_parameters()):
+            assert name_a == name_b
+            assert np.array_equal(a.data, b.data) and b.requires_grad
+
+    def test_sinusoidal_round_trip_recomputes_the_table(self, tmp_path):
+        cfg = tiny_config(pos_encoding="sinusoidal")
+        params = PoseModelParams.init(cfg, seed=29)
+        save_checkpoint(tmp_path / "ckpt", params, cfg)
+        assert not (tmp_path / "ckpt" / "positional_encoding.spt").exists()
+        loaded, cfg_back, _ = load_checkpoint(tmp_path / "ckpt")
+        assert cfg_back == cfg
+        assert np.array_equal(loaded.positional_encoding.data, params.positional_encoding.data)
+        assert not loaded.positional_encoding.requires_grad
+        assert [n for n, _ in loaded.named_parameters()] == \
+            [n for n, _ in params.named_parameters()]
+
+    def test_wrong_parameter_shape(self, tmp_path):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ckpt", PoseModelParams.init(cfg, seed=34), cfg)
+        save_tensor(tmp_path / "ckpt" / "head_b1.spt", np.zeros(3))
+        with pytest.raises(CheckpointError, match=r"head_b1 has shape \(3,\), expected \(8,\)"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config()

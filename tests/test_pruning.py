@@ -70,6 +70,29 @@ class TestTopkRowMask:
                 expected = brute_force_topk_row(attn[i], kept_before.tolist(), k)
                 assert set(np.flatnonzero(out.bits[i]).tolist()) == expected
 
+    @pytest.mark.parametrize("k_mode", ["support", "total"])
+    def test_matches_per_row_loop_reference(self, k_mode):
+        # The reference elects each row on its own, as a Python loop; rows
+        # of the previous mask keep 1 to N columns, and scores on a coarse
+        # grid plant ties inside every row.
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 5, 16, 33):
+            support = np.resize(np.arange(1, n + 1), n)
+            bits = np.zeros((n, n), dtype=np.uint8)
+            for i in range(n):
+                bits[i, rng.choice(n, size=support[i], replace=False)] = 1
+            prev = AttentionMask(bits)
+            scores = rng.integers(0, 3, size=(n, n)) / 3.0
+            for keep_ratio in (0.05, 0.25, 0.5, 0.6, 1.0):
+                out = topk_row_mask(scores, prev, keep_ratio, k_mode=k_mode)
+                expected = np.zeros((n, n), dtype=np.uint8)
+                for i in range(n):
+                    kept = np.flatnonzero(prev.bits[i]).tolist()
+                    basis = len(kept) if k_mode == "support" else n
+                    k = min(len(kept), max(1, round_half_up(keep_ratio * basis)))
+                    expected[i, sorted(brute_force_topk_row(scores[i], kept, k))] = 1
+                assert np.array_equal(out.bits, expected), (n, keep_ratio)
+
     def test_subset_of_previous_support(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
@@ -96,6 +119,13 @@ class TestTopkRowMask:
             topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), keep_ratio=0.0)
         with pytest.raises(ConfigError):
             topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), keep_ratio=1.5)
+
+    def test_non_finite_scores_are_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            attn = np.full((2, 3), 0.25)
+            attn[1, 2] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                topk_row_mask(attn, AttentionMask.ones(2, 3), keep_ratio=0.5)
 
     def test_total_mode_uses_fraction_of_n(self):
         rng = np.random.default_rng(4)

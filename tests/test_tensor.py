@@ -50,6 +50,15 @@ class TestElementwise:
     def test_addition(self):
         assert np.array_equal(T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0])
 
+    def test_scalar_ops(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        assert np.array_equal(T.scale(x, 2.0).data, [2.0, 4.0])
+        with ComputationTape() as tape:
+            loss = T.sum_all(T.add_scalar(x, 1.0))
+        assert loss.item() == 5.0
+        T.backward(loss, tape)
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
     def test_multiplicative_identity(self):
         x = np.arange(6.0).reshape(2, 3)
         out = T.mul(Tensor(x), Tensor(np.ones((2, 3))))
@@ -60,12 +69,6 @@ class TestElementwise:
             T.add(Tensor([1.0]), Tensor([1.0, 2.0]))
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2,))))
-
-    def test_scalar_broadcast_via_operators(self):
-        x = Tensor([1.0, 2.0])
-        assert np.array_equal((x * 2.0).data, [2.0, 4.0])
-        assert np.array_equal((x + 1.0).data, [2.0, 3.0])
-        assert np.array_equal((1.0 - x).data, [0.0, -1.0])
 
 
 class TestMaskedSoftmax:
@@ -106,6 +109,22 @@ class TestMaskedSoftmax:
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         np.testing.assert_allclose(out, e / e.sum(axis=1, keepdims=True), atol=1e-12)
+
+    def test_all_ones_path_is_bit_equal_to_the_gated_formula(self):
+        # The gated formula as run for any other mask: -inf bias, max,
+        # subtract, clamp at 0, exp, gate, normalize.
+        rng = np.random.default_rng(4)
+        logits = rng.normal(scale=6.0, size=(3, 7, 9))
+        logits[0, 0, :3] = 0.0
+        logits[0, 1, :3] = -0.0
+        mask = AttentionMask.ones(7, 9)
+        assert mask.all_ones
+        bits = mask.bits
+        gated = logits + np.where(bits, 0.0, -np.inf)
+        e = np.exp(np.minimum(logits - gated.max(axis=-1, keepdims=True), 0.0)) * bits
+        expected = e / e.sum(axis=-1, keepdims=True)
+        out = T.rowwise_masked_softmax(Tensor(logits), mask).data
+        assert np.array_equal(out, expected)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
