@@ -2,8 +2,21 @@
 
 Runs are config-driven and reproducible: flags override fields of the JSON
 run config, the merged effective config is always persisted next to the
-outputs, and every artifact carries the config digest.  Training logs keep
-wall-clock fields, everything else is a pure function of (config, inputs).
+outputs as ``run_config.json`` (itself a valid ``--config``), and every
+artifact carries the config digest.  Training logs keep wall-clock fields,
+everything else is a pure function of (config, inputs).
+
+Each command takes only the flags it reads:
+
+    gen-data  --config --out --count
+    train     --config --out --seed --steps --akr --k-mode
+    eval      --checkpoint --config --out --akr --k-mode --decoder --data --thresholds
+    masks     --checkpoint --config --out --akr --k-mode --image --sample-index
+    sweep     --config --out --seed --steps --akr RATIO... --k-mode --decoder
+
+``eval`` and ``masks`` take the architecture from the checkpoint and the
+schedule from the run config they write: the checkpoint's trained schedule
+with ``--akr`` and ``--k-mode`` applied.  Their ``--config`` is optional.
 
 Exit codes: 0 success, 2 config/usage error, 3 data validation error,
 4 non-finite loss, 5 I/O error, 6 checkpoint incompatibility.
@@ -20,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Annotation, SyntheticSceneConfig, generate_sample,
-                   generate_synthetic, load_annotations, save_annotations)
+from .data import (Annotation, SyntheticSceneConfig, generate_sample, load_annotations,
+                   save_annotations)
 from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
@@ -58,6 +71,11 @@ class DataConfig:
     annotations: str | None = None
     test_annotations: str | None = None
 
+    def __post_init__(self):
+        if self.train_count < 0 or self.test_count < 0:
+            raise ConfigError(f"need train_count and test_count >= 0, got "
+                              f"{self.train_count} and {self.test_count}")
+
 
 @dataclass
 class RunConfig:
@@ -92,7 +110,15 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    return RunConfig.from_json_dict(read_json(path))
+    """A run config file; the ``config_digest`` of a ``run_config.json`` must match."""
+    doc = read_json(path)
+    has_digest = isinstance(doc, dict) and "config_digest" in doc
+    recorded = doc.pop("config_digest") if has_digest else None
+    run = RunConfig.from_json_dict(doc)
+    if has_digest and recorded != run.digest():
+        raise ConfigError(f"{path}: config_digest does not match; the file was edited "
+                          "after it was written")
+    return run
 
 
 def _scene_config(run: RunConfig) -> SyntheticSceneConfig:
@@ -114,16 +140,17 @@ def _resolve_image(ann: Annotation, run: RunConfig, base_dir: Path) -> np.ndarra
     return load_pgm(base_dir / ann.image_ref)
 
 
-def _dataset(run: RunConfig):
-    """(train, test) lists of (image, Annotation) from the run's data block."""
+def _split(run: RunConfig, name: str):
+    """The ``"train"`` or ``"test"`` list of (image, Annotation) from the run's data
+    block; only that split is read.  Synthetic test samples follow the train indices."""
     data = run.data_config()
+    train = name == "train"
     if data.annotations is not None:
-        train = _file_samples(run, data.annotations)
-        test = (_file_samples(run, data.test_annotations)
-                if data.test_annotations is not None else [])
-        return train, test
-    samples = generate_synthetic(_scene_config(run), data.train_count + data.test_count)
-    return samples[:data.train_count], samples[data.train_count:]
+        path = data.annotations if train else data.test_annotations
+        return _file_samples(run, path) if path is not None else []
+    scene = _scene_config(run)
+    first, count = (0, data.train_count) if train else (data.train_count, data.test_count)
+    return [generate_sample(scene, index) for index in range(first, first + count)]
 
 
 def _file_samples(run: RunConfig, path):
@@ -132,32 +159,28 @@ def _file_samples(run: RunConfig, path):
     return [(_resolve_image(ann, run, path.parent), ann) for ann in anns]
 
 
+def _write_json(path: Path, doc: dict, digest: str) -> None:
+    """``doc`` and its ``config_digest`` as indented JSON with sorted keys."""
+    path.write_text(json.dumps({**doc, "config_digest": digest}, indent=2, sort_keys=True) + "\n")
+
+
 def _write_run_config(run: RunConfig, out_dir: Path) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = run.digest()
-    doc = asdict(run)
-    doc["config_digest"] = digest
-    (out_dir / "run_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "run_config.json", asdict(run), digest)
     return digest
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    model = run.model
-    if getattr(args, "akr", None) is not None and not isinstance(args.akr, list):
-        model = model.with_keep_ratio(args.akr)
-    if getattr(args, "k_mode", None):
-        model = replace(model, schedule=replace(model.schedule, k_mode=args.k_mode))
-    training = run.training
-    if getattr(args, "steps", None) is not None:
-        training = replace(training, steps=args.steps)
-    if getattr(args, "seed", None) is not None:
-        training = replace(training, seed=args.seed)
-    run = replace(run, model=model, training=training)
-    if getattr(args, "out", None):
-        run = replace(run, output_dir=args.out)
-    if getattr(args, "decoder", None):
-        run = replace(run, decoder=args.decoder)
-    return run
+    """``run`` with the field of each flag the command was given set from it."""
+    def given(**flags):
+        return {name: getattr(args, flag) for name, flag in flags.items()
+                if getattr(args, flag, None) not in (None, "")}
+
+    schedule = replace(run.model.schedule, **given(keep_ratio="akr", k_mode="k_mode"))
+    return replace(run, model=replace(run.model, schedule=schedule),
+                   training=replace(run.training, **given(steps="steps", seed="seed")),
+                   **given(output_dir="out", decoder="decoder"))
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +189,22 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
 
 
 def cmd_gen_data(args) -> int:
+    if args.count is not None and args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     run = _apply_overrides(load_run_config(args.config), args)
-    out_dir = Path(args.out or run.output_dir)
+    out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     scene = _scene_config(run)
     count = args.count if args.count is not None else run.data_config().train_count
     annotations = []
-    files = []
     for index in range(count):
         image, ann = generate_sample(scene, index)
-        name = f"img_{index:06d}.pgm"
-        save_pgm(out_dir / name, image, comment=f"config {digest}")
-        ann.image_ref = name
+        ann.image_ref = f"img_{index:06d}.pgm"
+        save_pgm(out_dir / ann.image_ref, image, comment=f"config {digest}")
         annotations.append(ann)
-        files.append(name)
     save_annotations(annotations, out_dir / "annotations.json")
-    files.append("annotations.json")
     hasher = hashlib.sha256()
-    for name in sorted(files):
+    for name in sorted([ann.image_ref for ann in annotations] + ["annotations.json"]):
         hasher.update(name.encode())
         hasher.update((out_dir / name).read_bytes())
     print(f"wrote {count} samples to {out_dir}")
@@ -196,7 +217,7 @@ def cmd_train(args) -> int:
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     joint_mask = compile_joint_mask(_skeleton(run))
-    train_samples, _ = _dataset(run)
+    train_samples = _split(run, "train")
     if not train_samples:
         raise AnnotationError("training dataset is empty")
     cfg, tr = run.model, run.training
@@ -209,48 +230,35 @@ def cmd_train(args) -> int:
                                 tr.learning_rate, tr.seed, tr.target_sigma, log_fn=log_step)
     save_checkpoint(out_dir / "checkpoint", params, cfg, extra={"config_digest": digest})
     _, diag = forward(train_samples[0][0], params, cfg, joint_mask)
-    stats = diag.sparsity.to_json_dict()
-    stats["config_digest"] = digest
-    (out_dir / "sparsity.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "sparsity.json", diag.sparsity.to_json_dict(), digest)
     print(f"trained {tr.steps} steps; checkpoint at {out_dir / 'checkpoint'}")
     return 0
 
 
-def _samples_for_eval(args, run: RunConfig):
-    if args.data:
-        samples = _file_samples(run, args.data)
-    else:
-        _, samples = _dataset(run)
-    if not samples:
-        raise AnnotationError("evaluation dataset is empty")
-    return samples
-
-
-def _run_for_checkpoint(args, config: ModelConfig) -> RunConfig:
-    if args.config:
-        run = load_run_config(args.config)
-        return replace(run, model=config)
-    return RunConfig(model=config)
+def _checkpoint_run(args):
+    """The checkpoint's parameters, and its model under the run config and flags."""
+    params, config, _ = load_checkpoint(args.checkpoint)
+    run = load_run_config(args.config) if args.config else RunConfig()
+    return params, _apply_overrides(replace(run, model=config), args)
 
 
 def cmd_eval(args) -> int:
-    params, config, manifest = load_checkpoint(args.checkpoint)
-    run = _apply_overrides(_run_for_checkpoint(args, config), args)
-    samples = _samples_for_eval(args, run)
-    if samples[0][1].joint_count != config.joint_count:
+    params, run = _checkpoint_run(args)
+    samples = _file_samples(run, args.data) if args.data else _split(run, "test")
+    if not samples:
+        raise AnnotationError("evaluation dataset is empty")
+    if samples[0][1].joint_count != run.model.joint_count:
         raise CheckpointError(
             f"dataset has {samples[0][1].joint_count} joints, checkpoint expects "
-            f"{config.joint_count}"
+            f"{run.model.joint_count}"
         )
     joint_mask = compile_joint_mask(_skeleton(run))
     alphas = tuple(args.thresholds)
-    report = evaluate_model(params, config, joint_mask, samples, alphas,
+    report = evaluate_model(params, run.model, joint_mask, samples, alphas,
                             refine=run.decoder == "refined")
-    out_dir = Path(args.out or run.output_dir)
+    out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
-    doc = report.to_json_dict()
-    doc["config_digest"] = digest
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "report.json", report.to_json_dict(), digest)
     names = _skeleton(run).names
     table = f"# config {digest}\n" + report_table(report, names, label="checkpoint")
     (out_dir / "report.txt").write_text(table)
@@ -259,16 +267,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_masks(args) -> int:
-    params, config, manifest = load_checkpoint(args.checkpoint)
-    run = _apply_overrides(_run_for_checkpoint(args, config), args)
+    params, run = _checkpoint_run(args)
     joint_mask = compile_joint_mask(_skeleton(run))
     if args.image:
         image = load_pgm(args.image)
     else:
         image, _ = generate_sample(_scene_config(run), args.sample_index)
-    out_dir = Path(args.out or run.output_dir)
+    out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
-    heatmaps, diag = forward(image, params, config, joint_mask, keep_records=True)
+    heatmaps, diag = forward(image, params, run.model, joint_mask, keep_records=True)
 
     comment = f"config {digest}"
     for stage, mask in enumerate(diag.mask_state.masks[1:], start=1):
@@ -282,13 +289,11 @@ def cmd_masks(args) -> int:
         peak_range = maps[j].max() - maps[j].min()
         normalized = (maps[j] - maps[j].min()) / (peak_range if peak_range > 0 else 1.0)
         save_pgm(out_dir / f"heatmap_{j:02d}.pgm", normalized, comment=comment)
-    meta = {
-        "config_digest": digest,
+    _write_json(out_dir / "masks_meta.json", {
         "stages": diag.mask_state.stage,
         "stage_row_support": [h.tolist() for h in diag.mask_state.history],
         "sparsity": diag.sparsity.to_json_dict(),
-    }
-    (out_dir / "masks_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    }, digest)
     print(f"wrote {diag.mask_state.stage} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
     return 0
 
@@ -298,27 +303,23 @@ def cmd_sweep(args) -> int:
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     skeleton = _skeleton(run)
-    train_samples, test_samples = _dataset(run)
+    train_samples, test_samples = _split(run, "train"), _split(run, "test")
     if not test_samples:
         raise AnnotationError("sweep needs a non-empty test split")
     tr = run.training
     rows = ablation_sweep(
-        args.akr, run.model, train_samples, test_samples, tr.steps,
+        args.keep_ratios, run.model, train_samples, test_samples, tr.steps,
         batch_size=tr.batch_size, learning_rate=tr.learning_rate, seed=tr.seed,
         skeleton=skeleton, target_sigma=tr.target_sigma,
         refine=run.decoder == "refined",
     )
     table = f"# config {digest}\n" + sweep_table(rows, skeleton.names)
     (out_dir / "sweep.txt").write_text(table)
-    doc = {
-        "config_digest": digest,
-        "rows": [{
-            "keep_ratio": row.keep_ratio,
-            "report": row.report.to_json_dict(),
-            "sparsity": row.sparsity.to_json_dict(),
-        } for row in rows],
-    }
-    (out_dir / "sweep.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "sweep.json", {"rows": [{
+        "keep_ratio": row.keep_ratio,
+        "report": row.report.to_json_dict(),
+        "sparsity": row.sparsity.to_json_dict(),
+    } for row in rows]}, digest)
     print(table, end="")
     return 0
 
@@ -326,6 +327,19 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+# The flags several commands share; each command lists the ones it reads.
+_FLAGS = {
+    "--checkpoint": dict(required=True, help="checkpoint directory"),
+    "--out": dict(help="output directory (overrides config)"),
+    "--seed": dict(type=int, help="override training seed"),
+    "--steps": dict(type=int, help="override training steps"),
+    "--akr": dict(type=float, help="override attention keep ratio"),
+    "--k-mode": dict(choices=K_MODES, dest="k_mode",
+                     help="top-K basis: fraction of current row support, or of N"),
+    "--decoder": dict(choices=DECODERS, help="heatmap decoder variant"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,50 +350,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, single_akr=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run config JSON")
-        else:
-            p.add_argument("--config", help="run config JSON (for data/decoder options)")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="override training seed")
-        p.add_argument("--steps", type=int, help="override training steps")
-        if single_akr:
-            p.add_argument("--akr", type=float, help="override attention keep ratio")
-        p.add_argument("--k-mode", choices=K_MODES, dest="k_mode",
-                       help="top-K basis: fraction of current row support, or of N")
-        p.add_argument("--decoder", choices=DECODERS,
-                       help="heatmap decoder variant")
+    def command(name, fn, help, flags, config_help=None):
+        """Subcommand with ``--config`` (optional given ``config_help``) and ``flags``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", required=config_help is None,
+                       help=config_help or "run config JSON")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("gen-data", help="write synthetic PGM images + annotations")
-    common(p)
+    p = command("gen-data", cmd_gen_data, "write synthetic PGM images + annotations",
+                ["--out"])
     p.add_argument("--count", type=int, help="number of samples (default: train_count)")
-    p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    common(p)
-    p.set_defaults(fn=cmd_train)
+    command("train", cmd_train, "train a model and write a checkpoint",
+            ["--out", "--seed", "--steps", "--akr", "--k-mode"])
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint with PCKh")
-    common(p, needs_config=False)
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
+    p = command("eval", cmd_eval, "evaluate a checkpoint with PCKh",
+                ["--checkpoint", "--out", "--akr", "--k-mode", "--decoder"],
+                config_help="run config JSON whose data, skeleton, decoder and output_dir "
+                            "eval reads; the model comes from the checkpoint")
     p.add_argument("--data", help="annotation JSON (default: config's test split)")
     p.add_argument("--thresholds", type=float, nargs="+", default=[0.5, 0.1])
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("masks", help="export masks, attention maps, heatmaps")
-    common(p, needs_config=False)
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
+    p = command("masks", cmd_masks, "export masks, attention maps, heatmaps",
+                ["--checkpoint", "--out", "--akr", "--k-mode"],
+                config_help="run config JSON whose data.synthetic (for the default "
+                            "image), skeleton and output_dir masks reads; the model comes "
+                            "from the checkpoint")
     p.add_argument("--image", help="input PGM (default: synthetic sample)")
     p.add_argument("--sample-index", type=int, default=0, dest="sample_index")
-    p.set_defaults(fn=cmd_masks)
 
-    p = sub.add_parser("sweep", help="train/evaluate one model per keep ratio")
-    common(p, single_akr=False)
-    p.add_argument("--akr", type=float, nargs="+", required=True,
-                   help="keep ratios to sweep")
-    p.set_defaults(fn=cmd_sweep)
-
+    p = command("sweep", cmd_sweep, "train/evaluate one model per keep ratio",
+                ["--out", "--seed", "--steps", "--k-mode", "--decoder"])
+    p.add_argument("--akr", type=float, nargs="+", required=True, dest="keep_ratios",
+                   metavar="RATIO", help="keep ratios to sweep")
     return parser
 
 
@@ -398,12 +404,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SptError as exc:
-        for kind, code in _EXIT_CODES:
-            if isinstance(exc, kind):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 5

@@ -138,12 +138,11 @@ class SparsityStats:
 
     ``mac_ratio`` is the predicted multiply-accumulate count of the two
     N x N attention products (QK^T and AV) across all encoder layers,
-    relative to dense; it equals the layer-weighted mask density.
+    relative to dense, which is also the layer-weighted mask density.
     """
 
     stages: int
     per_stage_density: list
-    layer_weighted_density: float
     mac_ratio: float
 
     def to_json_dict(self) -> dict:
@@ -167,10 +166,8 @@ def sparsity_report(state: MaskState, config) -> SparsityStats:
     dense_per_layer = 2 * n * n * config.embed_dim
     mac_dense = dense_per_layer * layers
     mac_masked = sum(2 * live * config.embed_dim for live in per_layer_live)
-    weighted = sum(live / cell_count for live in per_layer_live) / layers
     return SparsityStats(
         stages=state.stage,
         per_stage_density=stage_density,
-        layer_weighted_density=weighted,
         mac_ratio=mac_masked / mac_dense,
     )

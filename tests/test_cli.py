@@ -1,16 +1,18 @@
 """End-to-end CLI runs against a temp directory."""
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spt.cli
 from spt.cli import RunConfig, build_parser, main
-from spt.data import SyntheticSceneConfig, generate_synthetic
+from spt.data import SyntheticSceneConfig, generate_sample, generate_synthetic
 from spt.errors import SptError
 from spt.formats import load_pgm, save_pgm
-from spt.model import ModelConfig, PoseModelParams, load_checkpoint, train_model
+from spt.model import ModelConfig, PoseModelParams, forward, load_checkpoint, train_model
 from spt.skeleton import compile_joint_mask, default_skeleton, save_skeleton
 
 
@@ -41,6 +43,23 @@ def write_run_config(tmp_path, **overrides):
 
 def read_stdout(capsys):
     return capsys.readouterr().out
+
+
+def scene_of(cfg):
+    """The synthetic scene of the run config at ``cfg``."""
+    synthetic = json.loads(Path(cfg).read_text())["data"]["synthetic"]
+    return SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16, **synthetic)
+
+
+def spy(monkeypatch, name):
+    """Calls of ``spt.cli.<name>`` as (args, kwargs), passed on to the real function."""
+    real, calls = getattr(spt.cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spt.cli, name, wrapper)
+    return calls
 
 
 def pbm_rows(path):
@@ -129,9 +148,7 @@ class TestTrain:
         cfg = write_run_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--steps", "4"]) == 0
         doc = json.loads(cfg.read_text())
-        scene = SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16,
-                                     **doc["data"]["synthetic"])
-        train = generate_synthetic(scene, 9)[:6]
+        train = generate_synthetic(scene_of(cfg), 9)[:6]
         tr = doc["training"]
         params, losses = train_model(
             train, ModelConfig.from_json_dict(doc["model"]),
@@ -241,7 +258,135 @@ class TestSweep:
         assert all("sparsity" in row for row in doc["rows"])
 
 
+class TestCommandsRunWhatTheyRecord:
+    """``eval`` and ``masks`` run the checkpoint's model under the recorded schedule."""
+
+    def checkpoint(self, tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "1"]) == 0
+        return cfg, tmp_path / "out" / "checkpoint"
+
+    def test_eval_runs_the_flag_schedule(self, tmp_path, monkeypatch):
+        cfg, ckpt = self.checkpoint(tmp_path)
+        calls = spy(monkeypatch, "evaluate_model")
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--out", str(tmp_path / "e"), "--akr", "0.1", "--k-mode", "total"]) == 0
+        [(args, _)] = calls
+        assert (args[1].schedule.keep_ratio, args[1].schedule.k_mode) == (0.1, "total")
+
+    def test_masks_follow_the_flag_keep_ratio(self, tmp_path):
+        cfg, ckpt = self.checkpoint(tmp_path)
+        out = tmp_path / "m"
+        assert main(["masks", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--out", str(out), "--akr", "0.1"]) == 0
+        params, config, _ = load_checkpoint(ckpt)
+        image, _ = generate_sample(scene_of(cfg), 0)
+        joint_mask = compile_joint_mask(default_skeleton())
+        supports = {}
+        for ratio in (0.1, config.schedule.keep_ratio):
+            _, diag = forward(image, params, config.with_keep_ratio(ratio), joint_mask,
+                              keep_records=True)
+            supports[ratio] = [h.tolist() for h in diag.mask_state.history]
+        assert supports[0.1] != supports[config.schedule.keep_ratio]
+        stage_files = sorted(out.glob("visual_mask_stage_*.pbm"))
+        popcounts = [[sum(int(v) for v in row.split()) for row in pbm_rows(path)]
+                     for path in stage_files]
+        assert popcounts == supports[0.1]
+
+    def test_run_config_names_the_schedule_that_ran(self, tmp_path, monkeypatch):
+        cfg, ckpt = self.checkpoint(tmp_path)
+        flags = ["--akr", "0.3", "--k-mode", "total"]
+        # The function that runs the model, where its config is, and the command.
+        runs = [
+            ("train_model", 1, ["train", "--config", str(cfg), "--steps", "1"]),
+            ("evaluate_model", 1, ["eval", "--checkpoint", str(ckpt), "--config", str(cfg)]),
+            ("forward", 2, ["masks", "--checkpoint", str(ckpt), "--config", str(cfg)]),
+        ]
+        for fn, position, argv in runs:
+            out = tmp_path / fn
+            calls = spy(monkeypatch, fn)
+            assert main(argv + flags + ["--out", str(out)]) == 0
+            recorded = json.loads((out / "run_config.json").read_text())["model"]
+            schedule = ModelConfig.from_json_dict(recorded).schedule
+            assert (schedule.keep_ratio, schedule.k_mode) == (0.3, "total")
+            assert [args[position].schedule for args, _ in calls] == [schedule], fn
+            monkeypatch.undo()
+
+
+class TestSplits:
+    """Each command renders only the synthetic split it reads."""
+
+    def test_train_renders_only_the_train_split(self, tmp_path, monkeypatch):
+        cfg = write_run_config(tmp_path)
+        calls = spy(monkeypatch, "generate_sample")
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        assert [args[1] for args, _ in calls] == list(range(6))
+
+    def test_eval_renders_only_the_test_split(self, tmp_path, monkeypatch):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        renders = spy(monkeypatch, "generate_sample")
+        evals = spy(monkeypatch, "evaluate_model")
+        assert main(["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint"),
+                     "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+        assert [args[1] for args, _ in renders] == [6, 7, 8]
+        [(args, _)] = evals
+        expected = generate_synthetic(scene_of(cfg), 9)[6:]
+        assert len(args[3]) == len(expected)
+        for (image, ann), (want_image, want_ann) in zip(args[3], expected):
+            assert np.array_equal(image, want_image)
+            assert np.array_equal(ann.joints, want_ann.joints)
+
+
+# The options each subcommand takes; every one of them is read by its command.
+OPTIONS = {
+    "gen-data": "--config --out --count",
+    "train": "--config --out --seed --steps --akr --k-mode",
+    "eval": "--checkpoint --config --out --akr --k-mode --decoder --data --thresholds",
+    "masks": "--checkpoint --config --out --akr --k-mode --image --sample-index",
+    "sweep": "--config --out --seed --steps --akr --k-mode --decoder",
+}
+
+
+class TestOptions:
+    def test_option_inventory(self):
+        [subparsers] = [action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        found = {name: sorted(option for action in parser._actions
+                              for option in action.option_strings
+                              if option not in ("-h", "--help"))
+                 for name, parser in subparsers.choices.items()}
+        assert found == {name: sorted(flags.split()) for name, flags in OPTIONS.items()}
+        assert sum(len(options) for options in found.values()) == 31
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen-data", "--seed", "1"), ("gen-data", "--steps", "1"),
+        ("gen-data", "--akr", "0.5"), ("gen-data", "--k-mode", "total"),
+        ("gen-data", "--decoder", "argmax"), ("train", "--decoder", "argmax"),
+        ("eval", "--seed", "1"), ("eval", "--steps", "1"),
+        ("masks", "--seed", "1"), ("masks", "--steps", "1"), ("masks", "--decoder", "argmax"),
+    ])
+    def test_dropped_flag_is_a_usage_error(self, command, flag, value, capsys):
+        source = ["--checkpoint", "ckpt"] if command in ("eval", "masks") else ["--config", "c"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 class TestRunConfig:
+    def test_persisted_config_reruns_identically(self, tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--akr", "0.3", "--seed", "4"]) == 0
+        first = tmp_path / "out"
+        assert main(["train", "--config", str(first / "run_config.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        second = tmp_path / "again"
+        assert (json.loads((first / "run_config.json").read_text())["config_digest"]
+                == json.loads((second / "run_config.json").read_text())["config_digest"])
+        for path in sorted((first / "checkpoint").iterdir()):
+            assert path.read_bytes() == (second / "checkpoint" / path.name).read_bytes()
+
     def test_digest_known_answers(self, tmp_path):
         doc = json.loads(write_run_config(tmp_path).read_text())
         assert RunConfig.from_json_dict(doc).digest() == \
@@ -327,6 +472,23 @@ def replaced(path, value):
     return edit
 
 
+def gen_data(*flags):
+    """A gen-data run on the tests' run config with ``flags`` added."""
+    def setup(tmp_path):
+        return ["gen-data", "--config", str(write_run_config(tmp_path)), *flags]
+    return setup
+
+
+def edited_run_config(edit):
+    """A train run on the ``run_config.json`` of a first run, its text put through ``edit``."""
+    def setup(tmp_path):
+        assert main(["train", "--config", str(write_run_config(tmp_path)), "--steps", "0"]) == 0
+        path = tmp_path / "out" / "run_config.json"
+        path.write_text(edit(path.read_text()))
+        return ["train", "--config", str(path), "--out", str(tmp_path / "again")]
+    return setup
+
+
 def truncated_image(keep):
     """A masks run on a PGM cut to its first ``keep`` bytes."""
     def setup(tmp_path):
@@ -372,6 +534,11 @@ MALFORMED = [
     ("unknown_synthetic_key", run_value("data.synthetic.blur", 1), 2),
     ("synthetic_value_string", run_value("data.synthetic.jitter", "3"), 2),
     ("negative_training_steps", run_value("training.steps", -1), 2),
+    ("negative_train_count", run_value("data.train_count", -1), 2),
+    ("negative_test_count", run_value("data.test_count", -1), 2),
+    ("negative_gen_data_count", gen_data("--count", "-3"), 2),
+    ("run_config_edited_after_writing", edited_run_config(replaced("training.steps", 1)), 2),
+    ("run_config_digest_null", edited_run_config(replaced("config_digest", None)), 2),
     ("skeleton_pair_string", skeleton_file(replaced("edges", [["a", 1]])), 3),
     ("skeleton_pair_triple", skeleton_file(replaced("symmetric_pairs", [[0, 5, 1]])), 3),
     ("skeleton_count_string", skeleton_file(replaced("joint_count", "16")), 3),

@@ -190,7 +190,7 @@ class TestSweep:
         for alpha in direct.per_joint:
             assert np.array_equal(rows[0].report.per_joint[alpha],
                                   direct.per_joint[alpha])
-        assert rows[0].sparsity.layer_weighted_density == 1.0
+        assert rows[0].sparsity.mac_ratio == 1.0
 
     def test_table_layout(self):
         cfg = sweep_fixture_config()

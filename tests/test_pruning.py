@@ -224,7 +224,6 @@ class TestSparsityStats:
                                  state, schedule)
         stats = sparsity_report(state, config)
         assert stats.per_stage_density == [1.0, 1.0, 1.0]
-        assert stats.layer_weighted_density == 1.0
         assert stats.mac_ratio == 1.0
 
     def test_exact_halving(self):
@@ -248,7 +247,6 @@ class TestSparsityStats:
                                  state, schedule)
         stats = sparsity_report(state, config)
         expected = (3 * 1.0 + 3 * 0.60 + 3 * 0.36 + 3 * 0.22) / 12
-        assert abs(stats.layer_weighted_density - expected) <= 1e-12
         assert abs(stats.mac_ratio - expected) <= 1e-12
 
     def test_json_fields(self):
@@ -258,6 +256,5 @@ class TestSparsityStats:
         rng = np.random.default_rng(12)
         apply_prune_schedule(1, record_from(rng.uniform(size=(16, 16))), state, schedule)
         doc = sparsity_report(state, config).to_json_dict()
-        assert sorted(doc) == ["layer_weighted_density", "mac_ratio",
-                               "per_stage_density", "stages"]
+        assert sorted(doc) == ["mac_ratio", "per_stage_density", "stages"]
         assert doc["stages"] == 1
