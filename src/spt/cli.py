@@ -179,6 +179,7 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
 
     schedule = replace(run.model.schedule, **given(keep_ratio="akr", k_mode="k_mode"))
     return replace(run, model=replace(run.model, schedule=schedule),
+                   data={**run.data, **given(train_count="count")},
                    training=replace(run.training, **given(steps="steps", seed="seed")),
                    **given(output_dir="out", decoder="decoder"))
 
@@ -195,7 +196,7 @@ def cmd_gen_data(args) -> int:
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     scene = _scene_config(run)
-    count = args.count if args.count is not None else run.data_config().train_count
+    count = run.data_config().train_count
     annotations = []
     for index in range(count):
         image, ann = generate_sample(scene, index)
@@ -362,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen-data", cmd_gen_data, "write synthetic PGM images + annotations",
                 ["--out"])
-    p.add_argument("--count", type=int, help="number of samples (default: train_count)")
+    p.add_argument("--count", type=int,
+                   help="number of samples; sets data.train_count (default: the config's)")
 
     command("train", cmd_train, "train a model and write a checkpoint",
             ["--out", "--seed", "--steps", "--akr", "--k-mode"])

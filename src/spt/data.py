@@ -16,6 +16,7 @@ or ``{"seed": s, "index": i}`` for regenerable synthetic frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,19 +107,40 @@ def _template_in_pixels(h: int, w: int) -> np.ndarray:
     return out
 
 
+# np.exp(-t) is exactly 0.0, never a denormal, for every t >= this.
+_EXP_UNDERFLOW = 746.0
+
+
+def _window(canvas: np.ndarray, x_lo: float, x_hi: float, y_lo: float, y_hi: float,
+            margin: int):
+    """The canvas slice over [x_lo, x_hi] x [y_lo, y_hi] grown by ``margin``
+    pixels, with its pixel coordinates ``yy, xx``."""
+    h, w = canvas.shape
+    x0, x1 = np.clip((math.floor(x_lo) - margin, math.ceil(x_hi) + margin + 1), 0, w)
+    y0, y1 = np.clip((math.floor(y_lo) - margin, math.ceil(y_hi) + margin + 1), 0, h)
+    yy, xx = np.mgrid[y0:y1, x0:x1]
+    return canvas[y0:y1, x0:x1], yy, xx
+
+
 def render_joint_blob(canvas: np.ndarray, x: float, y: float, sigma: float,
                       peak: float = 1.0) -> None:
-    """Max-compose an unnormalized Gaussian blob centered at (x, y)."""
-    h, w = canvas.shape
-    yy, xx = np.mgrid[0:h, 0:w]
+    """Max-compose an unnormalized Gaussian blob centered at (x, y).
+
+    Only pixels within ``sigma * sqrt(2 * _EXP_UNDERFLOW)`` (plus one) of the
+    centre are computed: beyond that the blob is exactly 0.0.
+    """
+    margin = math.ceil(sigma * math.sqrt(2.0 * _EXP_UNDERFLOW)) + 1
+    patch, yy, xx = _window(canvas, x, x, y, y, margin)
     blob = peak * np.exp(-((xx - x) ** 2 + (yy - y) ** 2) / (2.0 * sigma * sigma))
-    np.maximum(canvas, blob, out=canvas)
+    np.maximum(patch, blob, out=patch)
 
 
 def _render_segment(canvas: np.ndarray, a: np.ndarray, b: np.ndarray,
                     thickness: float, level: float) -> None:
-    h, w = canvas.shape
-    yy, xx = np.mgrid[0:h, 0:w]
+    """Max-compose ``level`` on the pixels within ``thickness`` of segment ab;
+    only the segment's bounding box grown by ``ceil(thickness) + 1`` is computed."""
+    patch, yy, xx = _window(canvas, min(a[0], b[0]), max(a[0], b[0]),
+                            min(a[1], b[1]), max(a[1], b[1]), math.ceil(thickness) + 1)
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
@@ -126,7 +148,7 @@ def _render_segment(canvas: np.ndarray, a: np.ndarray, b: np.ndarray,
     else:
         t = np.clip(((xx - a[0]) * ab[0] + (yy - a[1]) * ab[1]) / denom, 0.0, 1.0)
         dist2 = (xx - (a[0] + t * ab[0])) ** 2 + (yy - (a[1] + t * ab[1])) ** 2
-    np.maximum(canvas, np.where(dist2 <= thickness * thickness, level, 0.0), out=canvas)
+    np.maximum(patch, np.where(dist2 <= thickness * thickness, level, 0.0), out=patch)
 
 
 def render_scene(joints: np.ndarray, config: SyntheticSceneConfig) -> np.ndarray:

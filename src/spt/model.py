@@ -391,27 +391,68 @@ class AdamState:
             p.zero_grad()
 
 
+def _sample_backward(sample, index: int, weight: float, params: PoseModelParams,
+                     config: ModelConfig, skeleton_mask) -> float:
+    """Forward, loss and backward of one batch sample on its own tape.
+
+    Adds ``weight`` times the sample loss's gradient into the parameters'
+    ``.grad`` and returns the unweighted loss.  The tape and its arrays are
+    freed on return.
+    """
+    image, target, visibility = sample
+    with ComputationTape() as tape:
+        heatmaps, _ = forward(image, params, config, skeleton_mask)
+        loss = loss_mse(heatmaps, target, visibility)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NonFiniteLossError(index, value)
+        weighted = T.scale(loss, weight)
+    T.backward(weighted, tape)
+    return value
+
+
 def train_step(batch, params: PoseModelParams, config: ModelConfig, skeleton_mask,
                optimizer: AdamState) -> float:
     """One gradient step over a batch of (image, target_heatmaps, visibility).
 
-    Deterministic given the seed and batch order.  A non-finite sample loss
-    aborts before the update, naming the offending batch index.
+    Returns the mean sample loss.  Deterministic given the seed and batch
+    order.
+
+    Gradients are accumulated one sample at a time: each sample runs
+    forward, loss and backward on its own tape, which is freed before the
+    next sample starts, so memory does not grow with the batch size.  The
+    samples run from last to first and each backward starts from
+    ``loss / B``.  Each parameter gradient is therefore summed as
+    ``(g[B-1] + ... + g[1]) + g[0]``, the order in which one tape over the
+    whole batch would replay them, and the returned loss is the sample
+    losses summed in index order, times ``1 / B``.  From cleared gradients
+    (as ``AdamState.step`` leaves them), losses, parameters and optimizer
+    moments are those of one whole-batch tape, to the bit.
+
+    A non-finite sample loss aborts before the update with
+    ``NonFiniteLossError``.  Since samples run last to first, it names the
+    highest offending batch index.  A step that raises leaves every
+    ``.grad``, every parameter and ``optimizer`` as they were on entry.
     """
     if not batch:
         raise ConfigError("empty training batch")
-    with ComputationTape() as tape:
-        total = None
-        for index, (image, target, visibility) in enumerate(batch):
-            heatmaps, _ = forward(image, params, config, skeleton_mask)
-            sample_loss = loss_mse(heatmaps, target, visibility)
-            if not math.isfinite(sample_loss.item()):
-                raise NonFiniteLossError(index, sample_loss.item())
-            total = sample_loss if total is None else T.add(total, sample_loss)
-        loss = T.scale(total, 1.0 / len(batch))
-    T.backward(loss, tape)
+    leaves = [p for _, p in params.named_parameters()]
+    held = [p.grad for p in leaves]
+    weight = 1.0 / len(batch)
+    losses = [0.0] * len(batch)
+    try:
+        for index in reversed(range(len(batch))):
+            losses[index] = _sample_backward(batch[index], index, weight, params,
+                                             config, skeleton_mask)
+    except BaseException:
+        for p, grad in zip(leaves, held):
+            p.grad = grad
+        raise
     optimizer.step(params)
-    return loss.item()
+    total = losses[0]
+    for loss in losses[1:]:  # not sum(): Python 3.12+ compensates float sums
+        total += loss
+    return total * weight
 
 
 def train_model(train_samples, config: ModelConfig, skeleton_mask: AttentionMask,

@@ -103,6 +103,24 @@ class TestGenData:
         assert [l for l in first.splitlines() if l.startswith("dataset digest")] != \
             [l for l in second.splitlines() if l.startswith("dataset digest")]
 
+    def test_count_is_recorded_in_run_config_and_digest(self, tmp_path, capsys):
+        cfg = write_run_config(tmp_path)  # train_count 6
+        runs = {}
+        for name, flags in (("plain", []), ("four", ["--count", "4"]),
+                            ("six", ["--count", "6"])):
+            out = tmp_path / name
+            assert main(["gen-data", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            header = (out / "img_000000.pgm").read_bytes().split(b"\n")[1]
+            written = json.loads((out / "run_config.json").read_text())
+            assert written.pop("output_dir") == str(out)
+            runs[name] = (written, header)
+        four, header = runs["four"]
+        assert four["data"]["train_count"] == 4
+        assert len(json.loads((tmp_path / "four" / "annotations.json").read_text())) == 4
+        assert header == f"# config {four['config_digest']}".encode()
+        assert header != runs["six"][1]
+        assert runs["six"] == runs["plain"]
+
     def test_images_and_annotations_consistent(self, tmp_path):
         cfg = write_run_config(tmp_path)
         main(["gen-data", "--config", str(cfg), "--count", "2", "--out",

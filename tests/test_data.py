@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spt.data import (Annotation, SyntheticSceneConfig, generate_sample,
+from spt.data import (Annotation, SyntheticSceneConfig, _render_segment, generate_sample,
                       generate_synthetic, load_annotations, render_joint_blob,
                       render_target_heatmaps, save_annotations)
 from spt.errors import AnnotationError, ConfigError
@@ -97,6 +97,64 @@ class TestSceneKnownAnswers:
         assert ann.head_size.hex() == head_size
         assert ann.visibility.tolist() == [True] * 16
         assert ann.image_ref == (seed, index)
+
+
+def whole_canvas_blob(canvas, x, y, sigma, peak):
+    """Reference: the blob formula evaluated on every pixel of the canvas."""
+    h, w = canvas.shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    blob = peak * np.exp(-((xx - x) ** 2 + (yy - y) ** 2) / (2.0 * sigma * sigma))
+    np.maximum(canvas, blob, out=canvas)
+
+
+def whole_canvas_segment(canvas, a, b, thickness, level):
+    """Reference: the segment distance test evaluated on every pixel of the canvas."""
+    h, w = canvas.shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        dist2 = (xx - a[0]) ** 2 + (yy - a[1]) ** 2
+    else:
+        t = np.clip(((xx - a[0]) * ab[0] + (yy - a[1]) * ab[1]) / denom, 0.0, 1.0)
+        dist2 = (xx - (a[0] + t * ab[0])) ** 2 + (yy - (a[1] + t * ab[1])) ** 2
+    np.maximum(canvas, np.where(dist2 <= thickness * thickness, level, 0.0), out=canvas)
+
+
+class TestWindowedRendering:
+    """Blobs and limbs touch only nearby pixels, with the whole-canvas formula's bits."""
+
+    H, W = 150, 170
+
+    def canvas(self):
+        """Half zeros, where any tail shows, and half values to max-compose with."""
+        canvas = np.random.default_rng(40).uniform(size=(self.H, self.W))
+        canvas[canvas < 0.5] = 0.0
+        return canvas
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.6, 3.0])
+    @pytest.mark.parametrize("x, y", [
+        (0.0, 0.0), (169.0, 149.0), (0.0, 75.3), (84.7, 149.0), (60.25, 40.75),
+        (-5.5, 200.0), (-400.0, -400.0),
+    ])
+    def test_blob_matches_whole_canvas(self, sigma, x, y):
+        got, want = self.canvas(), self.canvas()
+        render_joint_blob(got, x, y, sigma, 0.8)
+        whole_canvas_blob(want, x, y, sigma, 0.8)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("thickness", [0.3, 1.25, 4.0])
+    @pytest.mark.parametrize("a, b", [
+        ((0.0, 0.0), (169.0, 149.0)), ((3.2, 0.0), (120.7, 0.0)),
+        ((10.5, 140.2), (10.5, 20.1)), ((50.3, 60.7), (50.3, 60.7)),
+        ((0.0, 149.0), (0.0, 149.0)), ((160.0, 5.0), (190.0, -20.0)),
+    ])
+    def test_segment_matches_whole_canvas(self, thickness, a, b):
+        a, b = np.array(a), np.array(b)
+        got, want = self.canvas(), self.canvas()
+        _render_segment(got, a, b, thickness, 0.9)
+        whole_canvas_segment(want, a, b, thickness, 0.9)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTargetHeatmaps:

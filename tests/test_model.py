@@ -1,5 +1,7 @@
 """Model assembly: patchify, forward, loss, training step, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,21 @@ class TestLoss:
         assert np.any(pred.grad[0] != 0.0)
 
 
+def one_tape_step(batch, params, config, skeleton_mask, optimizer):
+    """The whole batch recorded on one tape and differentiated once: the
+    reference that per-sample accumulation in ``train_step`` must match."""
+    with T.ComputationTape() as tape:
+        total = None
+        for image, target, visibility in batch:
+            heatmaps, _ = forward(image, params, config, skeleton_mask)
+            sample_loss = loss_mse(heatmaps, target, visibility)
+            total = sample_loss if total is None else T.add(total, sample_loss)
+        loss = T.scale(total, 1.0 / len(batch))
+    T.backward(loss, tape)
+    optimizer.step(params)
+    return loss.item()
+
+
 class TestTrainStep:
     def batch(self, cfg, rng, size=2):
         return [
@@ -282,6 +299,69 @@ class TestTrainStep:
              np.ones(cfg.joint_count, bool))
             for _ in range(size)
         ]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_per_sample_steps_match_one_tape_bit_for_bit(self, size):
+        cfg = tiny_config(encoder_layers=3,
+                          schedule=PruneSchedule(update_layers=(1, 2), keep_ratio=0.6))
+        mask = compile_joint_mask(chain_skeleton(4))
+        batch = self.batch(cfg, np.random.default_rng(30 + size), size)
+        batch[-1][2][1] = False  # one invisible joint
+        runs = []
+        for step in (train_step, one_tape_step):
+            params = PoseModelParams.init(cfg, seed=31)
+            opt = AdamState()
+            losses = [step(batch, params, cfg, mask, opt) for _ in range(3)]
+            state = {name: (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes())
+                     for name, p in params.named_parameters()}
+            runs.append((losses, state))
+        (losses, state), (ref_losses, ref_state) = runs
+        assert losses == ref_losses
+        assert state == ref_state
+
+    @pytest.mark.parametrize("fault", ["nan_target", "image_shape"])
+    def test_failed_step_leaves_grads_params_and_optimizer(self, fault):
+        cfg = tiny_config()
+        params = PoseModelParams.init(cfg, seed=33)
+        mask = compile_joint_mask(chain_skeleton(4))
+        batch = self.batch(cfg, np.random.default_rng(34), size=3)
+        opt = AdamState()
+        train_step(batch, params, cfg, mask, opt)
+        image, target, visibility = batch[0]  # processed last
+        if fault == "nan_target":
+            batch[0], error = (image, np.full_like(target, np.nan), visibility), NonFiniteLossError
+        else:
+            batch[0], error = (image[:-1], target, visibility), ConfigError
+        held = {}
+        for name, p in params.named_parameters():
+            p.grad = held[name] = np.full(p.shape, 0.5)
+        data = {name: p.data.copy() for name, p in params.named_parameters()}
+        moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in opt.m}
+        with T.finite_checks(False), pytest.raises(error):
+            train_step(batch, params, cfg, mask, opt)
+        for name, p in params.named_parameters():
+            assert p.grad is held[name] and np.all(p.grad == 0.5), name
+            assert np.array_equal(p.data, data[name]), name
+            assert np.array_equal(opt.m[name], moments[name][0]), name
+            assert np.array_equal(opt.v[name], moments[name][1]), name
+        assert opt.step_count == 1
+
+    def test_memory_does_not_grow_with_batch_size(self):
+        cfg = tiny_config(image_h=64, image_w=64, encoder_layers=4, embed_dim=16,
+                          heatmap_h=16, heatmap_w=16)
+        mask = compile_joint_mask(chain_skeleton(4))
+
+        def peak_bytes(size):
+            params = PoseModelParams.init(cfg, seed=35)
+            batch = self.batch(cfg, np.random.default_rng(36), size)
+            tracemalloc.start()
+            try:
+                train_step(batch, params, cfg, mask, AdamState())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(8) <= 1.25 * peak_bytes(1)
 
     def test_zero_learning_rate_keeps_params(self):
         cfg = tiny_config()
@@ -345,6 +425,19 @@ class TestTrainStep:
         batch = self.batch(cfg, rng)
         bad_target = np.full((4, 4, 4), np.nan)
         batch.append((batch[0][0], bad_target, np.ones(4, bool)))
+        with T.finite_checks(False), pytest.raises(NonFiniteLossError) as err:
+            train_step(batch, params, cfg, mask, AdamState())
+        assert err.value.batch_index == 2
+
+    def test_several_non_finite_losses_name_the_highest_index(self):
+        # Samples run from last to first, so the highest bad index is met first.
+        cfg = tiny_config()
+        params = PoseModelParams.init(cfg, seed=19)
+        mask = compile_joint_mask(chain_skeleton(4))
+        batch = self.batch(cfg, np.random.default_rng(20), size=4)
+        for index in (0, 2):
+            image, target, visibility = batch[index]
+            batch[index] = (image, np.full_like(target, np.inf), visibility)
         with T.finite_checks(False), pytest.raises(NonFiniteLossError) as err:
             train_step(batch, params, cfg, mask, AdamState())
         assert err.value.batch_index == 2
