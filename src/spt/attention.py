@@ -5,11 +5,16 @@ over unmasked positions only, and one mask is shared by every head (which
 also keeps pruning statistics well-defined across heads).  Per-head logits
 are scaled by sqrt(head_dim) so their variance is stable across head
 counts.  Blocks are pre-norm: x + attn(norm(x)), then + mlp(norm(.)).
+
+Attention runs as three taped ops: the packed QKV product, the per-head
+kernel ``tensor.multi_head_attention`` (logits, masked softmax and
+context, one head's tile at a time) and the output projection.
+``project_qkv`` splits the packed product into per-head stacks for
+callers that want them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,16 +91,23 @@ class AttentionRecord:
     head_average: Tensor  # (N, N), detached
 
 
-def project_qkv(x: Tensor, params: AttentionLayerParams, heads: int):
-    """Project tokens to per-head query/key/value stacks (heads, N, head_dim)."""
-    n, d = x.shape
-    if d * 3 != params.qkv_projection.shape[1] or d != params.qkv_projection.shape[0]:
+def _check_qkv(x: Tensor, params: AttentionLayerParams, heads: int) -> int:
+    """Head dim of ``heads`` heads over ``x``; ConfigError if the projection or
+    the head count does not fit its width."""
+    d = x.shape[1]
+    if (d, 3 * d) != params.qkv_projection.shape:
         raise ConfigError(
             f"qkv projection {params.qkv_projection.shape} does not match embed dim {d}"
         )
     if d % heads:
         raise ConfigError(f"heads={heads} must evenly partition embed dim {d}")
-    head_dim = d // heads
+    return d // heads
+
+
+def project_qkv(x: Tensor, params: AttentionLayerParams, heads: int):
+    """Project tokens to per-head query/key/value stacks (heads, N, head_dim)."""
+    n = x.shape[0]
+    head_dim = _check_qkv(x, params, heads)
     packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
     packed = T.reshape(packed, (n, 3, heads, head_dim))
     packed = T.transpose(packed, (1, 2, 0, 3))             # (3, heads, N, head_dim)
@@ -113,24 +125,20 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
     token still supplies keys and values, and the output has r rows.
     Returns (output, AttentionRecord or None).  The record holds a detached
     probability map so retaining it never grows the tape.
+
+    Runs as the packed QKV product, the per-head kernel
+    ``tensor.multi_head_attention`` and the output projection; the kernel
+    gives the same bits as the composed chain of ``project_qkv``,
+    ``scale``, ``matmul``, ``rowwise_masked_softmax`` and ``matmul``.
     """
-    n, d = x.shape
-    r = mask.rows
-    if mask.cols != n or r > n:
+    n = x.shape[0]
+    if mask.cols != n or mask.rows > n:
         raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
-    head_dim = d // heads
-    q, k, v = project_qkv(x, params, heads)
-    if r < n:
-        q = T.narrow(q, 1, 0, r)
-    # Scaling q (heads, r, head_dim) rather than the (heads, r, N) logits
-    # saves a full r x N pass forward and backward.
-    q = T.scale(q, 1.0 / math.sqrt(head_dim))
-    logits = T.matmul(q, T.transpose(k, (0, 2, 1)))
-    probs = T.rowwise_masked_softmax(logits, mask)         # (heads, r, N)
-    context = T.matmul(probs, v)                           # (heads, r, head_dim)
-    merged = T.reshape(T.transpose(context, (1, 0, 2)), (r, d))
+    _check_qkv(x, params, heads)
+    packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
+    merged, probs = T.multi_head_attention(packed, mask, heads)
     out = T.matmul(merged, params.output_projection)
-    record = AttentionRecord(Tensor(probs.data.mean(axis=0))) if need_record else None
+    record = AttentionRecord(Tensor(probs.mean(axis=0))) if need_record else None
     return out, record
 
 

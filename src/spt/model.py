@@ -373,6 +373,14 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     def step(self, params: PoseModelParams) -> None:
+        """One update of every parameter from its ``.grad`` (zeros if None).
+
+        The moments ``m`` and ``v`` are updated in place, through two scratch
+        arrays per parameter, in the operation order of
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, so they get the same
+        bits.  ``p.data`` becomes a fresh array.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
@@ -380,14 +388,24 @@ class AdamState:
             grad = p.grad if p.grad is not None else np.zeros(p.shape)
             m = self.m.get(name)
             if m is None:
-                m = np.zeros(p.shape)
-                v = np.zeros(p.shape)
+                m = self.m[name] = np.zeros(p.shape)
+                v = self.v[name] = np.zeros(p.shape)
             else:
                 v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self.m[name], self.v[name] = m, v
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            buf = np.multiply(1.0 - self.beta1, grad)
+            m *= self.beta1
+            m += buf
+            np.multiply(1.0 - self.beta2, grad, out=buf)
+            buf *= grad
+            v *= self.beta2
+            v += buf
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bc1, out=buf)
+            buf *= self.lr
+            buf /= denom
+            p.data = p.data - buf
             p.zero_grad()
 
 

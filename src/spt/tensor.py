@@ -10,9 +10,18 @@ record as it goes, and accumulates adjoints additively into every leaf that
 has ``requires_grad`` set.  Tensors are treated as immutable once produced
 by an operation; parameter updates happen between tapes.
 
+Adjoints are owned or borrowed.  ``matmul`` and ``multi_head_attention``
+hand over the fresh arrays they compute as owned: later adjoints are
+summed into them in place, and a leaf receives one as its ``.grad``
+without a copy.  Every other pullback lends its adjoint, often the
+upstream gradient or a view of it (``add``, ``concat``, ``reshape``); a
+borrowed array is never written, and a leaf receives a copy.
+
 Everything is 64-bit and broadcasting is restricted to scalar-with-tensor
 (plus the dedicated last-axis bias op), which keeps every adjoint auditable
-by hand.
+by hand.  ``multi_head_attention`` is the one fused op: the whole per-head
+attention chain between the QKV and output projections, run one head at a
+time so each head's score tile stays in cache.
 """
 
 from __future__ import annotations
@@ -147,14 +156,17 @@ def _finish(out_data, keys, pullback):
     return out
 
 
-def _accumulate(store, key, grad):
-    # Entries start as borrowed references (never mutated in place); the
-    # first further accumulation replaces them with an owned fresh array.
+def _accumulate(store, key, grad, owned: bool = False):
+    # An entry is [array, owned].  A borrowed array is never written: the
+    # first further accumulation replaces it with a fresh sum, which the
+    # entry then owns.  ``owned=True`` promises ``grad`` was computed for
+    # this call alone, so it is summed into in place and may become a
+    # leaf's ``.grad`` as it is.
     if key is None:
         return
     entry = store.get(key)
     if entry is None:
-        store[key] = [grad, False]
+        store[key] = [grad, owned]
     elif entry[1]:
         entry[0] += grad
     else:
@@ -165,13 +177,16 @@ def _accumulate(store, key, grad):
 def backward(loss: Tensor, tape: ComputationTape) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    ``loss`` must be a scalar produced under ``tape``.  Gradients add into
-    pre-existing ``.grad`` buffers; call ``zero_grad`` between steps.
+    ``loss`` must be a scalar produced under ``tape``.  Gradients add to
+    any earlier ``.grad``; call ``zero_grad`` between steps.
 
     The tape is consumed: each record is popped as it is replayed, so its
     closure and the arrays it keeps are freed before the next one runs.
     Only leaves receive ``.grad``.  An output of another tape counts as an
-    intermediate here, not as a leaf: its gradient is dropped.
+    intermediate here, not as a leaf: its gradient is dropped.  A leaf's
+    new ``.grad`` is its owned adjoint itself (plus any earlier ``.grad``),
+    or a fresh copy or sum of a borrowed one: no two leaves share a
+    gradient array, and an earlier ``.grad`` array is never written.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -183,11 +198,14 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
         entry = store.pop(node, None)
         if entry is not None:  # else not on a path to the loss
             pullback(entry[0], store)
-    for key, (grad, _) in store.items():
+    for key, (grad, owned) in store.items():
         if not isinstance(key, Tensor):
             continue  # an intermediate of another tape
         if key.grad is None:
-            key.grad = np.array(grad, dtype=np.float64)
+            key.grad = grad if owned else np.array(grad, dtype=np.float64)
+        elif owned:
+            grad += key.grad  # the same bits as key.grad + grad
+            key.grad = grad
         else:
             key.grad = key.grad + grad
 
@@ -213,9 +231,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def pullback(g, store):
         if ka is not None:
-            _accumulate(store, ka, g @ b_t)
+            _accumulate(store, ka, g @ b_t, owned=True)
         if kb is not None:
-            _accumulate(store, kb, a_t @ g)
+            _accumulate(store, kb, a_t @ g, owned=True)
 
     return _finish(a.data @ b.data, (ka, kb), pullback)
 
@@ -434,6 +452,34 @@ def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     return _finish(out_data, (kx,), pullback)
 
 
+def _softmax_rows(out: np.ndarray, mask: AttentionMask, scratch=None) -> np.ndarray:
+    """Overwrite the logits in ``out`` with their masked softmax along the last axis.
+
+    ``scratch`` (shaped like ``out``, optional) receives the biased logits
+    on a masked path.  See ``rowwise_masked_softmax`` for the formula.
+    """
+    if mask.all_ones:
+        out -= out.max(axis=-1, keepdims=True)
+        np.exp(out, out=out)
+    else:
+        gate, bias = mask.gate_bias()
+        out -= np.add(out, bias, out=scratch).max(axis=-1, keepdims=True)
+        np.minimum(out, 0.0, out=out)
+        np.exp(out, out=out)
+        out *= gate
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_pullback(g: np.ndarray, probs: np.ndarray, out=None) -> np.ndarray:
+    """Logit adjoint ``(g - rowsum(g * probs)) * probs`` of a softmax, into ``out``."""
+    grad = np.multiply(g, probs, out=out)
+    dot = grad.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=grad)
+    grad *= probs
+    return grad
+
+
 def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     """Softmax normalized over unmasked entries only; masked entries are exactly 0.
 
@@ -454,25 +500,72 @@ def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     """
     if logits.shape[-2:] != mask.bits.shape:
         raise ShapeError(f"mask shape {mask.bits.shape} does not match logits {logits.shape}")
-    if mask.all_ones:
-        out_data = logits.data - logits.data.max(axis=-1, keepdims=True)
-        np.exp(out_data, out=out_data)
-    else:
-        gate, bias = mask.gate_bias()
-        out_data = logits.data + bias
-        row_max = out_data.max(axis=-1, keepdims=True)
-        np.subtract(logits.data, row_max, out=out_data)
-        np.minimum(out_data, 0.0, out=out_data)
-        np.exp(out_data, out=out_data)
-        out_data *= gate
-    out_data /= out_data.sum(axis=-1, keepdims=True)
+    out_data = _softmax_rows(logits.data.copy(), mask)
     kl = _key(logits)
 
     def pullback(g, store):
-        grad = g * out_data
-        dot = grad.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=grad)
-        grad *= out_data
-        _accumulate(store, kl, grad)
+        _accumulate(store, kl, _softmax_pullback(g, out_data))
 
     return _finish(out_data, (kl,), pullback)
+
+
+def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
+    """Masked multi-head attention from packed projections, one head at a time.
+
+    ``packed`` is the (n, 3D) product ``x @ qkv_projection``: query, key
+    and value blocks side by side, each D wide with one head_dim block per
+    head.  An r x n ``mask`` (r <= n) makes the first r tokens the queries
+    and serves every head.  Returns ``(context, probs)``: the taped (r, D)
+    context, heads side by side, and the (heads, r, n) probabilities as a
+    plain read-only array.
+
+    Head i reads column views of ``packed`` and works in its own (r, n)
+    tile of ``probs``, so the tile stays in cache from logits to context:
+    ``q_i = packed[:r, Q_i] / sqrt(head_dim)``, ``tile = q_i k_iᵀ``, the
+    masked softmax in place (``rowwise_masked_softmax``'s formula), then
+    ``tile v_i`` into the head's context columns.
+
+    The pullback fills one owned (n, 3D) gradient head by head: dV_i =
+    P_iᵀ g_i, dS is the softmax pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i)
+    / sqrt(head_dim) on the first r rows (the rest stay 0), dK_i =
+    (q_iᵀ dS)ᵀ.  The tape keeps only ``packed`` and ``probs``; q_i is
+    recomputed.  Each product is the BLAS call, in the same operand
+    orientation, that the chain of ``scale``, ``matmul``,
+    ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
+    bits; dK_i as dSᵀ q_i would be a different call.
+    """
+    data = packed.data
+    if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
+        raise ShapeError(f"packed projections {packed.shape} do not split into 3 x {heads} heads")
+    n, d = data.shape[0], data.shape[1] // 3
+    r = mask.rows
+    if mask.cols != n or r > n:
+        raise ShapeError(f"mask shape {mask.bits.shape} does not match {n} tokens")
+    head_dim = d // heads
+    s = 1.0 / math.sqrt(head_dim)
+    columns = [(slice(lo, lo + head_dim), slice(d + lo, d + lo + head_dim),
+                slice(2 * d + lo, 2 * d + lo + head_dim)) for lo in range(0, d, head_dim)]
+    probs = np.empty((heads, r, n))
+    context = np.empty((r, d))
+    scratch = None if mask.all_ones else np.empty((r, n))
+    for tile, (q, k, v) in zip(probs, columns):
+        np.matmul(data[:r, q] * s, data[:, k].T, out=tile)
+        _softmax_rows(tile, mask, scratch)
+        np.matmul(tile, data[:, v], out=context[:, q])
+    probs.flags.writeable = False
+    kp = _key(packed)
+
+    def pullback(g, store):
+        grad = np.zeros(data.shape)
+        dp, ds = np.empty((r, n)), np.empty((r, n))
+        for tile, (q, k, v) in zip(probs, columns):
+            g_i = g[:, q]
+            np.matmul(tile.T, g_i, out=grad[:, v])
+            np.matmul(g_i, data[:, v].T, out=dp)
+            _softmax_pullback(dp, tile, out=ds)
+            np.matmul(ds, data[:, k], out=grad[:r, q])
+            grad[:r, q] *= s
+            grad[:, k] = np.matmul((data[:r, q] * s).T, ds).T
+        _accumulate(store, kp, grad, owned=True)
+
+    return _finish(context, (kp,), pullback), probs

@@ -8,7 +8,7 @@ import pytest
 import spt.tensor as T
 from spt.attention import (AttentionLayerParams, encoder_block,
                            masked_self_attention, project_qkv)
-from spt.errors import ConfigError
+from spt.errors import ConfigError, ShapeError
 from spt.masks import AttentionMask
 from spt.rng import SplitMix64
 from spt.tensor import Tensor
@@ -137,6 +137,169 @@ class TestMaskedSelfAttention:
         logits = q @ k.transpose(0, 2, 1) / math.sqrt(d // heads)
         probs = ref_softmax(np.where(bits == 1, logits, -np.inf))
         np.testing.assert_allclose(record.head_average.data, probs.mean(axis=0), atol=1e-12)
+
+
+def composed_attention(x, mask, params, heads):
+    """The op chain the attention kernel replaces, kept as its bit-level
+    reference: project_qkv, scale, matmul, rowwise_masked_softmax, matmul,
+    merge of the heads, output projection.  Returns (output, head average)."""
+    n, d = x.shape
+    r = mask.rows
+    q, k, v = project_qkv(x, params, heads)
+    if r < n:
+        q = T.narrow(q, 1, 0, r)
+    q = T.scale(q, 1.0 / math.sqrt(d // heads))
+    probs = T.rowwise_masked_softmax(T.matmul(q, T.transpose(k, (0, 2, 1))), mask)
+    context = T.matmul(probs, v)
+    merged = T.reshape(T.transpose(context, (1, 0, 2)), (r, d))
+    return T.matmul(merged, params.output_projection), probs.data.mean(axis=0)
+
+
+def kernel_attention(x, mask, params, heads):
+    out, record = masked_self_attention(x, mask, params, heads, need_record=True)
+    return out, record.head_average.data
+
+
+def kernel_mask(kind, r, n, rng):
+    if kind == "ones":
+        return AttentionMask.ones(r, n)
+    if kind == "identity":
+        return AttentionMask(np.eye(n, dtype=np.uint8)[:r])
+    bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
+    np.fill_diagonal(bits, 1)
+    return AttentionMask(bits[:r])
+
+
+class _RecordingNumpy:
+    """Stands in for numpy inside spt.tensor and logs each np.matmul's
+    operand layouts: "N" when the last axis is contiguous, else "T"."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        layout = tuple("N" if m.strides[-1] == m.itemsize else "T" for m in (a, b))
+        self.products.append(layout + (a.shape, b.shape))
+        return np.matmul(a, b, **kwargs)
+
+
+class TestAttentionKernel:
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("rows", ["square", "leading"])
+    @pytest.mark.parametrize("kind", ["ones", "random", "identity"])
+    def test_bit_equal_to_the_composed_chain(self, heads, rows, kind):
+        rng = np.random.default_rng(40 + heads)
+        n, d = 9, 16
+        r = n if rows == "square" else 4
+        mask = kernel_mask(kind, r, n, rng)
+        x_data = rng.normal(size=(n, d))
+        weights = Tensor(rng.normal(size=(r, d)))
+        runs = []
+        for attention in (kernel_attention, composed_attention):
+            params = make_params(d, seed=41)
+            x = Tensor(x_data, requires_grad=True)
+            with T.ComputationTape() as tape:
+                out, record = attention(x, mask, params, heads)
+                loss = T.sum_all(T.mul(out, weights))
+            T.backward(loss, tape)
+            runs.append([a.tobytes() for a in (out.data, record, x.grad,
+                                                params.qkv_projection.grad,
+                                                params.output_projection.grad)])
+        assert runs[0] == runs[1]
+
+    def test_masked_cells_stay_zero_under_huge_masked_logits(self):
+        # Keys 4 and 5 are masked in every row and give logits of about
+        # +-7e299 (the sign alternates by row); live logits are O(1).
+        rng = np.random.default_rng(42)
+        heads, head_dim, n, r = 2, 2, 6, 4
+        d = heads * head_dim
+        packed = rng.normal(size=(n, 3 * d))
+        sign = np.where(np.arange(n) % 2, -1.0, 1.0)
+        packed[:, 0:d:head_dim] = sign[:, None]
+        packed[4:, d:2 * d:head_dim] = 1e300
+        bits = np.ones((r, n), dtype=np.uint8)
+        bits[:, 4:] = 0
+        bits[1, 2] = 0
+        packed_t = Tensor(packed, requires_grad=True)
+        with T.ComputationTape() as tape:
+            context, probs = T.multi_head_attention(packed_t, AttentionMask(bits), heads)
+            loss = T.sum_all(context)
+        T.backward(loss, tape)
+        assert (probs[:, bits == 0] == 0.0).all()
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        q = packed[:r, :d].reshape(r, heads, head_dim).transpose(1, 0, 2)
+        k = packed[:, d:2 * d].reshape(n, heads, head_dim).transpose(1, 0, 2)
+        logits = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
+        assert np.abs(logits[:, :, 4:]).min() > 1e299
+        expected = ref_softmax(np.where(bits == 1, logits, -np.inf))
+        np.testing.assert_allclose(probs, expected, rtol=0.0, atol=1e-15)
+        assert np.isfinite(context.data).all() and np.isfinite(packed_t.grad).all()
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(43)
+        n, d, r, heads = 5, 8, 3, 2
+        packed = Tensor(rng.normal(size=(n, 3 * d)), requires_grad=True)
+        mask = kernel_mask("random", r, n, rng)
+        weights = Tensor(rng.normal(size=(r, d)))
+
+        def build():
+            context, _ = T.multi_head_attention(packed, mask, heads)
+            return T.sum_all(T.mul(context, weights))
+
+        finite_difference_check(build, [packed])
+
+    def test_products_keep_the_chain_operand_layouts(self, monkeypatch):
+        # Each head's products, with the operand orientation the composed
+        # chain gives BLAS: the same call rounds the same on any BLAS.
+        # In particular dK is (q_i^T dS)^T, not dS^T q_i.
+        rng = np.random.default_rng(44)
+        n, r, heads, head_dim = 7, 3, 2, 4
+        d = heads * head_dim
+        packed = Tensor(rng.normal(size=(n, 3 * d)), requires_grad=True)
+        recorder = _RecordingNumpy()
+        monkeypatch.setattr(T, "np", recorder)
+        with T.ComputationTape() as tape:
+            context, _ = T.multi_head_attention(packed, kernel_mask("random", r, n, rng),
+                                                heads)
+            loss = T.sum_all(context)
+        forward = [("N", "T", (r, head_dim), (head_dim, n)),   # q_i k_i^T
+                   ("N", "N", (r, n), (n, head_dim))]          # P_i v_i
+        assert recorder.products == forward * heads
+        recorder.products.clear()
+        T.backward(loss, tape)
+        backward = [("T", "N", (n, r), (r, head_dim)),         # dV = P_i^T g_i
+                    ("N", "T", (r, head_dim), (head_dim, n)),  # dP = g_i v_i^T
+                    ("N", "N", (r, n), (n, head_dim)),         # dQ = dS k_i
+                    ("T", "N", (head_dim, r), (r, n))]         # dK^T = q_i^T dS
+        assert recorder.products == backward * heads
+
+    def test_forward_and_pullback_leave_inputs_alone(self):
+        rng = np.random.default_rng(45)
+        packed = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
+        packed_before = packed.data.copy()
+        with T.ComputationTape() as tape:
+            context, probs = T.multi_head_attention(
+                packed, kernel_mask("random", 4, 6, rng), heads=2)
+        (record,) = tape._records
+        g = rng.normal(size=context.shape)
+        g_before = g.copy()
+        store = {}
+        record[1](g, store)
+        assert np.array_equal(packed.data, packed_before) and np.array_equal(g, g_before)
+        grad, owned = store[packed]
+        assert owned and not np.shares_memory(grad, packed.data)
+        assert not np.shares_memory(grad, g) and not probs.flags.writeable
+
+    def test_shape_errors(self):
+        packed = Tensor(np.zeros((4, 12)))
+        with pytest.raises(ShapeError):
+            T.multi_head_attention(packed, AttentionMask.ones(4), heads=3)
+        for mask in (AttentionMask.ones(4, 5), AttentionMask.ones(5, 4)):
+            with pytest.raises(ShapeError):
+                T.multi_head_attention(packed, mask, heads=2)
 
 
 class TestEncoderBlock:

@@ -291,6 +291,44 @@ def one_tape_step(batch, params, config, skeleton_mask, optimizer):
     return loss.item()
 
 
+class TestAdam:
+    def test_in_place_update_matches_the_reference_expression(self):
+        params = PoseModelParams.init(tiny_config(), seed=35)
+        named = list(params.named_parameters())
+        no_grad = named[1][0]
+        opt = AdamState(lr=3e-3)
+        ref_p = {name: p.data.copy() for name, p in named}
+        ref_m, ref_v = {}, {}
+        rng = np.random.default_rng(36)
+        for step in range(1, 4):
+            grads = {name: None if name == no_grad else rng.normal(size=p.shape)
+                     for name, p in named}
+            held = {}
+            for name, p in named:
+                p.grad = None if grads[name] is None else grads[name].copy()
+                held[name] = (p.data, p.data.copy())
+            opt.step(params)
+            # The reference: Adam as one expression per moment and update.
+            bc1 = 1.0 - opt.beta1 ** step
+            bc2 = 1.0 - opt.beta2 ** step
+            for name, p in named:
+                grad = np.zeros(p.shape) if grads[name] is None else grads[name]
+                m = ref_m.get(name, np.zeros(p.shape))
+                v = ref_v.get(name, np.zeros(p.shape))
+                m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+                v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+                ref_m[name], ref_v[name] = m, v
+                ref_p[name] = ref_p[name] - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+            for name, p in named:
+                assert p.data.tobytes() == ref_p[name].tobytes(), (step, name)
+                assert opt.m[name].tobytes() == ref_m[name].tobytes(), (step, name)
+                assert opt.v[name].tobytes() == ref_v[name].tobytes(), (step, name)
+                assert p.grad is None
+                old, old_copy = held[name]
+                assert p.data is not old and np.array_equal(old, old_copy)
+        assert not np.any(opt.m[no_grad]) and np.any(opt.m[named[0][0]])
+
+
 class TestTrainStep:
     def batch(self, cfg, rng, size=2):
         return [

@@ -289,6 +289,52 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    @pytest.mark.parametrize("route", ["add", "concat", "reshape"])
+    def test_lent_adjoints_reach_leaves_as_their_own_arrays(self, route):
+        # The matmul's input adjoint is fresh and handed on owned; add,
+        # concat and reshape lend it (or views of it) to the leaves, which
+        # must each get a copy of their own.
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2 if route == "reshape" else 3, 4)), requires_grad=True)
+        with ComputationTape() as tape:
+            if route == "add":
+                h = T.add(a, b)
+            elif route == "concat":
+                h = T.concat([a, b], axis=0)
+            else:
+                h = T.reshape(a, (3, 2))
+            loss = T.sum_all(T.matmul(h, w))
+        backward(loss, tape)
+        g = np.ones((h.shape[0], 4)) @ w.data.T  # the adjoint of h
+        if route == "add":
+            assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
+        elif route == "concat":
+            assert np.array_equal(a.grad, g[:2]) and np.array_equal(b.grad, g[2:])
+        else:
+            assert np.array_equal(a.grad, g.reshape(2, 3)) and b.grad is None
+        grads = [t.grad for t in (a, b, w) if t.grad is not None]
+        for i, grad in enumerate(grads):
+            assert grad.flags.owndata and grad.flags.writeable
+            assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
+        others = [other.copy() for other in grads[1:]]
+        grads[0][...] = 123.0
+        assert all(np.array_equal(other, kept) for other, kept in zip(grads[1:], others))
+
+    def test_an_earlier_grad_is_summed_but_not_written(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 3)))
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        earlier = rng.normal(size=(3, 4))
+        earlier_copy = earlier.copy()
+        w.grad = earlier
+        with ComputationTape() as tape:
+            loss = T.sum_all(T.matmul(x, w))
+        backward(loss, tape)
+        assert np.array_equal(earlier, earlier_copy) and w.grad is not earlier
+        assert w.grad.tobytes() == (earlier_copy + x.data.T @ np.ones((2, 4))).tobytes()
+
     def test_each_record_visited_once(self):
         # a diamond: two consumers of z; the tape replays each op exactly once
         x = Tensor([2.0], requires_grad=True)
