@@ -8,7 +8,9 @@ counts.  Blocks are pre-norm: x + attn(norm(x)), then + mlp(norm(.)).
 
 Attention runs as three taped ops: the packed QKV product, the per-head
 kernel ``tensor.multi_head_attention`` (logits, masked softmax and
-context, one head's tile at a time) and the output projection.
+context, one head's tile at a time) and the output projection.  The
+feed-forward is one taped op, ``tensor.mlp``.  A block is therefore two
+layer norms, the three attention ops, ``mlp`` and two residual adds.
 ``project_qkv`` splits the packed product into per-head stacks for
 callers that want them.
 """
@@ -156,8 +158,6 @@ def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
     if mask.rows < x.shape[0]:
         x = T.narrow(x, 0, 0, mask.rows)
     h = T.add(x, attended)
-    z = T.layer_norm(h, params.norm2_gain, params.norm2_bias)
-    z = T.add_bias(T.matmul(z, params.mlp_w1), params.mlp_b1)
-    z = T.gelu(z)
-    z = T.add_bias(T.matmul(z, params.mlp_w2), params.mlp_b2)
+    z = T.mlp(T.layer_norm(h, params.norm2_gain, params.norm2_bias),
+              params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     return T.add(h, z), record

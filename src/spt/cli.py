@@ -132,12 +132,21 @@ def _skeleton(run: RunConfig):
     return load_skeleton(run.skeleton) if run.skeleton else default_skeleton()
 
 
+def _load_image(path, model: ModelConfig) -> np.ndarray:
+    """A PGM input image; FormatError unless the model takes its size."""
+    image = load_pgm(path)
+    if model.channels != 1 or image.shape != (model.image_h, model.image_w):
+        raise FormatError(f"{path}: {image.shape[1]}x{image.shape[0]} grayscale image, but the "
+                          f"model takes {model.channels}-channel {model.image_w}x{model.image_h}")
+    return image
+
+
 def _resolve_image(ann: Annotation, run: RunConfig, base_dir: Path) -> np.ndarray:
     if isinstance(ann.image_ref, tuple):
         scene = replace(_scene_config(run), seed=ann.image_ref[0])
         image, _ = generate_sample(scene, ann.image_ref[1])
         return image
-    return load_pgm(base_dir / ann.image_ref)
+    return _load_image(base_dir / ann.image_ref, run.model)
 
 
 def _split(run: RunConfig, name: str):
@@ -248,11 +257,10 @@ def cmd_eval(args) -> int:
     samples = _file_samples(run, args.data) if args.data else _split(run, "test")
     if not samples:
         raise AnnotationError("evaluation dataset is empty")
-    if samples[0][1].joint_count != run.model.joint_count:
-        raise CheckpointError(
-            f"dataset has {samples[0][1].joint_count} joints, checkpoint expects "
-            f"{run.model.joint_count}"
-        )
+    for index, (_, ann) in enumerate(samples):
+        if ann.joint_count != run.model.joint_count:
+            raise CheckpointError(f"dataset record {index} has {ann.joint_count} joints, "
+                                  f"checkpoint expects {run.model.joint_count}")
     joint_mask = compile_joint_mask(_skeleton(run))
     alphas = tuple(args.thresholds)
     report = evaluate_model(params, run.model, joint_mask, samples, alphas,
@@ -271,7 +279,7 @@ def cmd_masks(args) -> int:
     params, run = _checkpoint_run(args)
     joint_mask = compile_joint_mask(_skeleton(run))
     if args.image:
-        image = load_pgm(args.image)
+        image = _load_image(args.image, run.model)
     else:
         image, _ = generate_sample(_scene_config(run), args.sample_index)
     out_dir = Path(run.output_dir)

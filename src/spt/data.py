@@ -263,8 +263,9 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
                 f"{visible.shape[0]} visibility flags for {joints.shape[0]} joints",
                 index=index,
             )
-        if not head_size > 0:
-            raise AnnotationError(f"head_size must be > 0, got {head_size}", index=index)
+        if not 0 < head_size < math.inf:
+            raise AnnotationError(f"head_size must be finite and > 0, got {head_size}",
+                                  index=index)
         if not np.isfinite(joints).all():
             raise AnnotationError("joint coordinates must be finite", index=index)
         if image_h is not None and image_w is not None:

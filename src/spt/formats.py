@@ -3,7 +3,7 @@
 SPT1 layout (all integers little-endian):
 
     bytes 0..3   magic "SPT1"
-    u32          rank
+    u32          rank (at most MAX_RANK)
     u32 * rank   extents
     f64 * n      row-major payload
 
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"SPT1"
+MAX_RANK = 32
 
 
 def save_tensor(path, array) -> None:
@@ -42,6 +43,8 @@ def load_tensor(path) -> np.ndarray:
     if len(blob) < 8:
         raise FormatError(f"{path}: truncated SPT1 header")
     (rank,) = struct.unpack_from("<I", blob, 4)
+    if rank > MAX_RANK:
+        raise FormatError(f"{path}: SPT1 rank {rank} exceeds {MAX_RANK}")
     offset = 8 + 4 * rank
     if len(blob) < offset:
         raise FormatError(f"{path}: truncated SPT1 header (rank {rank})")

@@ -4,8 +4,9 @@ The token sequence is [keypoint tokens, visual tokens].  The encoder mask
 over the full sequence keeps every keypoint-involved entry at 1; only the
 visual-by-visual block evolves under the prune schedule.  After the
 encoder, the keypoint token rows pass through the graph stage (the same
-block structure under the constant joint mask) and a small MLP head maps
-each token to one heatmap.
+block structure under the constant joint mask) and a head maps each
+token to one heatmap: a layer norm, then ``tensor.mlp`` (width D, GELU,
+then H_h * W_h outputs).
 
 Only the keypoint rows of the last encoder layer's output are read, so
 unless that layer's attention is recorded, it runs with the J x (J+N)
@@ -329,9 +330,7 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
             records.append(record)
 
     kp = T.layer_norm(kp, params.head_norm_gain, params.head_norm_bias)
-    h = T.add_bias(T.matmul(kp, params.head_w1), params.head_b1)
-    h = T.gelu(h)
-    h = T.add_bias(T.matmul(h, params.head_w2), params.head_b2)
+    h = T.mlp(kp, params.head_w1, params.head_b1, params.head_w2, params.head_b2)
     heatmaps = T.reshape(h, (j, config.heatmap_h, config.heatmap_w))
 
     diagnostics = Diagnostics(
@@ -551,7 +550,12 @@ def save_checkpoint(directory, params: PoseModelParams, config: ModelConfig,
 
 
 def load_checkpoint(directory):
-    """Rebuild (params, config, manifest) from a checkpoint directory."""
+    """Rebuild (params, config, manifest) from a checkpoint directory.
+
+    Every parameter must be a finite SPT1 tensor of its layout shape, in a
+    file the manifest names inside ``directory``; anything else raises
+    ``CheckpointError``.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -578,13 +582,19 @@ def load_checkpoint(directory):
         )
     arrays = {}
     for name, shape in expected.items():
+        filename = stored[name]
+        path = directory / filename
+        if Path(filename).name != filename or not path.is_file():
+            raise CheckpointError(f"{directory}: parameter {name}: no tensor file {filename!r}")
         try:
-            arr = load_tensor(directory / stored[name])
+            arr = load_tensor(path)
         except FormatError as exc:
             raise CheckpointError(f"{directory}: parameter {name}: {exc}") from exc
         if arr.shape != shape:
             raise CheckpointError(
                 f"{directory}: parameter {name} has shape {arr.shape}, expected {shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{directory}: parameter {name} holds non-finite values")
         arrays[name] = arr
     return PoseModelParams.from_arrays(config, arrays), config, manifest

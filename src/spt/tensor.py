@@ -1,27 +1,33 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 A Tensor wraps a row-major numpy float64 array.  Operations executed while
-a ComputationTape is active record one ``(node, pullback)`` pair each; the
-node is a small identity object for the op's output, and the pullback
-closure keeps only what it reads (keys and shapes, plus the arrays its
-adjoint formula needs), so no record holds a forward output the backward
-pass never reads.  ``backward`` replays the tape in reverse, popping each
-record as it goes, and accumulates adjoints additively into every leaf that
-has ``requires_grad`` set.  Tensors are treated as immutable once produced
-by an operation; parameter updates happen between tapes.
+a ComputationTape is active record one ``(node, pullback, leaves)`` entry
+each; the node is a small identity object for the op's output, the
+pullback closure keeps only what it reads (keys and shapes, plus the
+arrays its adjoint formula needs), so no record holds a forward output the
+backward pass never reads, and ``leaves`` lists the ``requires_grad``
+leaves the op read.  ``backward`` replays the tape in reverse, popping
+each record as it goes, and hands every leaf its adjoint as soon as the
+last record that reads the leaf has been replayed.  Tensors are treated as
+immutable once produced by an operation; parameter updates happen between
+tapes.
 
-Adjoints are owned or borrowed.  ``matmul`` and ``multi_head_attention``
-hand over the fresh arrays they compute as owned: later adjoints are
-summed into them in place, and a leaf receives one as its ``.grad``
-without a copy.  Every other pullback lends its adjoint, often the
-upstream gradient or a view of it (``add``, ``concat``, ``reshape``); a
-borrowed array is never written, and a leaf receives a copy.
+Adjoints are owned or borrowed.  ``matmul``, ``mlp`` and
+``multi_head_attention`` hand over the fresh arrays they compute as owned:
+later adjoints are summed into them in place, and a leaf receives one as
+its ``.grad`` without a copy.  Every other pullback lends its adjoint,
+often the upstream gradient or a view of it (``add``, ``concat``,
+``reshape``); a borrowed array is never written, and a leaf receives a
+copy.
 
 Everything is 64-bit and broadcasting is restricted to scalar-with-tensor
 (plus the dedicated last-axis bias op), which keeps every adjoint auditable
-by hand.  ``multi_head_attention`` is the one fused op: the whole per-head
-attention chain between the QKV and output projections, run one head at a
-time so each head's score tile stays in cache.
+by hand.  Two ops are fused.  ``multi_head_attention`` is the whole
+per-head attention chain between the QKV and output projections, run one
+head at a time so each head's score tile stays in cache.  ``mlp`` is the
+feed-forward ``matmul``, ``add_bias``, ``gelu``, ``matmul``, ``add_bias``
+chain, which recomputes its GELU output in the pullback instead of keeping
+it on the tape.  Both give the bits of the chains they replace.
 """
 
 from __future__ import annotations
@@ -109,8 +115,9 @@ class Tensor:
 class ComputationTape:
     """Ordered record of primitive ops, replayed in reverse by backward().
 
-    A record is ``(node, pullback)``: the output's identity and a closure
-    over only the arrays its adjoint reads.  ``backward`` consumes the tape,
+    A record is ``(node, pullback, leaves)``: the output's identity, a
+    closure over only the arrays its adjoint reads, and the ``requires_grad``
+    leaves the op read, once per read.  ``backward`` consumes the tape,
     popping each record as it replays it; ``len`` stays the number of ops
     recorded.  A tape is confined to one logical thread of execution;
     concurrent forwards use independent tapes or run grad-free (no tape
@@ -118,7 +125,8 @@ class ComputationTape:
     """
 
     def __init__(self):
-        self._records = []  # (node, pullback), popped by backward
+        self._records = []  # (node, pullback, leaves), popped by backward
+        self._readers = {}  # leaf -> records that read it, counted down by backward
         self._recorded = 0
 
     def __enter__(self):
@@ -142,7 +150,11 @@ def _key(t: Tensor):
 
 
 def _finish(out_data, keys, pullback):
-    """Wrap an op result; record on the active tape when gradients can flow."""
+    """Wrap an op result; record on the active tape when gradients can flow.
+
+    The record lists the ``requires_grad`` leaves among ``keys``, once per
+    read, and the tape counts the records that read each leaf.
+    """
     if _tls.finite_checks and not np.isfinite(out_data).all():
         raise NonFiniteValueError("operation produced non-finite values")
     out = Tensor(out_data)
@@ -151,7 +163,11 @@ def _finish(out_data, keys, pullback):
         tape = stack[-1]
         out.requires_grad = True
         out._node = _Node()
-        tape._records.append((out._node, pullback))
+        leaves = tuple(k for k in keys if isinstance(k, Tensor))
+        readers = tape._readers
+        for leaf in leaves:
+            readers[leaf] = readers.get(leaf, 0) + 1
+        tape._records.append((out._node, pullback, leaves))
         tape._recorded += 1
     return out
 
@@ -174,6 +190,17 @@ def _accumulate(store, key, grad, owned: bool = False):
         entry[1] = True
 
 
+def _give(leaf: Tensor, grad: np.ndarray, owned: bool) -> None:
+    """Add a finished adjoint to ``leaf.grad`` without writing an earlier ``.grad``."""
+    if leaf.grad is None:
+        leaf.grad = grad if owned else np.array(grad, dtype=np.float64)
+    elif owned:
+        grad += leaf.grad  # the same bits as leaf.grad + grad
+        leaf.grad = grad
+    else:
+        leaf.grad = leaf.grad + grad
+
+
 def backward(loss: Tensor, tape: ComputationTape) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
@@ -187,27 +214,34 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     new ``.grad`` is its owned adjoint itself (plus any earlier ``.grad``),
     or a fresh copy or sum of a borrowed one: no two leaves share a
     gradient array, and an earlier ``.grad`` array is never written.
+
+    A leaf receives its ``.grad`` as soon as the last record that reads it
+    has been replayed (or skipped, when off the loss's path), and its
+    adjoint then leaves the working store; a leaf no record reads (the
+    loss itself) receives it at the end.  If a pullback raises, the leaves
+    already finished keep their new ``.grad`` and every other leaf keeps
+    the one it had.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     key = _key(loss)
     store = {} if key is None else {key: [np.ones((), dtype=np.float64), True]}
-    records = tape._records
+    records, readers = tape._records, tape._readers
     while records:
-        node, pullback = records.pop()
+        node, pullback, leaves = records.pop()
         entry = store.pop(node, None)
         if entry is not None:  # else not on a path to the loss
             pullback(entry[0], store)
+        for leaf in leaves:
+            readers[leaf] -= 1
+            if not readers[leaf]:
+                del readers[leaf]
+                entry = store.pop(leaf, None)
+                if entry is not None:
+                    _give(leaf, *entry)
     for key, (grad, owned) in store.items():
-        if not isinstance(key, Tensor):
-            continue  # an intermediate of another tape
-        if key.grad is None:
-            key.grad = grad if owned else np.array(grad, dtype=np.float64)
-        elif owned:
-            grad += key.grad  # the same bits as key.grad + grad
-            key.grad = grad
-        else:
-            key.grad = key.grad + grad
+        if isinstance(key, Tensor):  # else an intermediate of another tape
+            _give(key, grad, owned)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +408,39 @@ def sum_all(x: Tensor) -> Tensor:
     return _finish(np.asarray(x.data.sum(), dtype=np.float64), (kx,), pullback)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(c (x + a x^3))``, the tanh of GELU at ``x``."""
+    t = x * _GELU_A
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
+def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU at ``x`` from its tanh ``t``: ``0.5 x (1 + t)``."""
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out
+
+
+def _gelu_pullback(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Input adjoint of GELU at ``x`` (tanh ``t``) for the output adjoint ``g``."""
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    grad = t * t
+    np.subtract(1.0, grad, out=grad)
+    grad *= 0.5 * x
+    grad *= du
+    grad += 0.5 * (1.0 + t)
+    grad *= g
+    return grad
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-form GELU: 0.5 x (1 + tanh(c (x + a x^3))).
 
@@ -382,30 +449,57 @@ def gelu(x: Tensor) -> Tensor:
     recomputes ``x * x``.
     """
     xd = x.data
-    t = xd * _GELU_A
-    t *= xd
-    t *= xd
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out_data = 0.5 * xd
-    out_data *= 1.0 + t
+    t = _gelu_tanh(xd)
     kx = _key(x)
 
     def pullback(g, store):
-        du = xd * xd
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        grad = t * t
-        np.subtract(1.0, grad, out=grad)
-        grad *= 0.5 * xd
-        grad *= du
-        grad += 0.5 * (1.0 + t)
-        grad *= g
-        _accumulate(store, kx, grad)
+        _accumulate(store, kx, _gelu_pullback(g, xd, t))
 
-    return _finish(out_data, (kx,), pullback)
+    return _finish(_gelu_out(xd, t), (kx,), pullback)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` of (n, d) rows, as one taped op.
+
+    The tape keeps ``x``, the pre-activation ``x @ w1 + b1`` and its GELU
+    tanh; the pullback recomputes the GELU output for the ``w2`` gradient
+    instead of keeping it.  Every product, bias sum and elementwise pass is
+    the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
+    ``add_bias`` makes, in the same operand orientation, so both give the
+    same bits.  All five input adjoints are fresh and handed over owned.
+    """
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
+            or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)):
+        raise ShapeError(f"mlp shape mismatch: {x.shape} @ {w1.shape} + {b1.shape} "
+                         f"@ {w2.shape} + {b2.shape}")
+    kx, kw1, kb1, kw2, kb2 = keys = tuple(_key(a) for a in (x, w1, b1, w2, b2))
+    pre = x.data @ w1.data
+    pre += b1.data
+    t = _gelu_tanh(pre)
+    out_data = _gelu_out(pre, t) @ w2.data
+    out_data += b2.data
+    needs_dpre = kx is not None or kw1 is not None or kb1 is not None
+    x_t = x.data.T if kw1 is not None else None
+    w1_t = w1.data.T if kx is not None else None
+    w2_t = w2.data.T if needs_dpre else None
+
+    def pullback(g, store):
+        if kb2 is not None:
+            _accumulate(store, kb2, g.sum(axis=0), owned=True)
+        if kw2 is not None:
+            _accumulate(store, kw2, _gelu_out(pre, t).T @ g, owned=True)
+        if not needs_dpre:
+            return
+        dpre = _gelu_pullback(g @ w2_t, pre, t)
+        if kb1 is not None:
+            _accumulate(store, kb1, dpre.sum(axis=0), owned=True)
+        if kx is not None:
+            _accumulate(store, kx, dpre @ w1_t, owned=True)
+        if kw1 is not None:
+            _accumulate(store, kw1, x_t @ dpre, owned=True)
+
+    return _finish(out_data, keys, pullback)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,20 @@ def annotation_record(**fields):
     return setup
 
 
+def eval_annotations(joint_counts):
+    """An eval run on an annotation file with one record per joint count."""
+    def setup(tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps([
+            {"image": {"seed": 11, "index": i}, "joints": [[5.0, 5.0]] * n,
+             "visible": [True] * n, "head_size": 3.0} for i, n in enumerate(joint_counts)]))
+        return ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint"), "--config",
+                str(cfg), "--data", str(path), "--out", str(tmp_path / "e")]
+    return setup
+
+
 def edited_checkpoint(name, edit):
     """An eval run on a checkpoint whose file ``name`` had its bytes go through ``edit``."""
     def setup(tmp_path):
@@ -467,6 +482,17 @@ def edited_checkpoint(name, edit):
         return ["eval", "--checkpoint", str(path.parent), "--config", str(cfg),
                 "--out", str(tmp_path / "e")]
     return setup
+
+
+def flipped(at, bit):
+    """An edit that flips bit ``bit`` of byte ``at``."""
+    return lambda blob: blob[:at] + bytes([blob[at] ^ 1 << bit]) + blob[at + 1:]
+
+
+def nan_payload(blob):
+    """An SPT1 tensor with its first value replaced by NaN."""
+    offset = 8 + 4 * int.from_bytes(blob[4:8], "little")
+    return blob[:offset] + struct.pack("<d", float("nan")) + blob[offset + 8:]
 
 
 def edited_manifest(edit):
@@ -507,13 +533,13 @@ def edited_run_config(edit):
     return setup
 
 
-def truncated_image(keep):
-    """A masks run on a PGM cut to its first ``keep`` bytes."""
+def image_file(keep=None, shape=(32, 32)):
+    """A masks run on a ``shape`` PGM cut to its first ``keep`` bytes."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
         image = tmp_path / "cut.pgm"
-        save_pgm(image, np.full((32, 32), 0.5))
+        save_pgm(image, np.full(shape, 0.5))
         image.write_bytes(image.read_bytes()[:keep])
         return ["masks", "--checkpoint", str(tmp_path / "out" / "checkpoint"),
                 "--config", str(cfg), "--image", str(image), "--out", str(tmp_path / "m")]
@@ -530,10 +556,15 @@ MALFORMED = [
     ("manifest_config_not_object", edited_manifest(replaced("config", 5)), 6),
     ("tensor_cut_to_10_bytes", edited_checkpoint("head_b1.spt", lambda blob: blob[:10]), 6),
     ("tensor_trailing_byte", edited_checkpoint("head_b1.spt", lambda blob: blob + b"\0"), 6),
+    ("tensor_rank_bit_flipped", edited_checkpoint("head_w2.spt", flipped(5, 1)), 6),
+    ("tensor_nan_payload", edited_checkpoint("head_w2.spt", nan_payload), 6),
+    ("manifest_names_missing_file", edited_manifest(replaced("params.head_b1", "gone.spt")), 6),
+    ("manifest_names_outside_file", edited_manifest(replaced("params.head_b1", "../run.json")), 6),
     ("training_steps_string", run_value("training.steps", "3"), 2),
     ("training_seed_bool", run_value("training.seed", True), 2),
-    ("pgm_truncated_header", truncated_image(6), 3),
-    ("pgm_truncated_body", truncated_image(100), 3),
+    ("pgm_truncated_header", image_file(keep=6), 3),
+    ("pgm_truncated_body", image_file(keep=100), 3),
+    ("pgm_wrong_size", image_file(shape=(32, 12)), 3),
     ("model_value_string", run_value("model.embed_dim", "16"), 2),
     ("model_float_for_int", run_value("model.heads", 2.0), 2),
     ("model_not_object", run_value("model", []), 2),
@@ -572,6 +603,8 @@ MALFORMED = [
     ("annotation_joint_bool", annotation_record(joints=[[5.0, True]] * 16), 3),
     ("annotation_head_size_numeric_string", annotation_record(head_size="3"), 3),
     ("annotation_head_size_bool", annotation_record(head_size=True), 3),
+    ("annotation_head_size_infinite", annotation_record(head_size=float("inf")), 3),
+    ("eval_record_joint_count_differs", eval_annotations((16, 15)), 6),
     ("manifest_config_value_string", edited_manifest(replaced("config.heads", "2")), 6),
     ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
     ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),

@@ -41,6 +41,17 @@ class TestBinaryTensor:
         with pytest.raises(ValueError, match="magic"):
             load_tensor(path)
 
+    def test_rank_beyond_the_limit_rejected_without_reading_extents(self, tmp_path):
+        # Rank 514 over a long payload: the 514 "extents" multiply to an
+        # integer too long to format, so the rank must be refused first.
+        path = tmp_path / "t.spt"
+        save_tensor(path, np.arange(600.0).reshape(20, 30))
+        blob = bytearray(path.read_bytes())
+        blob[5] ^= 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="rank 514 exceeds 32"):
+            load_tensor(path)
+
     def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "t.spt"
         save_tensor(path, np.arange(6.0).reshape(2, 3))

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -347,6 +348,91 @@ class TestBackward:
         assert np.array_equal(x.grad, [8.0])
 
 
+def _probe(x, check):
+    """Identity op whose pullback calls ``check()`` before passing ``g`` on."""
+    kx = T._key(x)
+
+    def pullback(g, store):
+        check()
+        T._accumulate(store, kx, g)
+
+    return T._finish(x.data.copy(), (kx,), pullback)
+
+
+def _grad_copy(t):
+    """A copy of ``t.grad``, or None if it is unset."""
+    return None if t.grad is None else t.grad.copy()
+
+
+class TestLeafFlush:
+    """A leaf receives its ``.grad`` as soon as its last reader has been replayed."""
+
+    def test_grad_arrives_before_backward_returns(self):
+        rng = np.random.default_rng(20)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        seen = []
+        with ComputationTape() as tape:
+            early = _probe(a, lambda: seen.append(_grad_copy(w)))  # replayed last
+            loss = T.sum_all(T.matmul(early, w))  # the only reader of w
+        backward(loss, tape)
+        assert seen[0] is not None
+        assert seen[0].tobytes() == w.grad.tobytes() == (a.data.T @ np.ones((2, 4))).tobytes()
+
+    def test_leaf_read_by_two_ops_waits_for_the_second(self):
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+        seen = {}
+        with ComputationTape() as tape:
+            early = _probe(a, lambda: seen.setdefault("early", _grad_copy(w)))
+            product = T.mul(w, early)  # first reader of w
+            mid = _probe(product, lambda: seen.setdefault("mid", _grad_copy(w)))
+            loss = T.sum_all(T.add(mid, T.scale(w, 2.0)))  # second reader of w
+        backward(loss, tape)
+        assert seen["mid"] is None  # one reader of w is still to be replayed
+        assert np.array_equal(seen["early"], a.data + 2.0)
+        assert np.array_equal(w.grad, a.data + 2.0)
+
+    def test_leaf_read_twice_by_one_op(self):
+        a = Tensor([1.0, -2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        seen = []
+        with ComputationTape() as tape:
+            early = _probe(a, lambda: seen.append(_grad_copy(w)))
+            loss = T.sum_all(T.mul(T.add(w, w), early))
+        assert tape._readers[w] == 2
+        backward(loss, tape)
+        assert np.array_equal(seen[0], 2.0 * a.data)
+        assert np.array_equal(w.grad, 2.0 * a.data) and np.array_equal(a.grad, 2.0 * w.data)
+        assert tape._readers == {}
+
+    def test_output_of_another_tape_is_still_dropped(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with ComputationTape():
+            h = T.scale(w, 3.0)
+        with ComputationTape() as tape:
+            loss = T.sum_all(T.mul(h, h))
+        backward(loss, tape)
+        assert w.grad is None and h.grad is None
+
+    def test_a_raising_pullback_keeps_the_grads_already_given(self):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        earlier = rng.normal(size=(2, 3))
+        a.grad = earlier
+
+        def fail():
+            raise RuntimeError("pullback failed")
+
+        with ComputationTape() as tape:
+            loss = T.sum_all(T.matmul(_probe(a, fail), w))
+        with pytest.raises(RuntimeError, match="pullback failed"):
+            backward(loss, tape)
+        assert w.grad.tobytes() == (a.data.T @ np.ones((2, 4))).tobytes()
+        assert a.grad is earlier
+
+
 class TestTapeMemory:
     def test_softmax_does_not_keep_its_logits(self):
         mask = AttentionMask(np.tril(np.ones((5, 5), dtype=np.uint8)))
@@ -455,6 +541,68 @@ class TestStructuralOps:
         finite_difference_check(
             lambda: T.sum_all(T.mul(T.sub(T.scale(a, 2.5), b), T.sub(a, b))), [a, b]
         )
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    """The composed reference chain that ``T.mlp`` fuses."""
+    h = T.gelu(T.add_bias(T.matmul(x, w1), b1))
+    return T.add_bias(T.matmul(h, w2), b2)
+
+
+class TestMlp:
+    @staticmethod
+    def operands(seed, n, d, hidden, out, needs_grad=(True,) * 5):
+        rng = np.random.default_rng(seed)
+        shapes = [(n, d), (d, hidden), (hidden,), (hidden, out), (out,)]
+        return [Tensor(rng.normal(scale=0.7, size=shape), requires_grad=grad)
+                for shape, grad in zip(shapes, needs_grad)]
+
+    @pytest.mark.parametrize("n, d, hidden, out", [(12, 8, 24, 8), (16, 8, 8, 64)],
+                             ids=["block", "head"])
+    @pytest.mark.parametrize("needs_grad", [(True,) * 5, (False, True, True, True, True),
+                                            (True, False, False, False, False),
+                                            (False, False, False, True, True)],
+                             ids=["all", "weights", "input", "outer"])
+    def test_bit_equal_to_the_composed_chain(self, n, d, hidden, out, needs_grad):
+        weights = Tensor(np.random.default_rng(1).normal(size=(n, out)))
+        results = []
+        for op in (T.mlp, _mlp_chain):
+            operands = self.operands(3, n, d, hidden, out, needs_grad)
+            untaped = op(*operands).data
+            with ComputationTape() as tape:
+                loss = T.sum_all(T.mul(op(*operands), weights))
+            backward(loss, tape)
+            results.append([untaped.tobytes(), loss.item()]
+                           + [None if t.grad is None else t.grad.tobytes() for t in operands])
+        assert results[0] == results[1]
+
+    def test_gradients_match_finite_differences(self):
+        operands = self.operands(5, 6, 4, 10, 5)
+        weights = Tensor(np.random.default_rng(6).normal(size=(6, 5)))
+        finite_difference_check(lambda: T.sum_all(T.mul(T.mlp(*operands), weights)), operands)
+
+    def test_tape_keeps_input_preactivation_and_tanh_only(self):
+        n, d, hidden, out = 64, 4, 512, 4
+        operands = self.operands(7, n, d, hidden, out)
+        x_data = weakref.ref(operands[0].data)
+        tracemalloc.start()
+        try:
+            with ComputationTape() as tape:
+                T.mlp(*operands)
+            operands[0] = None
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and x_data() is not None  # x stays on the tape
+        # Beyond x (allocated before tracing): the pre-activation and the
+        # tanh, each n x hidden; no third array of that size (the GELU output).
+        hidden_bytes = n * hidden * 8
+        assert 2 * hidden_bytes <= retained < 2.5 * hidden_bytes
+
+    def test_shape_mismatch_names_every_operand(self):
+        x, w1, b1, w2, b2 = self.operands(8, 3, 4, 5, 2)
+        with pytest.raises(ShapeError, match=r"\(3, 4\) @ \(4, 5\) \+ \(5,\) @ \(5, 2\) \+ \(3,\)"):
+            T.mlp(x, w1, b1, w2, Tensor(np.zeros(3)))
 
 
 class TestFiniteChecks:
