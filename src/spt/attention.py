@@ -2,17 +2,21 @@
 
 The attention mask gates the softmax domain: probabilities are normalized
 over unmasked positions only, and one mask is shared by every head (which
-also keeps pruning statistics well-defined across heads).  Per-head logits
-are scaled by sqrt(head_dim) so their variance is stable across head
-counts.  Blocks are pre-norm: x + attn(norm(x)), then + mlp(norm(.)).
+also keeps pruning statistics well-defined across heads).  The softmax
+exponentiates a row's logits unshifted and gates them; only a row with a
+logit above 512 or a vanishing sum is redone shifted by its live max
+(``tensor.rowwise_masked_softmax``), so a pruned mask costs one gating
+pass more than the all-ones one.  Per-head logits are scaled by
+sqrt(head_dim) so their variance is stable across head counts.  Blocks
+are pre-norm: x + attn(norm(x)), then + mlp(norm(.)).
 
 Attention runs as three taped ops: the packed QKV product, the per-head
 kernel ``tensor.multi_head_attention`` (logits, masked softmax and
 context, one head's tile at a time) and the output projection.  The
 feed-forward is one taped op, ``tensor.mlp``.  A block is therefore two
 layer norms, the three attention ops, ``mlp`` and two residual adds.
-``project_qkv`` splits the packed product into per-head stacks for
-callers that want them.
+``project_qkv`` splits the packed product into per-head stacks, as the
+composed reference chain that the kernel is tested against does.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from .data import (Annotation, SyntheticSceneConfig, generate_sample, load_annot
 from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
-from .formats import load_pgm, save_csv, save_pbm, save_pgm
+from .formats import atomic_write, load_pgm, save_csv, save_pbm, save_pgm
 from .model import ModelConfig, forward, load_checkpoint, save_checkpoint, train_model
 from .pruning import K_MODES
 from .schema import from_json, read_json
@@ -170,7 +170,8 @@ def _file_samples(run: RunConfig, path):
 
 def _write_json(path: Path, doc: dict, digest: str) -> None:
     """``doc`` and its ``config_digest`` as indented JSON with sorted keys."""
-    path.write_text(json.dumps({**doc, "config_digest": digest}, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps({**doc, "config_digest": digest}, indent=2, sort_keys=True) + "\n")
 
 
 def _write_run_config(run: RunConfig, out_dir: Path) -> str:
@@ -231,7 +232,7 @@ def cmd_train(args) -> int:
     if not train_samples:
         raise AnnotationError("training dataset is empty")
     cfg, tr = run.model, run.training
-    with open(out_dir / "log.jsonl", "w") as log:
+    with atomic_write(out_dir / "log.jsonl") as log:
         def log_step(step, loss, seconds):
             log.write(json.dumps({"step": step, "loss": loss, "wall_ms": 1000.0 * seconds,
                                   "config_digest": digest}) + "\n")
@@ -270,7 +271,8 @@ def cmd_eval(args) -> int:
     _write_json(out_dir / "report.json", report.to_json_dict(), digest)
     names = _skeleton(run).names
     table = f"# config {digest}\n" + report_table(report, names, label="checkpoint")
-    (out_dir / "report.txt").write_text(table)
+    with atomic_write(out_dir / "report.txt") as fh:
+        fh.write(table)
     print(table, end="")
     return 0
 
@@ -323,7 +325,8 @@ def cmd_sweep(args) -> int:
         refine=run.decoder == "refined",
     )
     table = f"# config {digest}\n" + sweep_table(rows, skeleton.names)
-    (out_dir / "sweep.txt").write_text(table)
+    with atomic_write(out_dir / "sweep.txt") as fh:
+        fh.write(table)
     _write_json(out_dir / "sweep.json", {"rows": [{
         "keep_ratio": row.keep_ratio,
         "report": row.report.to_json_dict(),

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import AnnotationError, ConfigError
+from .formats import atomic_write
 from .rng import sample_stream
 from .schema import json_value, read_json
 
@@ -227,7 +227,8 @@ def save_annotations(annotations, path) -> None:
             "visible": [bool(v) for v in ann.visibility],
             "head_size": float(ann.head_size),
         })
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(records, indent=2) + "\n")
 
 
 def load_annotations(path, image_h: int | None = None, image_w: int | None = None):

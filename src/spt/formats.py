@@ -10,12 +10,18 @@ SPT1 layout (all integers little-endian):
 CSV exports use 17 significant digits so float64 values round-trip.
 Masks export as PBM (P1, 1 = kept connection) and grayscale images as
 binary PGM (P5, 8-bit).  PNM comment lines carry provenance digests.
+
+Every output file except a checkpoint's (which ``save_checkpoint``
+stages as a whole directory) is written through ``atomic_write``, so an
+interrupted writer leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +30,24 @@ from .errors import FormatError
 
 MAGIC = b"SPT1"
 MAX_RANK = 32
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path``; rename it to ``path`` when the block ends.
+
+    If the block raises, the temporary file is removed and any earlier
+    file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, mode) as fh:
+            yield fh
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 def save_tensor(path, array) -> None:
@@ -73,7 +97,8 @@ def save_csv(path, array, comment: str | None = None) -> None:
         lines.append(f"# {comment}")
     for row in arr:
         lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_pbm(path, bits, comment: str | None = None) -> None:
@@ -83,7 +108,8 @@ def save_pbm(path, bits, comment: str | None = None) -> None:
     h, w = arr.shape
     head = f"P1\n# {comment}\n" if comment else "P1\n"
     body = "\n".join(" ".join(str(int(v)) for v in row) for row in arr)
-    Path(path).write_text(f"{head}{w} {h}\n{body}\n")
+    with atomic_write(path) as fh:
+        fh.write(f"{head}{w} {h}\n{body}\n")
 
 
 def save_pgm(path, image, comment: str | None = None) -> None:
@@ -94,7 +120,7 @@ def save_pgm(path, image, comment: str | None = None) -> None:
     quant = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = arr.shape
     head = f"P5\n# {comment}\n" if comment else "P5\n"
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(head.encode("ascii"))
         fh.write(f"{w} {h}\n255\n".encode("ascii"))
         fh.write(quant.tobytes())

@@ -79,18 +79,11 @@ class AttentionMask:
         cols = rows if cols is None else cols
         return cls(np.ones((rows, cols), dtype=np.uint8))
 
-    @classmethod
-    def identity(cls, n: int) -> "AttentionMask":
-        return cls(np.eye(n, dtype=np.uint8))
-
     def copy(self) -> "AttentionMask":
         return AttentionMask(self.bits)
 
     def density(self) -> float:
         return float(self.bits.sum()) / self.bits.size
-
-    def same_bits(self, other: "AttentionMask") -> bool:
-        return np.array_equal(self.bits, other.bits)
 
     def __repr__(self):
         return f"AttentionMask({self.rows}x{self.cols}, density={self.density():.3f})"

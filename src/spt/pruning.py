@@ -97,15 +97,21 @@ def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
     # round_half_up, elementwise: floor(x + 0.5) in float64.
     k = np.minimum(support, np.maximum(1, np.floor(keep_ratio * basis + 0.5).astype(np.int64)))
     # Dropped columns score -inf, so they rank last.  A row keeps every
-    # column above its K-th largest score, then the lowest-index columns
-    # equal to it until K are kept.  Sorting the values is several times
-    # cheaper than a stable argsort of the same rows.
+    # column at or above its K-th largest score.  A row where that is more
+    # than K (a tie at the K-th score) keeps every column above it, then
+    # the lowest-index columns equal to it until K are kept.  Sorting the
+    # values is several times cheaper than a stable argsort of the same rows.
     value = scores + prev.gate_bias()[1]
     kth = np.take_along_axis(np.sort(value, axis=1), (prev.cols - k)[:, None], axis=1)
-    above = value > kth
-    tied = value == kth
-    room = k - above.sum(axis=1)
-    keep = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room[:, None]))
+    keep = value >= kth
+    tied_rows = np.flatnonzero(keep.sum(axis=1) != k)
+    if tied_rows.size:
+        value, kth, k = value[tied_rows], kth[tied_rows], k[tied_rows]
+        above = value > kth
+        tied = value == kth
+        room = k - above.sum(axis=1)
+        keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
+                                           <= room[:, None]))
     return AttentionMask._trusted(keep.view(np.uint8))
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SkeletonError
+from .formats import atomic_write
 from .masks import AttentionMask
 from .schema import from_json, read_json
 
@@ -107,7 +107,8 @@ def default_skeleton() -> SkeletonSpec:
 
 
 def save_skeleton(spec: SkeletonSpec, path) -> None:
-    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_skeleton(path) -> SkeletonSpec:

@@ -24,10 +24,13 @@ Everything is 64-bit and broadcasting is restricted to scalar-with-tensor
 (plus the dedicated last-axis bias op), which keeps every adjoint auditable
 by hand.  Two ops are fused.  ``multi_head_attention`` is the whole
 per-head attention chain between the QKV and output projections, run one
-head at a time so each head's score tile stays in cache.  ``mlp`` is the
-feed-forward ``matmul``, ``add_bias``, ``gelu``, ``matmul``, ``add_bias``
-chain, which recomputes its GELU output in the pullback instead of keeping
-it on the tape.  Both give the bits of the chains they replace.
+head at a time so each head's score tile stays in cache; its masked
+softmax exponentiates each row's logits unshifted unless the row's own
+values call for the max-shifted formula (``rowwise_masked_softmax``).
+``mlp`` is the feed-forward ``matmul``, ``add_bias``, ``gelu``,
+``matmul``, ``add_bias`` chain, which recomputes its GELU output in the
+pullback instead of keeping it on the tape.  Both give the bits of the
+chains they replace.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ _tls = _ThreadState()
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# A softmax row is exponentiated unshifted when none of its logits exceeds
+# _EXP_SAFE (so no exp, and no row sum of up to 2**285 cells, overflows)
+# and its gated sum is at least _ROW_SUM_FLOOR (so its largest term is a
+# normal float); any other row is redone shifted by its live max.
+_EXP_SAFE = 512.0
+_ROW_SUM_FLOOR = 2.0 ** -600
 
 
 def set_finite_checks(enabled: bool) -> bool:
@@ -546,22 +556,37 @@ def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     return _finish(out_data, (kx,), pullback)
 
 
-def _softmax_rows(out: np.ndarray, mask: AttentionMask, scratch=None) -> np.ndarray:
-    """Overwrite the logits in ``out`` with their masked softmax along the last axis.
+def _softmax_rows(logits: np.ndarray, mask: AttentionMask, out: np.ndarray) -> np.ndarray:
+    """Write the masked softmax of ``logits`` along the last axis into ``out``.
 
-    ``scratch`` (shaped like ``out``, optional) receives the biased logits
-    on a masked path.  See ``rowwise_masked_softmax`` for the formula.
+    ``out`` is a fresh C-contiguous array shaped like ``logits``.  See
+    ``rowwise_masked_softmax`` for the formula.
     """
-    if mask.all_ones:
-        out -= out.max(axis=-1, keepdims=True)
-        np.exp(out, out=out)
+    gate, bias = (None, None) if mask.all_ones else mask.gate_bias()
+    if logits.max() > _EXP_SAFE:  # a whole-tile max is 3x cheaper than row maxima
+        hot = logits.max(axis=-1) > _EXP_SAFE
+        # Clamping leaves the other rows' logits as they are and keeps exp
+        # from overflowing on the hot rows, which are redone below.
+        np.exp(np.minimum(logits, _EXP_SAFE, out=out), out=out)
     else:
-        gate, bias = mask.gate_bias()
-        out -= np.add(out, bias, out=scratch).max(axis=-1, keepdims=True)
-        np.minimum(out, 0.0, out=out)
-        np.exp(out, out=out)
+        hot = False
+        np.exp(logits, out=out)
+    if gate is not None:
         out *= gate
-    out /= out.sum(axis=-1, keepdims=True)
+    sums = out.sum(axis=-1)
+    redo = np.flatnonzero(hot | (sums < _ROW_SUM_FLOOR))
+    if redo.size:
+        n = mask.cols
+        rows = redo % mask.rows
+        picked = logits.reshape(-1, n)[redo]
+        live = picked if bias is None else picked + bias[rows]
+        shifted = np.minimum(picked - live.max(axis=-1, keepdims=True), 0.0)
+        e = np.exp(shifted, out=shifted)
+        if gate is not None:
+            e *= gate[rows]
+        out.reshape(-1, n)[redo] = e
+        sums.reshape(-1)[redo] = e.sum(axis=-1)
+    out /= sums[..., None]
     return out
 
 
@@ -578,23 +603,27 @@ def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     """Softmax normalized over unmasked entries only; masked entries are exactly 0.
 
     ``mask`` matches the trailing two axes of ``logits``; leading axes share
-    it.  The row max is taken over unmasked entries only, so huge masked
-    logits cannot underflow the live ones.  AttentionMask guarantees every
-    row keeps at least one position.
+    it.  AttentionMask guarantees every row keeps at least one position.
 
-    On an all-ones mask the softmax is plain: max, subtract, exp, sum and
-    divide, with no gating pass.  Any other mask uses its cached float
-    ``gate`` and ``bias`` (``AttentionMask.gate_bias``).  No ``-inf``
-    reaches ``np.exp``: numpy leaves its vectorized exp loop on non-finite
-    input and runs about 10x slower.  Every cell is exponentiated at
-    ``min(logit - max, 0)``, which only clamps masked cells (live cells sit
-    at or below the live max), and the gate then zeroes the masked ones.
-    Live cells therefore get the same bits as gating with ``-inf``, and an
-    all-ones mask the same bits on either path.
+    A row is exponentiated unshifted: ``exp(logit)``, times the mask's
+    cached float ``gate`` (``AttentionMask.gate_bias``; no gating pass on
+    an all-ones mask), divided by its row sum.  That holds for every row
+    whose logits, masked ones included, are all at most ``_EXP_SAFE`` and
+    whose gated sum is at least ``_ROW_SUM_FLOOR``.  Any other row is
+    redone shifted by its live max, taken over unmasked entries only so
+    huge masked logits cannot underflow the live ones: every cell is
+    exponentiated at ``min(logit - max, 0)``, which only clamps masked
+    cells, then gated and divided by the row sum.  The choice is made from
+    each row's own values, so a row gets the same bits in any stack or
+    tile, and no exp overflows or meets ``-inf``.  ``np.exp`` leaves its
+    vectorized loop on inputs below about -708 (a (272, 272) tile of such
+    inputs ran 16x to 100x slower): the unshifted formula meets them at
+    logits below -708, the shifted one at logits more than 708 below
+    their row's max.
     """
     if logits.shape[-2:] != mask.bits.shape:
         raise ShapeError(f"mask shape {mask.bits.shape} does not match logits {logits.shape}")
-    out_data = _softmax_rows(logits.data.copy(), mask)
+    out_data = _softmax_rows(logits.data, mask, np.empty(logits.shape))
     kl = _key(logits)
 
     def pullback(g, store):
@@ -613,11 +642,13 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     context, heads side by side, and the (heads, r, n) probabilities as a
     plain read-only array.
 
-    Head i reads column views of ``packed`` and works in its own (r, n)
-    tile of ``probs``, so the tile stays in cache from logits to context:
-    ``q_i = packed[:r, Q_i] / sqrt(head_dim)``, ``tile = q_i k_iᵀ``, the
-    masked softmax in place (``rowwise_masked_softmax``'s formula), then
-    ``tile v_i`` into the head's context columns.
+    Head i reads column views of ``packed``, computes its logits into one
+    (r, n) scratch array the call reuses for every head, and writes its
+    probabilities into its own (r, n) tile of ``probs``, so both stay in
+    cache from logits to context: ``q_i = packed[:r, Q_i] /
+    sqrt(head_dim)``, ``logits = q_i k_iᵀ``, the masked softmax into the
+    tile (``rowwise_masked_softmax``'s formula), then ``tile v_i`` into the
+    head's context columns.
 
     The pullback fills one owned (n, 3D) gradient head by head: dV_i =
     P_iᵀ g_i, dS is the softmax pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i)
@@ -641,10 +672,10 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
                 slice(2 * d + lo, 2 * d + lo + head_dim)) for lo in range(0, d, head_dim)]
     probs = np.empty((heads, r, n))
     context = np.empty((r, d))
-    scratch = None if mask.all_ones else np.empty((r, n))
+    logits = np.empty((r, n))
     for tile, (q, k, v) in zip(probs, columns):
-        np.matmul(data[:r, q] * s, data[:, k].T, out=tile)
-        _softmax_rows(tile, mask, scratch)
+        np.matmul(data[:r, q] * s, data[:, k].T, out=logits)
+        _softmax_rows(logits, mask, tile)
         np.matmul(tile, data[:, v], out=context[:, q])
     probs.flags.writeable = False
     kp = _key(packed)

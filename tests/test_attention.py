@@ -15,6 +15,7 @@ from spt.tensor import Tensor
 
 from dense_reference import ref_attention, ref_softmax
 from gradcheck import finite_difference_check
+from mask_helpers import identity_mask
 
 
 def make_params(d, mlp_ratio=2, seed=0):
@@ -67,7 +68,7 @@ class TestMaskedSelfAttention:
         params = make_params(d, seed=3)
         x = rng.normal(size=(n, d))
         _, record = masked_self_attention(
-            Tensor(x), AttentionMask.identity(n), params, heads=2, need_record=True
+            Tensor(x), identity_mask(n), params, heads=2, need_record=True
         )
         assert np.array_equal(record.head_average.data, np.eye(n))
 
@@ -237,6 +238,43 @@ class TestAttentionKernel:
         expected = ref_softmax(np.where(bits == 1, logits, -np.inf))
         np.testing.assert_allclose(probs, expected, rtol=0.0, atol=1e-15)
         assert np.isfinite(context.data).all() and np.isfinite(packed_t.grad).all()
+
+    @pytest.mark.parametrize("all_ones", [True, False])
+    def test_overflowing_and_vanishing_rows_match_the_dense_reference(self, all_ones):
+        # In head 0, queries 1 and 3 give keys 0 and 4 logits of about 650
+        # and 651, above _EXP_SAFE (both keys are masked for query 3 unless
+        # the mask is all ones), and query 2 gives every key a logit near
+        # -500, so its unshifted sum vanishes.  Those rows take the shifted
+        # formula.
+        rng = np.random.default_rng(45)
+        heads, head_dim, n = 2, 4, 6
+        d = heads * head_dim
+        packed = rng.normal(scale=0.5, size=(n, 3 * d))
+        packed[:, d] = 0.0
+        packed[[0, 4], d] = (1.0, 1.0015)
+        packed[:, d + 1] = 1.0 + rng.normal(scale=0.005, size=n)
+        packed[[1, 3], 0] = 1300.0
+        packed[2, 1] = -1000.0
+        bits = np.ones((n, n), dtype=np.uint8)
+        if not all_ones:
+            bits[rng.random((n, n)) < 0.3] = 0
+            bits[:, 1] = 1
+            bits[1, [0, 4]], bits[3, [0, 4]] = 1, 0
+        context, probs = T.multi_head_attention(Tensor(packed), AttentionMask(bits), heads)
+        q = packed[:, :d].reshape(n, heads, head_dim).transpose(1, 0, 2)
+        k = packed[:, d:2 * d].reshape(n, heads, head_dim).transpose(1, 0, 2)
+        v = packed[:, 2 * d:].reshape(n, heads, head_dim).transpose(1, 0, 2)
+        logits = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(head_dim))
+        assert (logits[0, [1, 3]][:, [0, 4]] > T._EXP_SAFE).all()
+        assert np.exp(logits[0, 2]).sum() < T._ROW_SUM_FLOOR
+        expected = np.zeros((heads, n, n))
+        for h in range(heads):
+            for i in range(n):
+                live = bits[i] == 1
+                expected[h, i, live] = ref_softmax(logits[h, i, live])
+        merged = (expected @ v).transpose(1, 0, 2).reshape(n, d)
+        assert np.abs(probs - expected).max() <= 1e-12
+        assert np.abs(context.data - merged).max() <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)

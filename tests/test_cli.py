@@ -162,6 +162,22 @@ class TestTrain:
         assert all(sorted(r) == ["config_digest", "loss", "step", "wall_ms"]
                    for r in records)
 
+    def test_interrupted_run_keeps_the_previous_log(self, tmp_path, monkeypatch):
+        cfg = write_run_config(tmp_path)
+        main(["train", "--config", str(cfg), "--steps", "3"])
+        log = tmp_path / "out" / "log.jsonl"
+        before = log.read_bytes()
+
+        def interrupted(*args, log_fn, **kwargs):
+            log_fn(0, 1.0, 0.1)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(spt.cli, "train_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--config", str(cfg), "--steps", "3"])
+        assert log.read_bytes() == before
+        assert not [p.name for p in log.parent.iterdir() if p.name.endswith(".tmp")]
+
     def test_cli_and_library_train_identically(self, tmp_path):
         # 4 steps of batch 2 over 6 samples: the batch cursor wraps once.
         cfg = write_run_config(tmp_path)

@@ -4,14 +4,35 @@ import numpy as np
 import pytest
 
 from spt.errors import FormatError
-from spt.formats import (load_pgm, load_tensor, save_csv, save_pbm, save_pgm,
-                         save_tensor)
+from spt.formats import (atomic_write, load_pgm, load_tensor, save_csv, save_pbm,
+                         save_pgm, save_tensor)
 
 
 def damaged_copies(path):
     """Every truncation of the file, plus the file with one byte appended."""
     blob = path.read_bytes()
     return [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]
+
+
+class TestAtomicWrite:
+    def test_a_writer_that_raises_midway_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        save_csv(path, np.arange(6.0).reshape(2, 3))
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path) as fh:
+                fh.write("0,0,0\n")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_a_finished_writer_replaces_the_file(self, tmp_path):
+        path = tmp_path / "image.pgm"
+        save_pgm(path, np.zeros((2, 2)))
+        save_pgm(path, np.ones((3, 2)), comment="second")
+        assert np.array_equal(load_pgm(path), np.ones((3, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["image.pgm"]
 
 
 class TestBinaryTensor:

@@ -6,6 +6,8 @@ import pytest
 from spt.errors import ConfigError, ShapeError, SptError
 from spt.masks import AttentionMask
 
+from mask_helpers import identity_mask, same_bits
+
 
 class TestConstruction:
     @pytest.mark.parametrize("bad", [0.5, 1.7, 2, -1])
@@ -39,14 +41,14 @@ class TestFrozenBits:
     def test_copy_is_equal_and_frozen(self):
         mask = AttentionMask(np.tril(np.ones((4, 4), dtype=np.uint8)))
         twin = mask.copy()
-        assert twin.same_bits(mask) and twin.bits is not mask.bits
+        assert same_bits(twin, mask) and twin.bits is not mask.bits
         assert not twin.bits.flags.writeable
 
 
 class TestDerived:
     def test_all_ones_flag(self):
         assert AttentionMask.ones(2, 5).all_ones
-        assert not AttentionMask.identity(3).all_ones
+        assert not identity_mask(3).all_ones
 
     def test_gate_bias_is_cached_and_matches_bits(self):
         mask = AttentionMask([[1, 0, 1], [0, 1, 0]])

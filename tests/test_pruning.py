@@ -11,6 +11,8 @@ from spt.pruning import (MaskState, PruneSchedule, apply_prune_schedule,
                          round_half_up, sparsity_report, topk_row_mask)
 from spt.tensor import Tensor
 
+from mask_helpers import same_bits
+
 
 def record_from(avg: np.ndarray) -> AttentionRecord:
     return AttentionRecord(head_average=Tensor(avg))
@@ -43,7 +45,7 @@ class TestTopkRowMask:
         prev = AttentionMask(bits)
         attn = rng.uniform(size=(6, 6))
         out = topk_row_mask(attn, prev, keep_ratio=1.0)
-        assert out.same_bits(prev)
+        assert same_bits(out, prev)
 
     def test_tie_breaks_toward_lower_column(self):
         # K = max(1, round(0.34 * 3)) = max(1, round(1.02)) = 1; columns 0 and 1
@@ -93,6 +95,38 @@ class TestTopkRowMask:
                     expected[i, sorted(brute_force_topk_row(scores[i], kept, k))] = 1
                 assert np.array_equal(out.bits, expected), (n, keep_ratio)
 
+    def test_rows_tied_at_their_kth_score_among_untied_rows(self):
+        # Every third row ties its K-th and (K+1)-th largest kept scores;
+        # the other rows hold distinct scores, some with ties above the
+        # K-th.  Only the tied rows keep more than K columns at or above
+        # the K-th score.
+        rng = np.random.default_rng(12)
+        n, keep_ratio = 12, 0.5
+        bits = (rng.random((n, n)) < 0.7).astype(np.uint8)
+        bits[:, :4] = 1
+        prev = AttentionMask(bits)
+        scores = np.empty((n, n))
+        tied_rows = []
+        for i in range(n):
+            scores[i] = rng.permutation(n) / n
+            kept = np.flatnonzero(bits[i])
+            k = max(1, round_half_up(keep_ratio * kept.size))
+            ranked = kept[np.argsort(-scores[i, kept])]
+            if i % 3 == 1:
+                scores[i, ranked[k]] = scores[i, ranked[k - 1]]
+                tied_rows.append(i)
+            elif i % 3 == 2:
+                scores[i, ranked[0]] = scores[i, ranked[1]]
+        out = topk_row_mask(scores, prev, keep_ratio)
+        expected = np.zeros((n, n), dtype=np.uint8)
+        for i in range(n):
+            kept = np.flatnonzero(bits[i])
+            k = max(1, round_half_up(keep_ratio * kept.size))
+            kth = np.sort(scores[i, kept])[::-1][k - 1]
+            assert ((scores[i, kept] >= kth).sum() > k) == (i in tied_rows)
+            expected[i, sorted(brute_force_topk_row(scores[i], kept.tolist(), k))] = 1
+        assert np.array_equal(out.bits, expected)
+
     def test_subset_of_previous_support(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
@@ -112,7 +146,7 @@ class TestTopkRowMask:
         prev = AttentionMask.ones(7)
         a = topk_row_mask(attn, prev, 0.37)
         b = topk_row_mask(attn.copy(), prev.copy(), 0.37)
-        assert a.same_bits(b)
+        assert same_bits(a, b)
 
     def test_keep_ratio_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -134,7 +168,7 @@ class TestTopkRowMask:
         assert (first.row_support == 6).all()
         # second pass keeps K = round(0.6 * 10) = 6 again: a no-op
         second = topk_row_mask(attn, first, 0.6, k_mode="total")
-        assert second.same_bits(first)
+        assert same_bits(second, first)
 
 
 class TestSchedule:
@@ -154,7 +188,7 @@ class TestSchedule:
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.5)
         apply_prune_schedule(2, None, state, schedule)
         assert state.stage == 0
-        assert state.current.same_bits(before)
+        assert same_bits(state.current, before)
 
     def test_update_layer_without_record_is_a_contract_error(self):
         state = MaskState.dense(5)
@@ -202,7 +236,7 @@ class TestSchedule:
         full = rng.uniform(size=(j + n, j + n))
         apply_prune_schedule(1, record_from(full), state, schedule, keypoint_count=j)
         expected = topk_row_mask(full[j:, j:], AttentionMask.ones(n), 0.5)
-        assert state.current.same_bits(expected)
+        assert same_bits(state.current, expected)
 
 
 class TestSparsityStats:

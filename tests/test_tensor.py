@@ -72,6 +72,21 @@ class TestElementwise:
             T.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2,))))
 
 
+def unshifted_softmax(logits, bits):
+    """The formula of a row with no logit above _EXP_SAFE and a gated sum
+    of at least _ROW_SUM_FLOOR: exp, gate, normalize."""
+    e = np.exp(logits) * bits
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def shifted_softmax(logits, bits):
+    """The formula of every other row: -inf bias, live max, subtract,
+    clamp at 0, exp, gate, normalize."""
+    gated = logits + np.where(bits, 0.0, -np.inf)
+    e = np.exp(np.minimum(logits - gated.max(axis=-1, keepdims=True), 0.0)) * bits
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestMaskedSoftmax:
     def test_dense_row_values(self):
         out = T.rowwise_masked_softmax(
@@ -112,20 +127,77 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(out, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
     def test_all_ones_path_is_bit_equal_to_the_gated_formula(self):
-        # The gated formula as run for any other mask: -inf bias, max,
-        # subtract, clamp at 0, exp, gate, normalize.
+        # The unshifted formula as run for any other mask: exp, gate,
+        # normalize.
         rng = np.random.default_rng(4)
         logits = rng.normal(scale=6.0, size=(3, 7, 9))
         logits[0, 0, :3] = 0.0
         logits[0, 1, :3] = -0.0
         mask = AttentionMask.ones(7, 9)
         assert mask.all_ones
-        bits = mask.bits
-        gated = logits + np.where(bits, 0.0, -np.inf)
-        e = np.exp(np.minimum(logits - gated.max(axis=-1, keepdims=True), 0.0)) * bits
-        expected = e / e.sum(axis=-1, keepdims=True)
+        expected = unshifted_softmax(logits, mask.bits)
         out = T.rowwise_masked_softmax(Tensor(logits), mask).data
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("all_ones", [True, False])
+    def test_each_row_picks_its_formula_from_its_own_values(self, all_ones):
+        # One stack mixes safe rows with rows that have one logit above
+        # _EXP_SAFE (on a live cell, on a masked cell) and rows whose live
+        # logits all sit near -500 (gated sum below _ROW_SUM_FLOOR).  Every
+        # row gets the bits it gets alone: safe rows the unshifted
+        # formula, the others the shifted one.
+        rng = np.random.default_rng(21)
+        heads, r, n = 2, 8, 10
+        bits = rng.integers(0, 2, size=(r, n)).astype(np.uint8)
+        bits[:, :2] = (1, 0)
+        if all_ones:
+            bits[:] = 1
+        logits = rng.normal(scale=3.0, size=(heads, r, n))
+        logits[0, 1, 0] = 600.0
+        logits[0, 2, 1] = 1e300
+        logits[1, 3, 1] = T._EXP_SAFE + 1.0
+        logits[1, 4] -= 500.0
+        logits[0, 5] = rng.uniform(-505.0, -495.0, size=n)
+        logits[1, 6, 0] = T._EXP_SAFE  # at the bound, still safe
+        redo = {(0, 1), (0, 2), (1, 3), (1, 4), (0, 5)}
+        for h, i in ((1, 4), (0, 5)):
+            assert (np.exp(logits[h, i]) * bits[i]).sum() < T._ROW_SUM_FLOOR
+        out = T.rowwise_masked_softmax(Tensor(logits), AttentionMask(bits)).data
+        for h in range(heads):
+            for i in range(r):
+                alone = T.rowwise_masked_softmax(
+                    Tensor(logits[h, i:i + 1]), AttentionMask(bits[i:i + 1])).data
+                assert np.array_equal(out[h, i], alone[0]), (h, i)
+                formula = shifted_softmax if (h, i) in redo else unshifted_softmax
+                assert np.array_equal(out[h, i], formula(logits[h, i], bits[i])), (h, i)
+        # The two formulas round differently on the safe rows, so a choice
+        # made for the whole stack would show above.
+        safe = [(h, i) for h in range(heads) for i in range(r) if (h, i) not in redo]
+        assert any(not np.array_equal(shifted_softmax(logits[h, i], bits[i]), out[h, i])
+                   for h, i in safe)
+
+    @pytest.mark.parametrize("all_ones", [True, False])
+    def test_extreme_logits_raise_no_floating_point_warning(self, all_ones):
+        rng = np.random.default_rng(22)
+        r, n = 6, 7
+        bits = np.ones((r, n), dtype=np.uint8)
+        if not all_ones:
+            bits[:, 3:5] = 0
+        logits = rng.normal(size=(r, n))
+        logits[0, 0] = 1e300
+        logits[1, 1] = -1e300
+        logits[2, 3:5] = (1e300, -1e300)
+        logits[3] = -800.0
+        logits[4] = -1e300
+        logits[5, 4] = 1e300
+        logits[5, :4] = -800.0
+        # numpy ignores underflow by default; exp(-800) underflows by design.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = T.rowwise_masked_softmax(Tensor(logits), AttentionMask(bits)).data
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+        assert (out[:, bits[0] == 0] == 0.0).all()
+        assert out[0, 0] == 1.0 and out[1, 1] == 0.0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
