@@ -13,8 +13,7 @@ from .errors import (AnnotationError, CheckpointError, ConfigError,
                      NonFiniteValueError, ShapeError, SkeletonError, SptError)
 from .masks import AttentionMask
 from .tensor import ComputationTape, Tensor, backward
-from .attention import (AttentionLayerParams, AttentionRecord, encoder_block,
-                        masked_self_attention)
+from .attention import AttentionLayerParams, encoder_block, masked_self_attention
 from .pruning import (MaskState, PruneSchedule, SparsityStats,
                       apply_prune_schedule, sparsity_report, topk_row_mask)
 from .skeleton import (SkeletonSpec, compile_joint_mask, default_skeleton,

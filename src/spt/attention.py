@@ -90,13 +90,6 @@ class AttentionLayerParams:
             yield f"{prefix}.{f.name}", getattr(self, f.name)
 
 
-@dataclass
-class AttentionRecord:
-    """Post-softmax attention of one layer, averaged over heads."""
-
-    head_average: Tensor  # (N, N), detached
-
-
 def _check_qkv(x: Tensor, params: AttentionLayerParams, heads: int) -> int:
     """Head dim of ``heads`` heads over ``x``; ConfigError if the projection or
     the head count does not fit its width."""
@@ -129,8 +122,9 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
 
     An r x n mask over n tokens makes the first r tokens the queries: every
     token still supplies keys and values, and the output has r rows.
-    Returns (output, AttentionRecord or None).  The record holds a detached
-    probability map so retaining it never grows the tape.
+    Returns (output, head_average).  With ``need_record`` set, head_average
+    is the (r, n) float64 array of post-softmax probabilities averaged over
+    heads, outside the tape; otherwise it is None.
 
     Runs as the packed QKV product, the per-head kernel
     ``tensor.multi_head_attention`` and the output projection; the kernel
@@ -144,8 +138,7 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
     packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
     merged, probs = T.multi_head_attention(packed, mask, heads)
     out = T.matmul(merged, params.output_projection)
-    record = AttentionRecord(Tensor(probs.mean(axis=0))) if need_record else None
-    return out, record
+    return out, probs.mean(axis=0) if need_record else None
 
 
 def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
@@ -154,8 +147,10 @@ def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
 
     Under an r x n mask only the first r tokens are updated and returned
     (see ``masked_self_attention``); a square mask keeps the input's shape.
+    Returns (output, head_average), head_average as ``masked_self_attention``
+    gives it.
     """
-    attended, record = masked_self_attention(
+    attended, head_average = masked_self_attention(
         T.layer_norm(x, params.norm1_gain, params.norm1_bias), mask, params, heads,
         need_record=need_record,
     )
@@ -164,4 +159,4 @@ def encoder_block(x: Tensor, mask: AttentionMask, params: AttentionLayerParams,
     h = T.add(x, attended)
     z = T.mlp(T.layer_norm(h, params.norm2_gain, params.norm2_bias),
               params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
-    return T.add(h, z), record
+    return T.add(h, z), head_average

@@ -262,15 +262,15 @@ def cmd_eval(args) -> int:
         if ann.joint_count != run.model.joint_count:
             raise CheckpointError(f"dataset record {index} has {ann.joint_count} joints, "
                                   f"checkpoint expects {run.model.joint_count}")
-    joint_mask = compile_joint_mask(_skeleton(run))
+    skeleton = _skeleton(run)
+    joint_mask = compile_joint_mask(skeleton)
     alphas = tuple(args.thresholds)
     report = evaluate_model(params, run.model, joint_mask, samples, alphas,
                             refine=run.decoder == "refined")
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     _write_json(out_dir / "report.json", report.to_json_dict(), digest)
-    names = _skeleton(run).names
-    table = f"# config {digest}\n" + report_table(report, names, label="checkpoint")
+    table = f"# config {digest}\n" + report_table(report, skeleton.names, label="checkpoint")
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(table)
     print(table, end="")
@@ -292,9 +292,8 @@ def cmd_masks(args) -> int:
     for stage, mask in enumerate(diag.mask_state.masks[1:], start=1):
         save_pbm(out_dir / f"visual_mask_stage_{stage}.pbm", mask.bits, comment=comment)
     save_pbm(out_dir / "joint_mask.pbm", joint_mask.bits, comment=comment)
-    for i, record in enumerate(diag.records, start=1):
-        save_csv(out_dir / f"attention_layer_{i:02d}.csv", record.head_average,
-                 comment=comment)
+    for i, head_average in enumerate(diag.records, start=1):
+        save_csv(out_dir / f"attention_layer_{i:02d}.csv", head_average, comment=comment)
     maps = heatmaps.data
     for j in range(maps.shape[0]):
         peak_range = maps[j].max() - maps[j].min()

@@ -180,15 +180,16 @@ def sweep_table(rows, joint_names) -> str:
 
 
 def sweep_table_from_pairs(labeled_reports, joint_names) -> str:
-    """Aligned table: one row per entry, per-joint rates at alpha=0.5 in
-    percent, then Mean and Mean@0.1 columns."""
+    """Aligned table: one row per entry, per-joint rates in percent and
+    their Mean at alpha=0.5 (at the report's first threshold without 0.5),
+    then a Mean@0.1 column."""
     headers = ["method"] + list(joint_names) + ["Mean", "Mean@0.1"]
     body = []
     for label, report in labeled_reports:
-        main = report.per_joint.get(0.5, next(iter(report.per_joint.values())))
+        alpha = 0.5 if 0.5 in report.per_joint else next(iter(report.per_joint))
         cells = [label]
-        cells += ["-" if np.isnan(r) else f"{100.0 * r:.2f}" for r in main]
-        cells.append(f"{100.0 * report.mean.get(0.5, float('nan')):.2f}")
+        cells += ["-" if np.isnan(r) else f"{100.0 * r:.2f}" for r in report.per_joint[alpha]]
+        cells.append(f"{100.0 * report.mean[alpha]:.2f}")
         tail = report.mean.get(0.1)
         cells.append("-" if tail is None else f"{100.0 * tail:.2f}")
         body.append(cells)

@@ -85,7 +85,7 @@ def load_tensor(path) -> np.ndarray:
 
 def save_csv(path, array, comment: str | None = None) -> None:
     """Row-major CSV; rank > 2 flattens trailing axes into columns."""
-    arr = np.asarray(getattr(array, "data", array), dtype=np.float64)
+    arr = np.asarray(array, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:

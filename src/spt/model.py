@@ -236,10 +236,6 @@ class PoseModelParams:
                 pairs.append((f.name, value))
         return pairs
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
 
 @dataclass
 class Diagnostics:
@@ -247,7 +243,7 @@ class Diagnostics:
 
     mask_state: MaskState
     sparsity: object
-    records: list | None = None  # encoder then graph AttentionRecords, if retained
+    records: list | None = None  # encoder then graph head-average arrays, if retained
 
 
 def patchify_embed(image: Tensor, params: PoseModelParams, config: ModelConfig) -> Tensor:
@@ -275,10 +271,7 @@ def full_token_mask(visual_mask: AttentionMask, keypoint_count: int) -> Attentio
 
 
 def _as_image_tensor(image, config: ModelConfig) -> Tensor:
-    if isinstance(image, Tensor):
-        if image.data.ndim == 2 and config.channels == 1:
-            return Tensor(image.data[None, :, :])
-        return image
+    """An image array as a (C, H, W) tensor; a 2-D image is one channel."""
     data = np.asarray(image, dtype=np.float64)
     if data.ndim == 2 and config.channels == 1:
         data = data[None, :, :]
@@ -315,19 +308,19 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
         # Only the keypoint rows of the last layer's output are read, and
         # keypoint rows of the mask are all-ones.
         layer_mask = mask if need_record or layer < last else AttentionMask.ones(j, mask.cols)
-        tokens, record = encoder_block(tokens, layer_mask, params.encoder_blocks[layer - 1],
-                                       config.heads, need_record=need_record)
+        tokens, head_average = encoder_block(tokens, layer_mask, params.encoder_blocks[layer - 1],
+                                             config.heads, need_record=need_record)
         if keep_records:
-            records.append(record)
-        if apply_prune_schedule(layer, record, state, config.schedule, keypoint_count=j):
+            records.append(head_average)
+        if apply_prune_schedule(layer, head_average, state, config.schedule, keypoint_count=j):
             mask = full_token_mask(state.current, j)
 
     kp = T.narrow(tokens, 0, 0, j)
     for block in params.graph_blocks:
-        kp, record = encoder_block(kp, skeleton_mask, block, config.heads,
-                                   need_record=keep_records)
+        kp, head_average = encoder_block(kp, skeleton_mask, block, config.heads,
+                                         need_record=keep_records)
         if keep_records:
-            records.append(record)
+            records.append(head_average)
 
     kp = T.layer_norm(kp, params.head_norm_gain, params.head_norm_bias)
     h = T.mlp(kp, params.head_w1, params.head_b1, params.head_w2, params.head_b2)

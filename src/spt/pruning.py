@@ -74,28 +74,25 @@ class MaskState:
         return [m.row_support for m in self.masks[1:]]
 
 
-def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
-                  k_mode: str = "support") -> AttentionMask:
-    """Keep, per row, the K largest attention values inside the previous support.
+def topk_row_mask(scores, prev: AttentionMask, schedule: PruneSchedule) -> AttentionMask:
+    """Keep, per row, the K largest of ``scores`` inside the previous support.
 
-    Ties break toward the lower column index.  Every row keeps at least one
-    column, and the result's support is always a subset of ``prev``'s.
-    Scores must be finite.
+    ``scores`` is an array of ``prev``'s shape; K follows ``schedule``'s
+    keep ratio and K mode.  Ties break toward the lower column index.
+    Every row keeps at least one column, and the result's support is always
+    a subset of ``prev``'s.  Scores must be finite.
     """
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ConfigError(f"keep ratio must be in (0, 1], got {keep_ratio}")
-    if k_mode not in K_MODES:
-        raise ConfigError(f"k_mode must be one of {K_MODES}, got {k_mode!r}")
-    scores = np.asarray(getattr(avg_attention, "data", avg_attention), dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     n = prev.rows
     if scores.shape != (n, prev.cols):
         raise ConfigError(f"attention shape {scores.shape} does not match mask {n}x{prev.cols}")
     if not np.isfinite(scores).all():
         raise ConfigError("attention scores must be finite")
     support = prev.row_support
-    basis = support if k_mode == "support" else prev.cols
+    basis = support if schedule.k_mode == "support" else prev.cols
     # round_half_up, elementwise: floor(x + 0.5) in float64.
-    k = np.minimum(support, np.maximum(1, np.floor(keep_ratio * basis + 0.5).astype(np.int64)))
+    k = np.minimum(support, np.maximum(
+        1, np.floor(schedule.keep_ratio * basis + 0.5).astype(np.int64)))
     # Dropped columns score -inf, so they rank last.  A row keeps every
     # column at or above its K-th largest score.  A row where that is more
     # than K (a tie at the K-th score) keeps every column above it, then
@@ -115,26 +112,24 @@ def topk_row_mask(avg_attention, prev: AttentionMask, keep_ratio: float,
     return AttentionMask._trusted(keep.view(np.uint8))
 
 
-def apply_prune_schedule(layer_index: int, record, state: MaskState,
+def apply_prune_schedule(layer_index: int, head_average, state: MaskState,
                          schedule: PruneSchedule, keypoint_count: int = 0) -> bool:
     """Append the next stage's mask after encoder layer ``layer_index`` (1-indexed).
 
-    On a scheduled layer the head-averaged attention, restricted to the
-    visual-by-visual block (keypoint rows/columns stripped off the front),
-    elects the next mask.  The caller runs layer ``layer_index`` under the
-    pre-existing mask and only later layers see the update.  Returns whether
-    a mask was appended.
+    On a scheduled layer ``head_average``, the layer's head-averaged
+    attention array, restricted to the visual-by-visual block (keypoint
+    rows/columns stripped off the front), elects the next mask.  The caller
+    runs layer ``layer_index`` under the pre-existing mask and only later
+    layers see the update.  Returns whether a mask was appended.
     """
     if layer_index not in schedule.update_layers:
         return False
-    if record is None:
+    if head_average is None:
         raise ConfigError(
             f"layer {layer_index} is a scheduled update but no attention record was retained"
         )
-    avg = np.asarray(record.head_average.data)
-    visual = avg[keypoint_count:, keypoint_count:]
-    state.masks.append(topk_row_mask(visual, state.current, schedule.keep_ratio,
-                                     schedule.k_mode))
+    visual = head_average[keypoint_count:, keypoint_count:]
+    state.masks.append(topk_row_mask(visual, state.current, schedule))
     return True
 
 

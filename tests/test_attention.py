@@ -67,10 +67,10 @@ class TestMaskedSelfAttention:
         n, d = 5, 8
         params = make_params(d, seed=3)
         x = rng.normal(size=(n, d))
-        _, record = masked_self_attention(
+        _, head_average = masked_self_attention(
             Tensor(x), identity_mask(n), params, heads=2, need_record=True
         )
-        assert np.array_equal(record.head_average.data, np.eye(n))
+        assert np.array_equal(head_average, np.eye(n))
 
     def test_three_token_hand_oracle(self):
         # one head, hand-fixed Q, K, V; row 0 masked to tokens {0, 1}:
@@ -130,14 +130,14 @@ class TestMaskedSelfAttention:
         bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
         bits[:, 0] = 1
         x = rng.normal(size=(n, d))
-        _, record = masked_self_attention(Tensor(x), AttentionMask(bits), params, heads,
-                                          need_record=True)
-        np.testing.assert_allclose(record.head_average.data.sum(axis=1), 1.0, atol=1e-9)
+        _, head_average = masked_self_attention(Tensor(x), AttentionMask(bits), params, heads,
+                                                need_record=True)
+        np.testing.assert_allclose(head_average.sum(axis=1), 1.0, atol=1e-9)
         packed = (x @ params.qkv_projection.data).reshape(n, 3, heads, d // heads)
         q, k = packed[:, 0].transpose(1, 0, 2), packed[:, 1].transpose(1, 0, 2)
         logits = q @ k.transpose(0, 2, 1) / math.sqrt(d // heads)
         probs = ref_softmax(np.where(bits == 1, logits, -np.inf))
-        np.testing.assert_allclose(record.head_average.data, probs.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(head_average, probs.mean(axis=0), atol=1e-12)
 
 
 def composed_attention(x, mask, params, heads):
@@ -157,8 +157,7 @@ def composed_attention(x, mask, params, heads):
 
 
 def kernel_attention(x, mask, params, heads):
-    out, record = masked_self_attention(x, mask, params, heads, need_record=True)
-    return out, record.head_average.data
+    return masked_self_attention(x, mask, params, heads, need_record=True)
 
 
 def kernel_mask(kind, r, n, rng):
@@ -400,11 +399,11 @@ class TestEncoderBlock:
         bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
         np.fill_diagonal(bits, 1)
         full, _ = encoder_block(x, AttentionMask(bits), params, heads=2)
-        rows, record = encoder_block(x, AttentionMask(bits[:r]), params, heads=2,
-                                     need_record=True)
+        rows, head_average = encoder_block(x, AttentionMask(bits[:r]), params, heads=2,
+                                           need_record=True)
         assert rows.shape == (r, d)
         assert np.array_equal(rows.data, full.data[:r])
-        assert record.head_average.shape == (r, n)
+        assert head_average.shape == (r, n)
 
     def test_leading_row_mask_gradient_wrt_input(self):
         rng = np.random.default_rng(19)

@@ -241,6 +241,17 @@ class TestEval:
                      "--data", str(bad), "--out", str(tmp_path / "e")])
         assert code == 6
 
+    def test_skeleton_file_is_read_once(self, tmp_path, monkeypatch):
+        # The joint mask and the table's joint names come from one read.
+        path = tmp_path / "skeleton.json"
+        save_skeleton(default_skeleton(), path)
+        cfg = write_run_config(tmp_path, skeleton=str(path))
+        assert main(["train", "--config", str(cfg), "--steps", "1"]) == 0
+        loads = spy(monkeypatch, "load_skeleton")
+        assert main(["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint"),
+                     "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+        assert [args for args, _ in loads] == [(str(path),)]
+
 
 class TestMasks:
     def test_stage_files_and_popcounts(self, tmp_path):

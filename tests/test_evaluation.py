@@ -9,7 +9,7 @@ from spt.data import Annotation, SyntheticSceneConfig, generate_synthetic, \
     render_target_heatmaps
 from spt.errors import ConfigError
 from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
-                            evaluate_model, pckh, sweep_table)
+                            evaluate_model, pckh, report_table, sweep_table)
 from spt.model import ModelConfig, PoseModelParams, forward
 from spt.pruning import PruneSchedule
 from spt.skeleton import compile_joint_mask, default_skeleton
@@ -209,6 +209,19 @@ class TestSweep:
         assert header[17:] == ["Mean", "Mean@0.1"]
         assert lines[1].startswith("akr=0.60")
         assert lines[2].startswith("akr=1.00")
+
+    @pytest.mark.parametrize("alphas, cells", [
+        ((0.2, 0.3), ["100.00", "0.00", "50.00", "-"]),
+        ((0.2, 0.5), ["100.00", "100.00", "100.00", "-"]),
+        ((0.2, 0.1), ["100.00", "0.00", "50.00", "50.00"]),
+    ])
+    def test_mean_is_taken_at_the_per_joint_threshold(self, alphas, cells):
+        # Joint errors of 0 and 1 px at head size 4: the second joint is
+        # correct from alpha 0.25 on.
+        ann = make_ann([[0.0, 0.0], [10.0, 10.0]], head_size=4.0)
+        report = pckh([np.array([[0.0, 0.0], [10.0, 11.0]])], [ann], alphas)
+        row = report_table(report, ["a", "b"]).splitlines()[1].split()
+        assert row == ["model"] + cells
 
 
 class TestEvaluateModel:

@@ -189,7 +189,7 @@ class TestForward:
         assert np.array_equal(fast.data, full.data)
         for a, b in zip(diag_fast.mask_state.masks, diag_full.mask_state.masks):
             assert same_bits(a, b)
-        assert diag_full.records[2].head_average.shape == (20, 20)
+        assert diag_full.records[2].shape == (20, 20)
 
     def test_last_encoder_layer_gradients_match_finite_differences(self):
         cfg = tiny_config(schedule=PruneSchedule(update_layers=(1,), keep_ratio=0.5))

@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from spt.attention import AttentionRecord
 from spt.errors import ConfigError
 from spt.masks import AttentionMask
 from spt.model import ModelConfig
 from spt.pruning import (MaskState, PruneSchedule, apply_prune_schedule,
                          round_half_up, sparsity_report, topk_row_mask)
-from spt.tensor import Tensor
 
 from mask_helpers import same_bits
-
-
-def record_from(avg: np.ndarray) -> AttentionRecord:
-    return AttentionRecord(head_average=Tensor(avg))
 
 
 def brute_force_topk_row(values, kept_columns, k):
@@ -35,7 +29,7 @@ class TestRounding:
 class TestTopkRowMask:
     def test_ordered_values_top_two(self):
         attn = np.array([[0.5, 0.3, 0.15, 0.05]])
-        out = topk_row_mask(attn, AttentionMask.ones(1, 4), keep_ratio=0.5)
+        out = topk_row_mask(attn, AttentionMask.ones(1, 4), PruneSchedule(keep_ratio=0.5))
         assert np.array_equal(out.bits, [[1, 1, 0, 0]])
 
     def test_keep_ratio_one_is_identity(self):
@@ -44,14 +38,14 @@ class TestTopkRowMask:
         bits[:, 0] = 1
         prev = AttentionMask(bits)
         attn = rng.uniform(size=(6, 6))
-        out = topk_row_mask(attn, prev, keep_ratio=1.0)
+        out = topk_row_mask(attn, prev, PruneSchedule(keep_ratio=1.0))
         assert same_bits(out, prev)
 
     def test_tie_breaks_toward_lower_column(self):
         # K = max(1, round(0.34 * 3)) = max(1, round(1.02)) = 1; columns 0 and 1
         # tie at 0.4, so column 0 wins
         attn = np.array([[0.4, 0.4, 0.2]])
-        out = topk_row_mask(attn, AttentionMask.ones(1, 3), keep_ratio=0.34)
+        out = topk_row_mask(attn, AttentionMask.ones(1, 3), PruneSchedule(keep_ratio=0.34))
         assert np.array_equal(out.bits, [[1, 0, 0]])
 
     def test_selection_matches_brute_force_with_ties(self):
@@ -64,7 +58,7 @@ class TestTopkRowMask:
             bits[np.arange(n), rng.integers(0, n, size=n)] = 1
             prev = AttentionMask(bits)
             keep_ratio = float(rng.uniform(0.05, 1.0))
-            out = topk_row_mask(attn, prev, keep_ratio)
+            out = topk_row_mask(attn, prev, PruneSchedule(keep_ratio=keep_ratio))
             for i in range(n):
                 kept_before = np.flatnonzero(prev.bits[i])
                 k = min(kept_before.size,
@@ -86,7 +80,8 @@ class TestTopkRowMask:
             prev = AttentionMask(bits)
             scores = rng.integers(0, 3, size=(n, n)) / 3.0
             for keep_ratio in (0.05, 0.25, 0.5, 0.6, 1.0):
-                out = topk_row_mask(scores, prev, keep_ratio, k_mode=k_mode)
+                schedule = PruneSchedule(keep_ratio=keep_ratio, k_mode=k_mode)
+                out = topk_row_mask(scores, prev, schedule)
                 expected = np.zeros((n, n), dtype=np.uint8)
                 for i in range(n):
                     kept = np.flatnonzero(prev.bits[i]).tolist()
@@ -117,7 +112,7 @@ class TestTopkRowMask:
                 tied_rows.append(i)
             elif i % 3 == 2:
                 scores[i, ranked[0]] = scores[i, ranked[1]]
-        out = topk_row_mask(scores, prev, keep_ratio)
+        out = topk_row_mask(scores, prev, PruneSchedule(keep_ratio=keep_ratio))
         expected = np.zeros((n, n), dtype=np.uint8)
         for i in range(n):
             kept = np.flatnonzero(bits[i])
@@ -132,42 +127,37 @@ class TestTopkRowMask:
         bits = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
         np.fill_diagonal(bits, 1)
         prev = AttentionMask(bits)
-        out = topk_row_mask(rng.uniform(size=(8, 8)), prev, keep_ratio=0.4)
+        out = topk_row_mask(rng.uniform(size=(8, 8)), prev, PruneSchedule(keep_ratio=0.4))
         assert ((out.bits == 1) <= (prev.bits == 1)).all()
 
     def test_minimum_support_one_even_for_equal_rows(self):
         attn = np.full((4, 4), 0.25)
-        out = topk_row_mask(attn, AttentionMask.ones(4), keep_ratio=0.01)
+        out = topk_row_mask(attn, AttentionMask.ones(4), PruneSchedule(keep_ratio=0.01))
         assert (out.row_support == 1).all()
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         attn = rng.uniform(size=(7, 7))
         prev = AttentionMask.ones(7)
-        a = topk_row_mask(attn, prev, 0.37)
-        b = topk_row_mask(attn.copy(), prev.copy(), 0.37)
+        a = topk_row_mask(attn, prev, PruneSchedule(keep_ratio=0.37))
+        b = topk_row_mask(attn.copy(), prev.copy(), PruneSchedule(keep_ratio=0.37))
         assert same_bits(a, b)
-
-    def test_keep_ratio_out_of_range(self):
-        with pytest.raises(ConfigError):
-            topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), keep_ratio=0.0)
-        with pytest.raises(ConfigError):
-            topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), keep_ratio=1.5)
 
     def test_non_finite_scores_are_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             attn = np.full((2, 3), 0.25)
             attn[1, 2] = bad
             with pytest.raises(ConfigError, match="finite"):
-                topk_row_mask(attn, AttentionMask.ones(2, 3), keep_ratio=0.5)
+                topk_row_mask(attn, AttentionMask.ones(2, 3), PruneSchedule(keep_ratio=0.5))
 
     def test_total_mode_uses_fraction_of_n(self):
         rng = np.random.default_rng(4)
         attn = rng.uniform(size=(10, 10))
-        first = topk_row_mask(attn, AttentionMask.ones(10), 0.6, k_mode="total")
+        total = PruneSchedule(keep_ratio=0.6, k_mode="total")
+        first = topk_row_mask(attn, AttentionMask.ones(10), total)
         assert (first.row_support == 6).all()
         # second pass keeps K = round(0.6 * 10) = 6 again: a no-op
-        second = topk_row_mask(attn, first, 0.6, k_mode="total")
+        second = topk_row_mask(attn, first, total)
         assert same_bits(second, first)
 
 
@@ -179,6 +169,8 @@ class TestSchedule:
             PruneSchedule(update_layers=(0, 2))
         with pytest.raises(ConfigError):
             PruneSchedule(keep_ratio=0.0)
+        with pytest.raises(ConfigError):
+            PruneSchedule(keep_ratio=1.5)
         with pytest.raises(ConfigError):
             PruneSchedule(k_mode="bogus")
 
@@ -200,7 +192,7 @@ class TestSchedule:
         rng = np.random.default_rng(5)
         state = MaskState.dense(10)
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
-        apply_prune_schedule(3, record_from(rng.uniform(size=(10, 10))), state, schedule)
+        apply_prune_schedule(3, rng.uniform(size=(10, 10)), state, schedule)
         assert state.stage == 1
         assert (state.current.row_support == 6).all()
 
@@ -211,7 +203,7 @@ class TestSchedule:
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
         expected = (60, 36, 22)  # round(0.6*100), round(0.6*60), round(0.6*36)
         for layer, support in zip((3, 6, 9), expected):
-            apply_prune_schedule(layer, record_from(rng.uniform(size=(n, n))),
+            apply_prune_schedule(layer, rng.uniform(size=(n, n)),
                                  state, schedule)
             assert (state.current.row_support == support).all()
         assert [int(h[0]) for h in state.history] == list(expected)
@@ -223,7 +215,7 @@ class TestSchedule:
         schedule = PruneSchedule(update_layers=(1, 2, 3), keep_ratio=0.7)
         previous = state.current.copy()
         for layer in (1, 2, 3):
-            apply_prune_schedule(layer, record_from(rng.uniform(size=(n, n))),
+            apply_prune_schedule(layer, rng.uniform(size=(n, n)),
                                  state, schedule)
             assert ((state.current.bits == 1) <= (previous.bits == 1)).all()
             previous = state.current.copy()
@@ -234,8 +226,8 @@ class TestSchedule:
         state = MaskState.dense(n)
         schedule = PruneSchedule(update_layers=(1,), keep_ratio=0.5)
         full = rng.uniform(size=(j + n, j + n))
-        apply_prune_schedule(1, record_from(full), state, schedule, keypoint_count=j)
-        expected = topk_row_mask(full[j:, j:], AttentionMask.ones(n), 0.5)
+        apply_prune_schedule(1, full, state, schedule, keypoint_count=j)
+        expected = topk_row_mask(full[j:, j:], AttentionMask.ones(n), schedule)
         assert same_bits(state.current, expected)
 
 
@@ -254,7 +246,7 @@ class TestSparsityStats:
         state = MaskState.dense(100)
         rng = np.random.default_rng(9)
         for layer in (3, 6, 9):
-            apply_prune_schedule(layer, record_from(rng.uniform(size=(100, 100))),
+            apply_prune_schedule(layer, rng.uniform(size=(100, 100)),
                                  state, schedule)
         stats = sparsity_report(state, config)
         assert stats.per_stage_density == [1.0, 1.0, 1.0]
@@ -265,7 +257,7 @@ class TestSparsityStats:
         config = self.config(4, 2, schedule)  # N = 16, even
         state = MaskState.dense(16)
         rng = np.random.default_rng(10)
-        apply_prune_schedule(1, record_from(rng.uniform(size=(16, 16))), state, schedule)
+        apply_prune_schedule(1, rng.uniform(size=(16, 16)), state, schedule)
         stats = sparsity_report(state, config)
         assert stats.per_stage_density == [0.5]
 
@@ -277,7 +269,7 @@ class TestSparsityStats:
         state = MaskState.dense(100)
         rng = np.random.default_rng(11)
         for layer in (3, 6, 9):
-            apply_prune_schedule(layer, record_from(rng.uniform(size=(100, 100))),
+            apply_prune_schedule(layer, rng.uniform(size=(100, 100)),
                                  state, schedule)
         stats = sparsity_report(state, config)
         expected = (3 * 1.0 + 3 * 0.60 + 3 * 0.36 + 3 * 0.22) / 12
@@ -288,7 +280,7 @@ class TestSparsityStats:
         config = self.config(4, 2, schedule)
         state = MaskState.dense(16)
         rng = np.random.default_rng(12)
-        apply_prune_schedule(1, record_from(rng.uniform(size=(16, 16))), state, schedule)
+        apply_prune_schedule(1, rng.uniform(size=(16, 16)), state, schedule)
         doc = sparsity_report(state, config).to_json_dict()
         assert sorted(doc) == ["mac_ratio", "per_stage_density", "stages"]
         assert doc["stages"] == 1
