@@ -143,6 +143,14 @@ class TestTopkRowMask:
         b = topk_row_mask(attn.copy(), prev.copy(), PruneSchedule(keep_ratio=0.37))
         assert same_bits(a, b)
 
+    def test_keep_ratio_out_of_range(self):
+        # the keep ratio is checked where the schedule is built, so an
+        # out-of-range ratio never reaches the selection
+        with pytest.raises(ConfigError):
+            topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), PruneSchedule(keep_ratio=0.0))
+        with pytest.raises(ConfigError):
+            topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), PruneSchedule(keep_ratio=1.5))
+
     def test_non_finite_scores_are_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             attn = np.full((2, 3), 0.25)
