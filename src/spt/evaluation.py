@@ -92,6 +92,8 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
     alphas = tuple(float(a) for a in alphas)
     if any(a <= 0 for a in alphas):
         raise ConfigError(f"thresholds must be > 0: {alphas}")
+    if len(set(alphas)) != len(alphas):
+        raise ConfigError(f"thresholds must be distinct: {alphas}")
     j = annotations[0].joint_count
     visible = np.zeros(j, dtype=np.int64)
     correct = {a: np.zeros(j, dtype=np.int64) for a in alphas}
@@ -165,7 +167,7 @@ def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
 
 
 # ---------------------------------------------------------------------------
-# Plain-text tables (per-joint columns, then Mean, then Mean@0.1)
+# Plain-text tables (per-joint columns, then Mean@<alpha>, then Mean@0.1)
 # ---------------------------------------------------------------------------
 
 
@@ -181,12 +183,17 @@ def sweep_table(rows, joint_names) -> str:
 
 def sweep_table_from_pairs(labeled_reports, joint_names) -> str:
     """Aligned table: one row per entry, per-joint rates in percent and
-    their Mean at alpha=0.5 (at the report's first threshold without 0.5),
-    then a Mean@0.1 column."""
-    headers = ["method"] + list(joint_names) + ["Mean", "Mean@0.1"]
+    their mean at alpha=0.5 (at the reports' first threshold without 0.5),
+    headed ``Mean@<alpha>``, then a Mean@0.1 column.  All rows must use
+    one threshold, so the header names it for each of them."""
+    thresholds = {0.5 if 0.5 in report.per_joint else report.alphas[0]
+                  for _, report in labeled_reports}
+    if len(thresholds) != 1:
+        raise ConfigError(f"table rows must share one threshold, got {sorted(thresholds)}")
+    (alpha,) = thresholds
+    headers = ["method"] + list(joint_names) + [f"Mean@{alpha:g}", "Mean@0.1"]
     body = []
     for label, report in labeled_reports:
-        alpha = 0.5 if 0.5 in report.per_joint else next(iter(report.per_joint))
         cells = [label]
         cells += ["-" if np.isnan(r) else f"{100.0 * r:.2f}" for r in report.per_joint[alpha]]
         cells.append(f"{100.0 * report.mean[alpha]:.2f}")

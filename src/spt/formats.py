@@ -51,36 +51,51 @@ def atomic_write(path, mode: str = "w"):
 
 
 def save_tensor(path, array) -> None:
-    arr = np.ascontiguousarray(getattr(array, "data", array), dtype=np.float64)
+    """Write an SPT1 tensor straight from the array's own buffer.
+
+    The payload is copied only when the array is not already C-ordered
+    little-endian float64; the bytes on disk are the same either way.
+    """
+    arr = np.ascontiguousarray(getattr(array, "data", array), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr)
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read an SPT1 tensor; the file length must match its header exactly."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not an SPT1 tensor (magic {blob[:4]!r})")
-    if len(blob) < 8:
-        raise FormatError(f"{path}: truncated SPT1 header")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    if rank > MAX_RANK:
-        raise FormatError(f"{path}: SPT1 rank {rank} exceeds {MAX_RANK}")
-    offset = 8 + 4 * rank
-    if len(blob) < offset:
-        raise FormatError(f"{path}: truncated SPT1 header (rank {rank})")
-    shape = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = math.prod(shape)
-    expected = offset + 8 * count
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: {len(blob)} bytes, but shape {shape} needs {expected}"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return payload.astype(np.float64).reshape(shape)
+    """Read an SPT1 tensor; the file length must match its header exactly.
+
+    The header is checked against the file's size before anything is
+    allocated, and the payload is read straight into the returned array,
+    so the call allocates its result plus a header's worth of bytes.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: not an SPT1 tensor (magic {head[:4]!r})")
+        if len(head) < 8:
+            raise FormatError(f"{path}: truncated SPT1 header")
+        (rank,) = struct.unpack("<I", head[4:])
+        if rank > MAX_RANK:
+            raise FormatError(f"{path}: SPT1 rank {rank} exceeds {MAX_RANK}")
+        extents = fh.read(4 * rank)
+        if len(extents) < 4 * rank:
+            raise FormatError(f"{path}: truncated SPT1 header (rank {rank})")
+        shape = struct.unpack(f"<{rank}I", extents)
+        count = math.prod(shape)
+        expected = 8 + 4 * rank + 8 * count
+        if size != expected:
+            raise FormatError(f"{path}: {size} bytes, but shape {shape} needs {expected}")
+        payload = np.empty(count, dtype="<f8")
+        got = fh.readinto(payload)
+        if got != payload.nbytes:
+            raise FormatError(f"{path}: payload ended after {got} of {payload.nbytes} bytes")
+        if fh.read(1):
+            raise FormatError(f"{path}: bytes past the {payload.nbytes}-byte payload")
+    return payload.astype(np.float64, copy=False).reshape(shape)
 
 
 def save_csv(path, array, comment: str | None = None) -> None:

@@ -648,12 +648,12 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
 
     The pullback fills one owned (n, 3D) gradient head by head: dV_i =
     P_iᵀ g_i, dS is the softmax pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i)
-    / sqrt(head_dim) on the first r rows (the rest stay 0), dK_i =
-    (q_iᵀ dS)ᵀ.  The tape keeps only ``packed`` and ``probs``; q_i is
-    recomputed.  Each product is the BLAS call, in the same operand
-    orientation, that the chain of ``scale``, ``matmul``,
-    ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
-    bits; dK_i as dSᵀ q_i would be a different call.
+    / sqrt(head_dim) on the first r rows (the rest are zeroed, the only
+    cells no head writes), dK_i = (q_iᵀ dS)ᵀ.  The tape keeps only
+    ``packed`` and ``probs``; q_i is recomputed.  Each product is the BLAS
+    call, in the same operand orientation, that the chain of ``scale``,
+    ``matmul``, ``rowwise_masked_softmax`` and ``matmul`` makes, so both
+    give the same bits; dK_i as dSᵀ q_i would be a different call.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -677,7 +677,8 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     kp = _key(packed)
 
     def pullback(g, store):
-        grad = np.zeros(data.shape)
+        grad = np.empty(data.shape)
+        grad[r:, :d] = 0.0
         dp, ds = np.empty((r, n)), np.empty((r, n))
         for tile, (q, k, v) in zip(probs, columns):
             g_i = g[:, q]

@@ -220,7 +220,7 @@ class TestEval:
         assert set(report["per_joint"]) == {"0.5", "0.1"}
         table = (out / "report.txt").read_text()
         assert table.startswith("# config ")
-        assert "Mean@0.1" in table
+        assert "Mean@0.5" in table and "Mean@0.1" in table
 
     def test_empty_dataset_is_an_error(self, tmp_path):
         cfg, ckpt = self.checkpoint(tmp_path)
@@ -511,6 +511,12 @@ def edited_checkpoint(name, edit):
     return setup
 
 
+def eval_flags(*flags):
+    """An eval run on a freshly written checkpoint with ``flags`` added."""
+    unedited = edited_checkpoint("manifest.json", lambda blob: blob)
+    return lambda tmp_path: unedited(tmp_path) + list(flags)
+
+
 def flipped(at, bit):
     """An edit that flips bit ``bit`` of byte ``at``."""
     return lambda blob: blob[:at] + bytes([blob[at] ^ 1 << bit]) + blob[at + 1:]
@@ -635,6 +641,7 @@ MALFORMED = [
     ("manifest_config_value_string", edited_manifest(replaced("config.heads", "2")), 6),
     ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
     ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),
+    ("eval_thresholds_repeated", eval_flags("--thresholds", "0.5", "0.5"), 2),
 ]
 
 

@@ -9,7 +9,8 @@ from spt.data import Annotation, SyntheticSceneConfig, generate_synthetic, \
     render_target_heatmaps
 from spt.errors import ConfigError
 from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
-                            evaluate_model, pckh, report_table, sweep_table)
+                            evaluate_model, pckh, report_table, sweep_table,
+                            sweep_table_from_pairs)
 from spt.model import ModelConfig, PoseModelParams, forward
 from spt.pruning import PruneSchedule
 from spt.skeleton import compile_joint_mask, default_skeleton
@@ -153,6 +154,12 @@ class TestPckh:
         with pytest.raises(ConfigError):
             pckh([], [])
 
+    def test_repeated_threshold_rejected(self):
+        # Listed twice, one hit would count twice: a rate of 2.0.
+        ann = make_ann([[0.0, 0.0]])
+        with pytest.raises(ConfigError, match="distinct"):
+            pckh([np.array([[0.0, 0.0]])], [ann], alphas=(0.5, 0.5))
+
 
 def sweep_fixture_config():
     return ModelConfig(
@@ -206,7 +213,7 @@ class TestSweep:
         header = lines[0].split()
         assert header[0] == "method"
         assert header[1:17] == list(names)
-        assert header[17:] == ["Mean", "Mean@0.1"]
+        assert header[17:] == ["Mean@0.5", "Mean@0.1"]
         assert lines[1].startswith("akr=0.60")
         assert lines[2].startswith("akr=1.00")
 
@@ -222,6 +229,21 @@ class TestSweep:
         report = pckh([np.array([[0.0, 0.0], [10.0, 11.0]])], [ann], alphas)
         row = report_table(report, ["a", "b"]).splitlines()[1].split()
         assert row == ["model"] + cells
+
+    @pytest.mark.parametrize("alphas, mean", [((0.2, 0.3), "Mean@0.2"),
+                                              ((0.3, 0.2), "Mean@0.3"),
+                                              ((0.2, 0.5), "Mean@0.5")])
+    def test_mean_column_names_its_threshold(self, alphas, mean):
+        ann = make_ann([[0.0, 0.0]])
+        report = pckh([np.array([[0.0, 0.0]])], [ann], alphas)
+        header = report_table(report, ["a"]).splitlines()[0].split()
+        assert header == ["method", "a", mean, "Mean@0.1"]
+
+    def test_rows_at_different_thresholds_rejected(self):
+        ann = make_ann([[0.0, 0.0]])
+        reports = [pckh([np.array([[0.0, 0.0]])], [ann], alphas) for alphas in ((0.5,), (0.2,))]
+        with pytest.raises(ConfigError, match="one threshold"):
+            sweep_table_from_pairs(list(zip("ab", reports)), ["j"])
 
 
 class TestEvaluateModel:

@@ -1,8 +1,13 @@
 """File formats: SPT1 tensors, CSV, PGM/PBM images."""
 
+import struct
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import spt.formats
 from spt.errors import FormatError
 from spt.formats import (atomic_write, load_pgm, load_tensor, save_csv, save_pbm,
                          save_pgm, save_tensor)
@@ -80,6 +85,67 @@ class TestBinaryTensor:
             path.write_bytes(damaged)
             with pytest.raises(FormatError):
                 load_tensor(path)
+
+    @pytest.mark.parametrize("array", [
+        np.arange(12.0).reshape(3, 4),
+        np.arange(12.0).reshape(3, 4).T,
+        np.arange(12.0).reshape(3, 4)[:, ::2],
+        np.arange(12.0).astype(">f8"),
+        np.arange(12).reshape(2, 6),
+        np.array(2.5),
+        np.zeros((0, 3)),
+    ], ids=["c-order", "transposed", "strided", "big-endian", "int", "0-d", "empty"])
+    def test_bytes_match_the_copying_writer(self, tmp_path, array):
+        # Reference: the header plus ``astype("<f8").tobytes()`` of a
+        # C-ordered float64 copy.  A 0-d array is stored with rank 1.
+        arr = np.ascontiguousarray(array, dtype=np.float64)
+        want = (b"SPT1" + struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                + arr.astype("<f8").tobytes())
+        path = tmp_path / "t.spt"
+        save_tensor(path, array)
+        assert path.read_bytes() == want
+        assert np.array_equal(load_tensor(path), arr)
+
+    @pytest.mark.parametrize("size_delta, message", [(-1, "payload ended"),
+                                                     (1, "bytes past")])
+    def test_file_changing_size_after_the_header_check_rejected(
+            self, tmp_path, monkeypatch, size_delta, message):
+        # fstat reports the size the header needs while the bytes read
+        # run one short of it or one past it.
+        path = tmp_path / "t.spt"
+        save_tensor(path, np.arange(6.0))
+        expected = path.stat().st_size
+        blob = path.read_bytes()
+        path.write_bytes(blob[:size_delta] if size_delta < 0 else blob + b"\0")
+        stat = SimpleNamespace(st_size=expected)
+        monkeypatch.setattr(spt.formats, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(FormatError, match=message):
+            load_tensor(path)
+
+    def test_save_writes_the_arrays_own_buffer(self, tmp_path):
+        arr = np.arange(256 * 1024.0).reshape(512, 512)  # 2 MiB
+        save_tensor(tmp_path / "warm.spt", arr[:2])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_tensor(tmp_path / "t.spt", arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
+
+    def test_load_allocates_its_result_and_a_header(self, tmp_path):
+        path = tmp_path / "t.spt"
+        save_tensor(path, np.arange(256 * 1024.0).reshape(512, 512))
+        load_tensor(path)
+        tracemalloc.start()
+        try:
+            arr = load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Slack for the header bytes and the file object's own buffer.
+        assert peak <= arr.nbytes + 64 * 1024
 
 
 class TestCsv:
