@@ -124,7 +124,9 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
     token still supplies keys and values, and the output has r rows.
     Returns (output, head_average).  With ``need_record`` set, head_average
     is the (r, n) float64 array of post-softmax probabilities averaged over
-    heads, outside the tape; otherwise it is None.
+    heads, outside the tape; otherwise it is None.  The per-head
+    probabilities are freed on return either way: the tape does not keep
+    them.
 
     Runs as the packed QKV product, the per-head kernel
     ``tensor.multi_head_attention`` and the output projection; the kernel

@@ -587,7 +587,9 @@ def load_checkpoint(directory):
             raise CheckpointError(
                 f"{directory}: parameter {name} has shape {arr.shape}, expected {shape}"
             )
-        if not np.isfinite(arr).all():
+        # NaN propagates through min and max, which allocate no mask; an
+        # empty tensor (embed_dim 0) has neither and nothing to check.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise CheckpointError(f"{directory}: parameter {name} holds non-finite values")
         arrays[name] = arr
     return PoseModelParams.from_arrays(config, arrays), config, manifest

@@ -27,10 +27,11 @@ per-head attention chain between the QKV and output projections, run one
 head at a time so each head's score tile stays in cache; its masked
 softmax exponentiates each row's logits unshifted unless the row's own
 values call for the max-shifted formula (``rowwise_masked_softmax``).
-``mlp`` is the feed-forward ``matmul``, ``add_bias``, ``gelu``,
-``matmul``, ``add_bias`` chain, which recomputes its GELU output in the
-pullback instead of keeping it on the tape.  Both give the bits of the
-chains they replace.
+Its pullback recomputes each head's probabilities instead of keeping the
+(heads, r, n) stack on the tape.  ``mlp`` is the feed-forward
+``matmul``, ``add_bias``, ``gelu``, ``matmul``, ``add_bias`` chain, which
+recomputes its GELU output in the pullback instead of keeping it on the
+tape.  Both give the bits of the chains they replace.
 """
 
 from __future__ import annotations
@@ -636,7 +637,7 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     head.  An r x n ``mask`` (r <= n) makes the first r tokens the queries
     and serves every head.  Returns ``(context, probs)``: the taped (r, D)
     context, heads side by side, and the (heads, r, n) probabilities as a
-    plain read-only array.
+    plain read-only array the tape does not keep.
 
     Head i reads column views of ``packed``, computes its logits into one
     (r, n) scratch array the call reuses for every head, and writes its
@@ -646,14 +647,17 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     tile (``rowwise_masked_softmax``'s formula), then ``tile v_i`` into the
     head's context columns.
 
-    The pullback fills one owned (n, 3D) gradient head by head: dV_i =
-    P_iᵀ g_i, dS is the softmax pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i)
-    / sqrt(head_dim) on the first r rows (the rest are zeroed, the only
-    cells no head writes), dK_i = (q_iᵀ dS)ᵀ.  The tape keeps only
-    ``packed`` and ``probs``; q_i is recomputed.  Each product is the BLAS
-    call, in the same operand orientation, that the chain of ``scale``,
-    ``matmul``, ``rowwise_masked_softmax`` and ``matmul`` makes, so both
-    give the same bits; dK_i as dSᵀ q_i would be a different call.
+    The tape keeps only ``packed`` and ``mask``.  The pullback fills one
+    owned (n, 3D) gradient head by head.  It first rebuilds P_i with the
+    forward's own calls, ``q_i k_iᵀ`` and the masked softmax (shifted
+    redo included), into one (r, n) tile it reuses for every head, so P_i
+    has the forward's bits.  Then dV_i = P_iᵀ g_i, dS is the softmax
+    pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i) / sqrt(head_dim) on the
+    first r rows (the rest are zeroed, the only cells no head writes),
+    dK_i = (q_iᵀ dS)ᵀ.  Each product is the BLAS call, in the same operand
+    orientation, that the chain of ``scale``, ``matmul``,
+    ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
+    bits; dK_i as dSᵀ q_i would be a different call.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -679,15 +683,18 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     def pullback(g, store):
         grad = np.empty(data.shape)
         grad[r:, :d] = 0.0
-        dp, ds = np.empty((r, n)), np.empty((r, n))
-        for tile, (q, k, v) in zip(probs, columns):
+        tile, dp, ds = np.empty((r, n)), np.empty((r, n)), np.empty((r, n))
+        for q, k, v in columns:
+            q_i = data[:r, q] * s
+            np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
+            _softmax_rows(ds, mask, tile)
             g_i = g[:, q]
             np.matmul(tile.T, g_i, out=grad[:, v])
             np.matmul(g_i, data[:, v].T, out=dp)
             _softmax_pullback(dp, tile, out=ds)
             np.matmul(ds, data[:, k], out=grad[:r, q])
             grad[:r, q] *= s
-            grad[:, k] = np.matmul((data[:r, q] * s).T, ds).T
+            grad[:, k] = np.matmul(q_i.T, ds).T
         _accumulate(store, kp, grad, owned=True)
 
     return _finish(context, (kp,), pullback), probs

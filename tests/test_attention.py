@@ -1,6 +1,7 @@
 """Masked multi-head attention and the encoder block."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -140,20 +141,36 @@ class TestMaskedSelfAttention:
         np.testing.assert_allclose(head_average, probs.mean(axis=0), atol=1e-12)
 
 
-def composed_attention(x, mask, params, heads):
+def composed_heads(q, k, v, mask):
     """The op chain the attention kernel replaces, kept as its bit-level
-    reference: project_qkv, scale, matmul, rowwise_masked_softmax, matmul,
-    merge of the heads, output projection.  Returns (output, head average)."""
-    n, d = x.shape
+    reference, on per-head (heads, n, head_dim) stacks: scale, matmul,
+    rowwise_masked_softmax, matmul, merge of the heads.  Returns the merged
+    (r, D) context and the probabilities."""
+    heads, n, head_dim = q.shape
     r = mask.rows
-    q, k, v = project_qkv(x, params, heads)
     if r < n:
         q = T.narrow(q, 1, 0, r)
-    q = T.scale(q, 1.0 / math.sqrt(d // heads))
+    q = T.scale(q, 1.0 / math.sqrt(head_dim))
     probs = T.rowwise_masked_softmax(T.matmul(q, T.transpose(k, (0, 2, 1))), mask)
     context = T.matmul(probs, v)
-    merged = T.reshape(T.transpose(context, (1, 0, 2)), (r, d))
+    return T.reshape(T.transpose(context, (1, 0, 2)), (r, heads * head_dim)), probs
+
+
+def composed_attention(x, mask, params, heads):
+    """project_qkv, the composed heads and the output projection.  Returns
+    (output, head average)."""
+    merged, probs = composed_heads(*project_qkv(x, params, heads), mask)
     return T.matmul(merged, params.output_projection), probs.data.mean(axis=0)
+
+
+def composed_kernel(packed, mask, heads):
+    """The composed heads from the packed (n, 3D) projections, split as
+    project_qkv splits them."""
+    n, d = packed.shape[0], packed.shape[1] // 3
+    head_dim = d // heads
+    split = T.transpose(T.reshape(packed, (n, 3, heads, head_dim)), (1, 2, 0, 3))
+    q, k, v = (T.reshape(T.narrow(split, 0, i, 1), (heads, n, head_dim)) for i in range(3))
+    return composed_heads(q, k, v, mask)[0]
 
 
 def kernel_attention(x, mask, params, heads):
@@ -168,6 +185,29 @@ def kernel_mask(kind, r, n, rng):
     bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
     np.fill_diagonal(bits, 1)
     return AttentionMask(bits[:r])
+
+
+def redo_inputs(all_ones):
+    """(packed, bits, heads, head_dim) whose head 0 has rows the masked
+    softmax must redo shifted.  Queries 1 and 3 give keys 0 and 4 logits of
+    about 650 and 651, above _EXP_SAFE (both keys are masked for query 3
+    unless the mask is all ones), and query 2 gives every key a logit near
+    -500, so its unshifted sum vanishes."""
+    rng = np.random.default_rng(45)
+    heads, head_dim, n = 2, 4, 6
+    d = heads * head_dim
+    packed = rng.normal(scale=0.5, size=(n, 3 * d))
+    packed[:, d] = 0.0
+    packed[[0, 4], d] = (1.0, 1.0015)
+    packed[:, d + 1] = 1.0 + rng.normal(scale=0.005, size=n)
+    packed[[1, 3], 0] = 1300.0
+    packed[2, 1] = -1000.0
+    bits = np.ones((n, n), dtype=np.uint8)
+    if not all_ones:
+        bits[rng.random((n, n)) < 0.3] = 0
+        bits[:, 1] = 1
+        bits[1, [0, 4]], bits[3, [0, 4]] = 1, 0
+    return packed, bits, heads, head_dim
 
 
 class _RecordingNumpy:
@@ -240,25 +280,8 @@ class TestAttentionKernel:
 
     @pytest.mark.parametrize("all_ones", [True, False])
     def test_overflowing_and_vanishing_rows_match_the_dense_reference(self, all_ones):
-        # In head 0, queries 1 and 3 give keys 0 and 4 logits of about 650
-        # and 651, above _EXP_SAFE (both keys are masked for query 3 unless
-        # the mask is all ones), and query 2 gives every key a logit near
-        # -500, so its unshifted sum vanishes.  Those rows take the shifted
-        # formula.
-        rng = np.random.default_rng(45)
-        heads, head_dim, n = 2, 4, 6
-        d = heads * head_dim
-        packed = rng.normal(scale=0.5, size=(n, 3 * d))
-        packed[:, d] = 0.0
-        packed[[0, 4], d] = (1.0, 1.0015)
-        packed[:, d + 1] = 1.0 + rng.normal(scale=0.005, size=n)
-        packed[[1, 3], 0] = 1300.0
-        packed[2, 1] = -1000.0
-        bits = np.ones((n, n), dtype=np.uint8)
-        if not all_ones:
-            bits[rng.random((n, n)) < 0.3] = 0
-            bits[:, 1] = 1
-            bits[1, [0, 4]], bits[3, [0, 4]] = 1, 0
+        packed, bits, heads, head_dim = redo_inputs(all_ones)
+        n, d = packed.shape[0], heads * head_dim
         context, probs = T.multi_head_attention(Tensor(packed), AttentionMask(bits), heads)
         q = packed[:, :d].reshape(n, heads, head_dim).transpose(1, 0, 2)
         k = packed[:, d:2 * d].reshape(n, heads, head_dim).transpose(1, 0, 2)
@@ -274,6 +297,35 @@ class TestAttentionKernel:
         merged = (expected @ v).transpose(1, 0, 2).reshape(n, d)
         assert np.abs(probs - expected).max() <= 1e-12
         assert np.abs(context.data - merged).max() <= 1e-12
+
+    @pytest.mark.parametrize("all_ones", [True, False])
+    def test_redone_rows_give_the_composed_chain_gradient(self, all_ones):
+        # The pullback rebuilds each probability tile, so the shifted redo
+        # of the overflowing and vanishing rows runs again there.
+        packed, bits, heads, _ = redo_inputs(all_ones)
+        mask = AttentionMask(bits)
+        weights = Tensor(np.random.default_rng(47).normal(size=(packed.shape[0],
+                                                                packed.shape[1] // 3)))
+        grads = []
+        for attention in (lambda p: T.multi_head_attention(p, mask, heads)[0],
+                          lambda p: composed_kernel(p, mask, heads)):
+            packed_t = Tensor(packed, requires_grad=True)
+            with T.ComputationTape() as tape:
+                loss = T.sum_all(T.mul(attention(packed_t), weights))
+            T.backward(loss, tape)
+            grads.append(packed_t.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_tape_does_not_keep_the_probabilities(self):
+        rng = np.random.default_rng(46)
+        packed = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
+        with T.ComputationTape() as tape:
+            context, probs = T.multi_head_attention(
+                packed, kernel_mask("random", 4, 6, rng), heads=2)
+        probs_ref = weakref.ref(probs)
+        del probs
+        assert probs_ref() is None
+        assert len(tape._records) == 1
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
@@ -291,7 +343,8 @@ class TestAttentionKernel:
     def test_products_keep_the_chain_operand_layouts(self, monkeypatch):
         # Each head's products, with the operand orientation the composed
         # chain gives BLAS: the same call rounds the same on any BLAS.
-        # In particular dK is (q_i^T dS)^T, not dS^T q_i.
+        # In particular dK is (q_i^T dS)^T, not dS^T q_i, and the pullback
+        # rebuilds P_i from the forward's own q_i k_i^T.
         rng = np.random.default_rng(44)
         n, r, heads, head_dim = 7, 3, 2, 4
         d = heads * head_dim
@@ -307,7 +360,8 @@ class TestAttentionKernel:
         assert recorder.products == forward * heads
         recorder.products.clear()
         T.backward(loss, tape)
-        backward = [("T", "N", (n, r), (r, head_dim)),         # dV = P_i^T g_i
+        backward = [("N", "T", (r, head_dim), (head_dim, n)),  # q_i k_i^T again
+                    ("T", "N", (n, r), (r, head_dim)),         # dV = P_i^T g_i
                     ("N", "T", (r, head_dim), (head_dim, n)),  # dP = g_i v_i^T
                     ("N", "N", (r, n), (n, head_dim)),         # dQ = dS k_i
                     ("T", "N", (head_dim, r), (r, n))]         # dK^T = q_i^T dS

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -522,10 +523,12 @@ def flipped(at, bit):
     return lambda blob: blob[:at] + bytes([blob[at] ^ 1 << bit]) + blob[at + 1:]
 
 
-def nan_payload(blob):
-    """An SPT1 tensor with its first value replaced by NaN."""
-    offset = 8 + 4 * int.from_bytes(blob[4:8], "little")
-    return blob[:offset] + struct.pack("<d", float("nan")) + blob[offset + 8:]
+def first_value(value):
+    """An edit that replaces an SPT1 tensor's first value by ``value``."""
+    def edit(blob):
+        offset = 8 + 4 * int.from_bytes(blob[4:8], "little")
+        return blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
+    return edit
 
 
 def edited_manifest(edit):
@@ -590,7 +593,9 @@ MALFORMED = [
     ("tensor_cut_to_10_bytes", edited_checkpoint("head_b1.spt", lambda blob: blob[:10]), 6),
     ("tensor_trailing_byte", edited_checkpoint("head_b1.spt", lambda blob: blob + b"\0"), 6),
     ("tensor_rank_bit_flipped", edited_checkpoint("head_w2.spt", flipped(5, 1)), 6),
-    ("tensor_nan_payload", edited_checkpoint("head_w2.spt", nan_payload), 6),
+    ("tensor_nan_payload", edited_checkpoint("head_w2.spt", first_value(math.nan)), 6),
+    ("tensor_inf_payload", edited_checkpoint("head_w2.spt", first_value(math.inf)), 6),
+    ("tensor_neg_inf_payload", edited_checkpoint("head_w2.spt", first_value(-math.inf)), 6),
     ("manifest_names_missing_file", edited_manifest(replaced("params.head_b1", "gone.spt")), 6),
     ("manifest_names_outside_file", edited_manifest(replaced("params.head_b1", "../run.json")), 6),
     ("training_steps_string", run_value("training.steps", "3"), 2),

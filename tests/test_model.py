@@ -402,6 +402,27 @@ class TestTrainStep:
 
         assert peak_bytes(8) <= 1.25 * peak_bytes(1)
 
+    def test_tape_keeps_no_attention_probabilities(self):
+        # Here heads * n^2 dominates: one (heads, n, n) probability stack
+        # per full-row encoder layer (the last runs the 4 keypoint rows
+        # only) exceeds everything else a taped forward holds.
+        cfg = tiny_config(image_h=64, image_w=64, encoder_layers=4, embed_dim=16,
+                          heatmap_h=16, heatmap_w=16)
+        n = cfg.num_patches + cfg.joint_count
+        stacks = (cfg.encoder_layers - 1) * cfg.heads * n * n * 8
+        params = PoseModelParams.init(cfg, seed=37)
+        image = np.random.default_rng(38).uniform(size=(cfg.image_h, cfg.image_w))
+        mask = compile_joint_mask(chain_skeleton(4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.ComputationTape() as tape:
+                forward(image, params, cfg, mask)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) and held < stacks
+
     def test_zero_learning_rate_keeps_params(self):
         cfg = tiny_config()
         params = PoseModelParams.init(cfg, seed=11)
