@@ -19,8 +19,8 @@ from .pruning import (MaskState, PruneSchedule, SparsityStats,
 from .skeleton import (SkeletonSpec, compile_joint_mask, default_skeleton,
                        load_skeleton, save_skeleton, validate_spec)
 from .model import (AdamState, Diagnostics, ModelConfig, PoseModelParams,
-                    forward, full_token_mask, load_checkpoint, loss_mse,
-                    patchify_embed, save_checkpoint, train_model, train_step)
+                    TrainingConfig, forward, full_token_mask, load_checkpoint,
+                    loss_mse, patchify_embed, save_checkpoint, train_model, train_step)
 from .data import (Annotation, SyntheticSceneConfig, generate_sample,
                    generate_synthetic, load_annotations,
                    render_target_heatmaps, save_annotations)

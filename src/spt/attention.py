@@ -32,10 +32,13 @@ from .rng import SplitMix64
 from .tensor import Tensor
 
 
-def initial_array(fill: str, shape: tuple, rng: SplitMix64, std: float = 0.02) -> np.ndarray:
-    """A parameter's starting value: N(0, std^2) draws from ``rng``, zeros or ones."""
+INIT_STD = 0.02  # standard deviation of every "normal" parameter's initial draws
+
+
+def initial_array(fill: str, shape: tuple, rng: SplitMix64) -> np.ndarray:
+    """A parameter's starting value: N(0, INIT_STD^2) draws from ``rng``, zeros or ones."""
     if fill == "normal":
-        return rng.normal_array(shape, std)
+        return rng.normal_array(shape, INIT_STD)
     return np.zeros(shape) if fill == "zeros" else np.ones(shape)
 
 
@@ -78,10 +81,9 @@ class AttentionLayerParams:
         ]
 
     @classmethod
-    def init(cls, embed_dim: int, mlp_ratio: int, rng: SplitMix64,
-             weight_std: float = 0.02) -> "AttentionLayerParams":
+    def init(cls, embed_dim: int, mlp_ratio: int, rng: SplitMix64) -> "AttentionLayerParams":
         return cls(**{
-            name: Tensor(initial_array(fill, shape, rng, weight_std), requires_grad=True)
+            name: Tensor(initial_array(fill, shape, rng), requires_grad=True)
             for name, shape, fill in cls.layout(embed_dim, mlp_ratio)
         })
 
@@ -132,11 +134,12 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
     ``tensor.multi_head_attention`` and the output projection; the kernel
     gives the same bits as the composed chain of ``project_qkv``,
     ``scale``, ``matmul``, ``rowwise_masked_softmax`` and ``matmul``.
+    A projection or head count that does not fit the width of ``x`` raises
+    ``ShapeError`` from ``matmul`` or the kernel.
     """
     n = x.shape[0]
     if mask.cols != n or mask.rows > n:
         raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
-    _check_qkv(x, params, heads)
     packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
     merged, probs = T.multi_head_attention(packed, mask, heads)
     out = T.matmul(merged, params.output_projection)

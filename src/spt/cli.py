@@ -39,26 +39,13 @@ from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
 from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
 from .formats import atomic_write, load_pgm, save_csv, save_pbm, save_pgm
-from .model import ModelConfig, forward, load_checkpoint, save_checkpoint, train_model
+from .model import (ModelConfig, TrainingConfig, forward, load_checkpoint, save_checkpoint,
+                    train_model)
 from .pruning import K_MODES
 from .schema import from_json, read_json
 from .skeleton import compile_joint_mask, default_skeleton, load_skeleton
 
 DECODERS = ("refined", "argmax")
-
-
-@dataclass
-class TrainingConfig:
-    steps: int = 200
-    batch_size: int = 8
-    learning_rate: float = 1e-3
-    seed: int = 0
-    target_sigma: float = 1.5
-
-    def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {self.steps} "
-                              f"and {self.batch_size}")
 
 
 @dataclass
@@ -231,18 +218,17 @@ def cmd_train(args) -> int:
     train_samples = _split(run, "train")
     if not train_samples:
         raise AnnotationError("training dataset is empty")
-    cfg, tr = run.model, run.training
+    cfg = run.model
     with atomic_write(out_dir / "log.jsonl") as log:
         def log_step(step, loss, seconds):
             log.write(json.dumps({"step": step, "loss": loss, "wall_ms": 1000.0 * seconds,
                                   "config_digest": digest}) + "\n")
 
-        params, _ = train_model(train_samples, cfg, joint_mask, tr.steps, tr.batch_size,
-                                tr.learning_rate, tr.seed, tr.target_sigma, log_fn=log_step)
+        params, _ = train_model(train_samples, cfg, joint_mask, run.training, log_fn=log_step)
     save_checkpoint(out_dir / "checkpoint", params, cfg, extra={"config_digest": digest})
     _, diag = forward(train_samples[0][0], params, cfg, joint_mask)
     _write_json(out_dir / "sparsity.json", diag.sparsity.to_json_dict(), digest)
-    print(f"trained {tr.steps} steps; checkpoint at {out_dir / 'checkpoint'}")
+    print(f"trained {run.training.steps} steps; checkpoint at {out_dir / 'checkpoint'}")
     return 0
 
 
@@ -316,13 +302,8 @@ def cmd_sweep(args) -> int:
     train_samples, test_samples = _split(run, "train"), _split(run, "test")
     if not test_samples:
         raise AnnotationError("sweep needs a non-empty test split")
-    tr = run.training
-    rows = ablation_sweep(
-        args.keep_ratios, run.model, train_samples, test_samples, tr.steps,
-        batch_size=tr.batch_size, learning_rate=tr.learning_rate, seed=tr.seed,
-        skeleton=skeleton, target_sigma=tr.target_sigma,
-        refine=run.decoder == "refined",
-    )
+    rows = ablation_sweep(args.keep_ratios, run.model, train_samples, test_samples,
+                          run.training, skeleton=skeleton, refine=run.decoder == "refined")
     table = f"# config {digest}\n" + sweep_table(rows, skeleton.names)
     with atomic_write(out_dir / "sweep.txt") as fh:
         fh.write(table)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import forward, train_model
+from .model import TrainingConfig, forward, train_model
 from .skeleton import compile_joint_mask, default_skeleton
 from .tensor import finite_checks_enabled, set_finite_checks
 
@@ -144,23 +144,23 @@ class SweepRow:
 
 
 def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
-                   train_budget: int, batch_size: int = 8, learning_rate: float = 1e-3,
-                   seed: int = 0, skeleton=None, alphas=DEFAULT_ALPHAS,
-                   target_sigma: float = 1.5, refine: bool = True):
+                   training: TrainingConfig, skeleton=None, alphas=DEFAULT_ALPHAS,
+                   refine: bool = True):
     """Train one identically-seeded model per keep ratio and score each.
 
     Mirrors the keep-ratio ablation protocol: same data, same budget, same
-    seed; only the prune schedule's keep ratio changes.
+    seed; only the prune schedule's keep ratio changes.  ``train_model``
+    reads all of ``training``: steps, batch_size, learning_rate, seed and
+    target_sigma.
     """
     skeleton = skeleton or default_skeleton()
     joint_mask = compile_joint_mask(skeleton)
     rows = []
     for keep_ratio in keep_ratios:
         config = base_config.with_keep_ratio(float(keep_ratio))
-        params, _ = train_model(train_samples, config, joint_mask, train_budget,
-                                batch_size, learning_rate, seed, target_sigma)
+        params, _ = train_model(train_samples, config, joint_mask, training)
         report = evaluate_model(params, config, joint_mask, test_samples, alphas, refine)
-        image, _ = test_samples[0] if test_samples else train_samples[0]
+        image, _ = test_samples[0]
         _, diag = forward(image, params, config, joint_mask)
         rows.append(SweepRow(float(keep_ratio), report, diag.sparsity))
     return rows

@@ -56,7 +56,7 @@ def save_tensor(path, array) -> None:
     The payload is copied only when the array is not already C-ordered
     little-endian float64; the bytes on disk are the same either way.
     """
-    arr = np.ascontiguousarray(getattr(array, "data", array), dtype="<f8")
+    arr = np.ascontiguousarray(array, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
@@ -99,14 +99,10 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_csv(path, array, comment: str | None = None) -> None:
-    """Row-major CSV; rank > 2 flattens trailing axes into columns."""
+    """Row-major CSV of a 2-D array, one line per row."""
     arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    else:
-        arr = arr.reshape(arr.shape[0], -1)
+    if arr.ndim != 2:
+        raise ValueError(f"CSV expects a 2-D array, got shape {arr.shape}")
     lines = []
     if comment:
         lines.append(f"# {comment}")
@@ -117,7 +113,7 @@ def save_csv(path, array, comment: str | None = None) -> None:
 
 
 def save_pbm(path, bits, comment: str | None = None) -> None:
-    arr = np.asarray(getattr(bits, "bits", bits), dtype=np.uint8)
+    arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"PBM expects a 2-D bit matrix, got shape {arr.shape}")
     h, w = arr.shape

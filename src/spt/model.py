@@ -71,8 +71,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> "ModelConfig":
-        if self.downsample < 1:
-            raise ConfigError(f"downsample must be >= 1, got {self.downsample}")
+        """ConfigError unless every setting is in range.  Each integer field is
+        an extent or a count, so it must be at least 1."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
         if self.image_h % self.downsample or self.image_w % self.downsample:
             raise ConfigError(
                 f"downsample {self.downsample} does not divide image "
@@ -91,9 +95,6 @@ class ModelConfig:
             raise ConfigError(f"pos_encoding must be one of {POSITIONAL_MODES}")
         if self.pos_encoding == "sinusoidal" and self.embed_dim % 4:
             raise ConfigError("sinusoidal positional encoding needs embed_dim % 4 == 0")
-        if min(self.joint_count, self.heatmap_h, self.heatmap_w, self.channels,
-               self.encoder_layers, self.graph_layers, self.mlp_ratio) < 1:
-            raise ConfigError("counts and extents must be positive")
         if self.schedule.update_layers and self.schedule.update_layers[-1] > self.encoder_layers:
             raise ConfigError(
                 f"update layers {self.schedule.update_layers} exceed "
@@ -177,7 +178,8 @@ def parameter_layout(config: ModelConfig) -> list:
 
 @dataclass
 class PoseModelParams:
-    """All trainable tensors.  Weights and keypoint tokens start from N(0, 0.02^2)."""
+    """All trainable tensors.  Weights and keypoint tokens start from
+    N(0, INIT_STD^2), with ``attention.INIT_STD`` = 0.02."""
 
     patch_projection: Tensor
     positional_encoding: Tensor
@@ -465,29 +467,45 @@ def train_step(batch, params: PoseModelParams, config: ModelConfig, skeleton_mas
     return total * weight
 
 
+@dataclass
+class TrainingConfig:
+    steps: int = 200
+    batch_size: int = 8
+    learning_rate: float = 1e-3
+    seed: int = 0
+    target_sigma: float = 1.5
+
+    def __post_init__(self):
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {self.steps} "
+                              f"and {self.batch_size}")
+
+
 def train_model(train_samples, config: ModelConfig, skeleton_mask: AttentionMask,
-                steps: int, batch_size: int, learning_rate: float, seed: int,
-                target_sigma: float = 1.5, log_fn=None):
+                training: TrainingConfig, log_fn=None):
     """Train from scratch on (image, Annotation) pairs; returns (params, losses).
 
+    Reads every field of ``training``: ``steps`` steps of ``batch_size``
+    samples under Adam at ``learning_rate``, parameters drawn from
+    ``seed``, and targets rendered with Gaussian width ``target_sigma``.
     Batches cycle through the dataset in order, so runs are a pure function
     of (seed, data, budget).  ``log_fn(step, loss, seconds)``, if given, is
     called after every step with that step's wall time.
     """
-    params = PoseModelParams.init(config, seed=seed)
-    optimizer = AdamState(lr=learning_rate)
+    params = PoseModelParams.init(config, seed=training.seed)
+    optimizer = AdamState(lr=training.learning_rate)
     prepared = [
         (image,
          render_target_heatmaps(ann, config.heatmap_h, config.heatmap_w,
-                                target_sigma, config.image_h, config.image_w),
+                                training.target_sigma, config.image_h, config.image_w),
          ann.visibility)
         for image, ann in train_samples
     ]
     losses = []
     cursor = 0
-    for step in range(steps):
+    for step in range(training.steps):
         batch = []
-        for _ in range(batch_size):
+        for _ in range(training.batch_size):
             batch.append(prepared[cursor])
             cursor = (cursor + 1) % len(prepared)
         started = time.monotonic()
@@ -587,9 +605,8 @@ def load_checkpoint(directory):
             raise CheckpointError(
                 f"{directory}: parameter {name} has shape {arr.shape}, expected {shape}"
             )
-        # NaN propagates through min and max, which allocate no mask; an
-        # empty tensor (embed_dim 0) has neither and nothing to check.
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        # NaN propagates through min and max, which allocate no mask.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise CheckpointError(f"{directory}: parameter {name} holds non-finite values")
         arrays[name] = arr
     return PoseModelParams.from_arrays(config, arrays), config, manifest

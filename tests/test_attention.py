@@ -478,3 +478,8 @@ class TestEncoderBlock:
         for mask in (AttentionMask.ones(3, 4), AttentionMask.ones(4, 3)):
             with pytest.raises(ConfigError):
                 encoder_block(x, mask, params, heads=2)
+
+    def test_zero_heads_is_a_shape_error(self):
+        params = make_params(4)
+        with pytest.raises(ShapeError):
+            encoder_block(Tensor(np.zeros((3, 4))), AttentionMask.ones(3), params, heads=0)

@@ -14,7 +14,8 @@ from spt.cli import RunConfig, build_parser, main
 from spt.data import SyntheticSceneConfig, generate_sample, generate_synthetic
 from spt.errors import SptError
 from spt.formats import load_pgm, save_pgm
-from spt.model import ModelConfig, PoseModelParams, forward, load_checkpoint, train_model
+from spt.model import (ModelConfig, PoseModelParams, TrainingConfig, forward,
+                       load_checkpoint, train_model)
 from spt.skeleton import compile_joint_mask, default_skeleton, save_skeleton
 
 
@@ -185,11 +186,10 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--steps", "4"]) == 0
         doc = json.loads(cfg.read_text())
         train = generate_synthetic(scene_of(cfg), 9)[:6]
-        tr = doc["training"]
         params, losses = train_model(
             train, ModelConfig.from_json_dict(doc["model"]),
-            compile_joint_mask(default_skeleton()), 4, tr["batch_size"],
-            tr["learning_rate"], tr["seed"], tr["target_sigma"],
+            compile_joint_mask(default_skeleton()),
+            TrainingConfig(**{**doc["training"], "steps": 4}),
         )
         cli_params, _, _ = load_checkpoint(tmp_path / "out" / "checkpoint")
         for (name, a), (_, b) in zip(cli_params.named_parameters(),
@@ -454,12 +454,15 @@ def assign(doc, path, value):
     doc[key] = value
 
 
-def run_value(path, value):
-    """A train run whose config has ``value`` at the dotted key ``path``."""
+def run_value(path, value, **model):
+    """A train run whose config has ``value`` at the dotted key ``path``, and each
+    ``model`` keyword's value at that key of the model block."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         doc = json.loads(cfg.read_text())
         assign(doc, path, value)
+        for key, model_value in model.items():
+            assign(doc, f"model.{key}", model_value)
         cfg.write_text(json.dumps(doc))
         return ["train", "--config", str(cfg)]
     return setup
@@ -605,6 +608,9 @@ MALFORMED = [
     ("pgm_wrong_size", image_file(shape=(32, 12)), 3),
     ("model_value_string", run_value("model.embed_dim", "16"), 2),
     ("model_float_for_int", run_value("model.heads", 2.0), 2),
+    ("model_heads_zero", run_value("model.heads", 0), 2),
+    ("model_embed_dim_zero", run_value("model.embed_dim", 0, heads=1), 2),
+    ("model_patch_h_zero", run_value("model.patch_h", 0), 2),
     ("model_not_object", run_value("model", []), 2),
     ("schedule_not_object", run_value("model.schedule", 5), 2),
     ("unknown_schedule_key", run_value("model.schedule.keepratio", 0.3), 2),
@@ -669,3 +675,13 @@ class TestErrors:
         with pytest.raises(SptError):
             args.fn(args)
         assert main(argv) == code
+
+    @pytest.mark.parametrize("name, setup", [
+        ("heads", run_value("model.heads", 0)),
+        ("embed_dim", run_value("model.embed_dim", 0, heads=1)),
+        ("patch_h", run_value("model.patch_h", 0)),
+    ])
+    def test_degenerate_model_extent_error_names_the_field(self, tmp_path, capsys,
+                                                           name, setup):
+        assert main(setup(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: run.model: {name} must be >= 1, got 0\n"

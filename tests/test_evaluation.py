@@ -11,7 +11,7 @@ from spt.errors import ConfigError
 from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
                             evaluate_model, pckh, report_table, sweep_table,
                             sweep_table_from_pairs)
-from spt.model import ModelConfig, PoseModelParams, forward
+from spt.model import ModelConfig, PoseModelParams, TrainingConfig, forward
 from spt.pruning import PruneSchedule
 from spt.skeleton import compile_joint_mask, default_skeleton
 
@@ -177,7 +177,7 @@ class TestSweep:
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 6)
         rows = ablation_sweep([0.5, 1.0], cfg, samples[:4], samples[4:],
-                              train_budget=0, seed=7)
+                              TrainingConfig(steps=0, seed=7))
         assert [r.keep_ratio for r in rows] == [0.5, 1.0]
         a, b = rows[0].report, rows[1].report
         for alpha in a.per_joint:
@@ -189,7 +189,7 @@ class TestSweep:
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 6)
         rows = ablation_sweep([1.0], cfg, samples[:4], samples[4:],
-                              train_budget=0, seed=9)
+                              TrainingConfig(steps=0, seed=9))
         assert len(rows) == 1
         params = PoseModelParams.init(cfg, seed=9)
         joint_mask = compile_joint_mask(default_skeleton())
@@ -205,7 +205,7 @@ class TestSweep:
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 4)
         rows = ablation_sweep([0.6, 1.0], cfg, samples[:2], samples[2:],
-                              train_budget=0, seed=3)
+                              TrainingConfig(steps=0, seed=3))
         names = default_skeleton().names
         table = sweep_table(rows, names)
         lines = table.strip().splitlines()

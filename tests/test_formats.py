@@ -165,6 +165,13 @@ class TestCsv:
         assert lines[2] == "3,4,5"
 
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 1)])
+    def test_only_a_matrix_is_written(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            save_csv(tmp_path / "m.csv", np.zeros(shape))
+        assert not list(tmp_path.iterdir())
+
+
 class TestPnm:
     def test_pgm_round_trip_quantized(self, tmp_path):
         rng = np.random.default_rng(1)

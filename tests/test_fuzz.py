@@ -5,17 +5,25 @@ reads it.  The run must end cleanly (the flip left a valid file: a digit,
 a name character, a comment byte) or in a typed ``SptError`` with the exit
 code documented for that kind of file, never in a traceback or another
 exit code.  A flip in an SPT1 header always leaves an invalid file.
+
+Every integer field of every config dataclass is also loaded at 0 and at
+-1: the result is a config or a ``ConfigError``, never another exception.
 """
 
 import json
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from spt.cli import build_parser, main
+from spt.cli import DataConfig, build_parser, main
 from spt.data import SyntheticSceneConfig, generate_synthetic, save_annotations
-from spt.errors import AnnotationError, CheckpointError, FormatError, SkeletonError, SptError
+from spt.errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
+                        SkeletonError, SptError)
 from spt.formats import save_pgm
+from spt.model import ModelConfig, TrainingConfig
+from spt.schema import from_json
 from spt.skeleton import default_skeleton, save_skeleton
 
 from test_cli import write_run_config
@@ -101,3 +109,20 @@ def test_bit_flips_end_cleanly_or_in_the_documented_error(inputs, kind):
         assert failed == FLIPS
     else:
         assert failed >= FLIPS // 2
+
+
+# (config class, integer field, value) for each config dataclass the run config holds.
+LOW_INTEGERS = [(cls, f.name, value)
+                for cls in (ModelConfig, TrainingConfig, DataConfig, SyntheticSceneConfig)
+                for f in fields(cls) if get_type_hints(cls)[f.name] is int
+                for value in (0, -1)]
+
+
+@pytest.mark.parametrize("cls, name, value", LOW_INTEGERS,
+                         ids=[f"{cls.__name__}.{name}={value}"
+                              for cls, name, value in LOW_INTEGERS])
+def test_low_integer_fields_load_or_raise_config_error(cls, name, value):
+    try:
+        from_json(cls, {**asdict(cls()), name: value}, "config")
+    except ConfigError:
+        pass

@@ -1,6 +1,8 @@
 """Model assembly: patchify, forward, loss, training step, checkpoints."""
 
 import tracemalloc
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -76,6 +78,13 @@ class TestConfig:
         pooled = 256 // 4
         assert cfg.num_patches == (pooled // 4) * (pooled // 4)
         assert cfg.patch_dim == 3 * 4 * 4
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)
+                                      if get_type_hints(ModelConfig)[f.name] is int])
+    def test_every_integer_field_below_one_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= 1, got {value}$"):
+            ModelConfig(**{name: value})
 
     def test_json_round_trip(self):
         cfg = tiny_config(schedule=PruneSchedule(update_layers=(1, 2), keep_ratio=0.3))
