@@ -134,12 +134,10 @@ def masked_self_attention(x: Tensor, mask: AttentionMask, params: AttentionLayer
     ``tensor.multi_head_attention`` and the output projection; the kernel
     gives the same bits as the composed chain of ``project_qkv``,
     ``scale``, ``matmul``, ``rowwise_masked_softmax`` and ``matmul``.
-    A projection or head count that does not fit the width of ``x`` raises
-    ``ShapeError`` from ``matmul`` or the kernel.
+    A projection or head count that does not fit the width of ``x``, or a
+    mask that does not fit its tokens, raises ``ShapeError`` from
+    ``matmul`` or the kernel.
     """
-    n = x.shape[0]
-    if mask.cols != n or mask.rows > n:
-        raise ConfigError(f"mask shape {mask.bits.shape} does not match {n} tokens")
     packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
     merged, probs = T.multi_head_attention(packed, mask, heads)
     out = T.matmul(merged, params.output_projection)

@@ -41,7 +41,7 @@ from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_tabl
 from .formats import atomic_write, load_pgm, save_csv, save_pbm, save_pgm
 from .model import (ModelConfig, TrainingConfig, forward, load_checkpoint, save_checkpoint,
                     train_model)
-from .pruning import K_MODES
+from .pruning import K_MODES, sparsity_report
 from .schema import from_json, read_json
 from .skeleton import compile_joint_mask, default_skeleton, load_skeleton
 
@@ -226,8 +226,7 @@ def cmd_train(args) -> int:
 
         params, _ = train_model(train_samples, cfg, joint_mask, run.training, log_fn=log_step)
     save_checkpoint(out_dir / "checkpoint", params, cfg, extra={"config_digest": digest})
-    _, diag = forward(train_samples[0][0], params, cfg, joint_mask)
-    _write_json(out_dir / "sparsity.json", diag.sparsity.to_json_dict(), digest)
+    _write_json(out_dir / "sparsity.json", sparsity_report(cfg).to_json_dict(), digest)
     print(f"trained {run.training.steps} steps; checkpoint at {out_dir / 'checkpoint'}")
     return 0
 
@@ -308,10 +307,10 @@ def cmd_sweep(args) -> int:
     with atomic_write(out_dir / "sweep.txt") as fh:
         fh.write(table)
     _write_json(out_dir / "sweep.json", {"rows": [{
-        "keep_ratio": row.keep_ratio,
-        "report": row.report.to_json_dict(),
-        "sparsity": row.sparsity.to_json_dict(),
-    } for row in rows]}, digest)
+        "keep_ratio": ratio,
+        "report": report.to_json_dict(),
+        "sparsity": sparsity_report(run.model.with_keep_ratio(ratio)).to_json_dict(),
+    } for ratio, report in rows]}, digest)
     print(table, end="")
     return 0
 

@@ -195,8 +195,8 @@ def render_target_heatmaps(ann: Annotation, heatmap_h: int, heatmap_w: int,
     Joint coordinates are scaled by (heatmap extent / image extent);
     invisible joints yield all-zero maps.
     """
-    if sigma <= 0:
-        raise ConfigError(f"target sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"target sigma must be finite and > 0, got {sigma}")
     j = ann.joint_count
     out = np.zeros((j, heatmap_h, heatmap_w), dtype=np.float64)
     yy, xx = np.mgrid[0:heatmap_h, 0:heatmap_w]

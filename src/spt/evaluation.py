@@ -10,6 +10,7 @@ debugging.  Training lives in ``model.train_model``; the sweep only calls it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -90,8 +91,8 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
     if not annotations:
         raise ConfigError("cannot evaluate an empty dataset")
     alphas = tuple(float(a) for a in alphas)
-    if any(a <= 0 for a in alphas):
-        raise ConfigError(f"thresholds must be > 0: {alphas}")
+    if not all(0 < a < math.inf for a in alphas):
+        raise ConfigError(f"thresholds must be finite and > 0: {alphas}")
     if len(set(alphas)) != len(alphas):
         raise ConfigError(f"thresholds must be distinct: {alphas}")
     j = annotations[0].joint_count
@@ -136,13 +137,6 @@ def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS
     return pckh(preds, [ann for _, ann in samples], alphas)
 
 
-@dataclass
-class SweepRow:
-    keep_ratio: float
-    report: PckhReport
-    sparsity: object
-
-
 def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
                    training: TrainingConfig, skeleton=None, alphas=DEFAULT_ALPHAS,
                    refine: bool = True):
@@ -151,18 +145,17 @@ def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
     Mirrors the keep-ratio ablation protocol: same data, same budget, same
     seed; only the prune schedule's keep ratio changes.  ``train_model``
     reads all of ``training``: steps, batch_size, learning_rate, seed and
-    target_sigma.
+    target_sigma.  Returns one ``(keep_ratio, PckhReport)`` pair per ratio;
+    a ratio's sparsity is ``sparsity_report(base_config.with_keep_ratio(ratio))``.
     """
     skeleton = skeleton or default_skeleton()
     joint_mask = compile_joint_mask(skeleton)
     rows = []
-    for keep_ratio in keep_ratios:
-        config = base_config.with_keep_ratio(float(keep_ratio))
+    for keep_ratio in map(float, keep_ratios):
+        config = base_config.with_keep_ratio(keep_ratio)
         params, _ = train_model(train_samples, config, joint_mask, training)
-        report = evaluate_model(params, config, joint_mask, test_samples, alphas, refine)
-        image, _ = test_samples[0]
-        _, diag = forward(image, params, config, joint_mask)
-        rows.append(SweepRow(float(keep_ratio), report, diag.sparsity))
+        rows.append((keep_ratio, evaluate_model(params, config, joint_mask, test_samples,
+                                                alphas, refine)))
     return rows
 
 
@@ -177,7 +170,7 @@ def report_table(report: PckhReport, joint_names, label: str = "model") -> str:
 
 def sweep_table(rows, joint_names) -> str:
     return sweep_table_from_pairs(
-        [(f"akr={row.keep_ratio:.2f}", row.report) for row in rows], joint_names
+        [(f"akr={ratio:.2f}", report) for ratio, report in rows], joint_names
     )
 
 

@@ -79,9 +79,6 @@ class AttentionMask:
         cols = rows if cols is None else cols
         return cls(np.ones((rows, cols), dtype=np.uint8))
 
-    def copy(self) -> "AttentionMask":
-        return AttentionMask(self.bits)
-
     def density(self) -> float:
         return float(self.bits.sum()) / self.bits.size
 

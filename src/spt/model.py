@@ -37,7 +37,7 @@ from .data import render_target_heatmaps
 from .errors import CheckpointError, ConfigError, FormatError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
 from .masks import AttentionMask
-from .pruning import MaskState, PruneSchedule, apply_prune_schedule, sparsity_report
+from .pruning import MaskState, PruneSchedule, SparsityStats, apply_prune_schedule, sparsity_report
 from .rng import SplitMix64
 from .schema import from_json, read_json
 from .tensor import ComputationTape, Tensor
@@ -244,7 +244,7 @@ class Diagnostics:
     """Per-forward bookkeeping: mask evolution, sparsity, optional attention."""
 
     mask_state: MaskState
-    sparsity: object
+    sparsity: SparsityStats
     records: list | None = None  # encoder then graph head-average arrays, if retained
 
 
@@ -330,7 +330,7 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
 
     diagnostics = Diagnostics(
         mask_state=state,
-        sparsity=sparsity_report(state, config),
+        sparsity=sparsity_report(config),
         records=records,
     )
     return heatmaps, diagnostics
@@ -479,6 +479,10 @@ class TrainingConfig:
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {self.steps} "
                               f"and {self.batch_size}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 < self.target_sigma < math.inf:
+            raise ConfigError(f"target_sigma must be finite and > 0, got {self.target_sigma}")
 
 
 def train_model(train_samples, config: ModelConfig, skeleton_mask: AttentionMask,

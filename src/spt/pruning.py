@@ -2,19 +2,19 @@
 
 The mask over visual tokens starts all-ones and shrinks monotonically: at
 each scheduled layer the head-averaged attention map elects, per row, the
-K strongest of the currently kept columns.  K is a fraction of the row's
-*current* support (K = max(1, round(keep_ratio * support))), so successive
-updates keep cutting; the alternative fraction-of-N reading is available
-as ``k_mode="total"`` for comparison.  A mask produced at layer u takes
+K strongest of the currently kept columns.  K (``PruneSchedule.row_k``)
+is a fraction of the row's *current* support, so successive updates keep
+cutting; the alternative fraction-of-N reading is available as
+``k_mode="total"`` for comparison.  K rounds half away from zero, because
+it is sensitive to rounding at small N.  A mask produced at layer u takes
 effect from layer u+1 onward; layer u itself runs under the previous mask.
 
-round() here is half-away-from-zero, because K is sensitive to rounding
-at small N and Python's bankers rounding would be surprising.
+Every update keeps exactly K columns in every row, and K depends only on
+N and the schedule, so ``sparsity_report`` predicts the stats from them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,8 +25,9 @@ from .masks import AttentionMask
 K_MODES = ("support", "total")
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_up(x):
+    """floor(x + 0.5) as int64, elementwise: halves round up, not to even."""
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,13 @@ class PruneSchedule:
             raise ConfigError(f"keep ratio must be in (0, 1], got {self.keep_ratio}")
         if self.k_mode not in K_MODES:
             raise ConfigError(f"k_mode must be one of {K_MODES}, got {self.k_mode!r}")
+
+    def row_k(self, support, n: int):
+        """K for a row that keeps ``support`` of ``n`` columns, elementwise:
+        ``keep_ratio`` times the support (``"support"`` mode) or times N
+        (``"total"``), rounded half up and clamped to [1, support]."""
+        basis = support if self.k_mode == "support" else n
+        return np.minimum(support, np.maximum(1, round_half_up(self.keep_ratio * basis)))
 
 
 @dataclass
@@ -88,11 +96,7 @@ def topk_row_mask(scores, prev: AttentionMask, schedule: PruneSchedule) -> Atten
         raise ConfigError(f"attention shape {scores.shape} does not match mask {n}x{prev.cols}")
     if not np.isfinite(scores).all():
         raise ConfigError("attention scores must be finite")
-    support = prev.row_support
-    basis = support if schedule.k_mode == "support" else prev.cols
-    # round_half_up, elementwise: floor(x + 0.5) in float64.
-    k = np.minimum(support, np.maximum(
-        1, np.floor(schedule.keep_ratio * basis + 0.5).astype(np.int64)))
+    k = schedule.row_k(prev.row_support, prev.cols)
     # Dropped columns score -inf, so they rank last.  A row keeps every
     # column at or above its K-th largest score.  A row where that is more
     # than K (a tie at the K-th score) keeps every column above it, then
@@ -135,11 +139,12 @@ def apply_prune_schedule(layer_index: int, head_average, state: MaskState,
 
 @dataclass
 class SparsityStats:
-    """Attention-stage sparsity accounting for one forward pass.
+    """Attention-stage sparsity of a model config, predicted from N and the schedule.
 
-    ``mac_ratio`` is the predicted multiply-accumulate count of the two
-    N x N attention products (QK^T and AV) across all encoder layers,
-    relative to dense, which is also the layer-weighted mask density.
+    ``per_stage_density`` is the visual-block mask density after each
+    update.  ``mac_ratio`` is the predicted multiply-accumulate count of
+    the two N x N attention products (QK^T and AV) across all encoder
+    layers, relative to dense, which is also the layer-weighted mask density.
     """
 
     stages: int
@@ -150,25 +155,22 @@ class SparsityStats:
         return asdict(self)
 
 
-def sparsity_report(state: MaskState, config) -> SparsityStats:
-    """Densities per stage and predicted attention MACs versus the dense baseline."""
+def sparsity_report(config) -> SparsityStats:
+    """Densities per stage and predicted attention MACs versus the dense baseline.
+
+    Every top-K update keeps exactly ``schedule.row_k`` columns in each row
+    and the first mask is dense, so the masks of any forward under
+    ``config`` have these densities; no forward is needed.
+    """
     n = config.num_patches
-    layers = config.encoder_layers
     schedule = config.schedule
-    cell_count = float(n) * float(n)
-    live_after_stage = [int(m.row_support.sum()) for m in state.masks]
-    stage_density = [live / cell_count for live in live_after_stage[1:]]
-
-    per_layer_live = []
-    for layer in range(1, layers + 1):
-        stage = min(sum(1 for u in schedule.update_layers if u < layer), state.stage)
-        per_layer_live.append(live_after_stage[stage])
-
-    dense_per_layer = 2 * n * n * config.embed_dim
-    mac_dense = dense_per_layer * layers
-    mac_masked = sum(2 * live * config.embed_dim for live in per_layer_live)
+    row_kept = [n]
+    for _ in schedule.update_layers:
+        row_kept.append(int(schedule.row_k(row_kept[-1], n)))
+    layers = range(1, config.encoder_layers + 1)
+    layer_kept = [row_kept[sum(u < layer for u in schedule.update_layers)] for layer in layers]
     return SparsityStats(
-        stages=state.stage,
-        per_stage_density=stage_density,
-        mac_ratio=mac_masked / mac_dense,
+        stages=len(schedule.update_layers),
+        per_stage_density=[k / n for k in row_kept[1:]],
+        mac_ratio=sum(layer_kept) / (n * len(layers)),
     )

@@ -9,7 +9,7 @@ import pytest
 import spt.tensor as T
 from spt.attention import (AttentionLayerParams, encoder_block,
                            masked_self_attention, project_qkv)
-from spt.errors import ConfigError, ShapeError
+from spt.errors import ShapeError
 from spt.masks import AttentionMask
 from spt.rng import SplitMix64
 from spt.tensor import Tensor
@@ -476,7 +476,7 @@ class TestEncoderBlock:
         params = make_params(4)
         x = Tensor(np.zeros((3, 4)))
         for mask in (AttentionMask.ones(3, 4), AttentionMask.ones(4, 3)):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ShapeError):
                 encoder_block(x, mask, params, heads=2)
 
     def test_zero_heads_is_a_shape_error(self):

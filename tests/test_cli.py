@@ -16,6 +16,7 @@ from spt.errors import SptError
 from spt.formats import load_pgm, save_pgm
 from spt.model import (ModelConfig, PoseModelParams, TrainingConfig, forward,
                        load_checkpoint, train_model)
+from spt.pruning import sparsity_report
 from spt.skeleton import compile_joint_mask, default_skeleton, save_skeleton
 
 
@@ -204,6 +205,16 @@ class TestTrain:
         doc = json.loads((tmp_path / "out" / "sparsity.json").read_text())
         assert doc["stages"] == 2
         assert "config_digest" in doc
+
+    def test_sparsity_is_predicted_without_a_forward(self, tmp_path, monkeypatch):
+        cfg = write_run_config(tmp_path)
+        forwards = spy(monkeypatch, "forward")
+        assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
+        assert forwards == []
+        doc = json.loads((tmp_path / "out" / "sparsity.json").read_text())
+        config = RunConfig.from_json_dict(json.loads(cfg.read_text())).model
+        assert doc == {**sparsity_report(config).to_json_dict(),
+                       "config_digest": doc["config_digest"]}
 
 
 class TestEval:
@@ -627,6 +638,12 @@ MALFORMED = [
     ("unknown_synthetic_key", run_value("data.synthetic.blur", 1), 2),
     ("synthetic_value_string", run_value("data.synthetic.jitter", "3"), 2),
     ("negative_training_steps", run_value("training.steps", -1), 2),
+    ("learning_rate_nan", run_value("training.learning_rate", math.nan), 2),
+    ("learning_rate_infinite", run_value("training.learning_rate", math.inf), 2),
+    ("learning_rate_negative", run_value("training.learning_rate", -1e-3), 2),
+    ("target_sigma_nan", run_value("training.target_sigma", math.nan), 2),
+    ("target_sigma_infinite", run_value("training.target_sigma", math.inf), 2),
+    ("target_sigma_zero", run_value("training.target_sigma", 0.0), 2),
     ("negative_train_count", run_value("data.train_count", -1), 2),
     ("negative_test_count", run_value("data.test_count", -1), 2),
     ("negative_gen_data_count", gen_data("--count", "-3"), 2),
@@ -653,6 +670,8 @@ MALFORMED = [
     ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
     ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),
     ("eval_thresholds_repeated", eval_flags("--thresholds", "0.5", "0.5"), 2),
+    ("eval_threshold_nan", eval_flags("--thresholds", "nan"), 2),
+    ("eval_threshold_infinite", eval_flags("--thresholds", "0.5", "inf"), 2),
 ]
 
 

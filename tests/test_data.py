@@ -195,6 +195,11 @@ class TestTargetHeatmaps:
         with pytest.raises(ConfigError):
             render_target_heatmaps(self.ann([[1.0, 1.0]]), 8, 8, 0.0, 16, 16)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="finite"):
+            render_target_heatmaps(self.ann([[1.0, 1.0]]), 8, 8, sigma, 16, 16)
+
 
 class TestAnnotationIo:
     def test_round_trip_identity(self, tmp_path):

@@ -1,5 +1,7 @@
 """Heatmap decoding, PCKh scoring, and the keep-ratio sweep protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
                             evaluate_model, pckh, report_table, sweep_table,
                             sweep_table_from_pairs)
 from spt.model import ModelConfig, PoseModelParams, TrainingConfig, forward
-from spt.pruning import PruneSchedule
+from spt.pruning import PruneSchedule, sparsity_report
 from spt.skeleton import compile_joint_mask, default_skeleton
 
 
@@ -160,6 +162,14 @@ class TestPckh:
         with pytest.raises(ConfigError, match="distinct"):
             pckh([np.array([[0.0, 0.0]])], [ann], alphas=(0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_threshold_rejected(self, bad):
+        # NaN would head a Mean@nan column and write bare NaN into
+        # report.json; inf would count every visible joint as correct.
+        ann = make_ann([[0.0, 0.0]])
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            pckh([np.array([[0.0, 0.0]])], [ann], alphas=(0.5, bad))
+
 
 def sweep_fixture_config():
     return ModelConfig(
@@ -178,8 +188,8 @@ class TestSweep:
         samples = generate_synthetic(scene, 6)
         rows = ablation_sweep([0.5, 1.0], cfg, samples[:4], samples[4:],
                               TrainingConfig(steps=0, seed=7))
-        assert [r.keep_ratio for r in rows] == [0.5, 1.0]
-        a, b = rows[0].report, rows[1].report
+        assert [ratio for ratio, _ in rows] == [0.5, 1.0]
+        (_, a), (_, b) = rows
         for alpha in a.per_joint:
             assert np.array_equal(a.per_joint[alpha], b.per_joint[alpha])
 
@@ -190,14 +200,26 @@ class TestSweep:
         samples = generate_synthetic(scene, 6)
         rows = ablation_sweep([1.0], cfg, samples[:4], samples[4:],
                               TrainingConfig(steps=0, seed=9))
-        assert len(rows) == 1
+        [(ratio, report)] = rows
+        assert ratio == 1.0
         params = PoseModelParams.init(cfg, seed=9)
         joint_mask = compile_joint_mask(default_skeleton())
         direct = evaluate_model(params, cfg, joint_mask, samples[4:])
         for alpha in direct.per_joint:
-            assert np.array_equal(rows[0].report.per_joint[alpha],
-                                  direct.per_joint[alpha])
-        assert rows[0].sparsity.mac_ratio == 1.0
+            assert np.array_equal(report.per_joint[alpha], direct.per_joint[alpha])
+        assert sparsity_report(cfg).mac_ratio == 1.0
+
+    def test_one_forward_per_ratio_and_test_sample(self, monkeypatch):
+        # Sparsity follows from the config, so the sweep runs no forward of
+        # its own beyond evaluation.
+        real, calls = spt.evaluation.forward, []
+        monkeypatch.setattr(spt.evaluation, "forward",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        scene = SyntheticSceneConfig(seed=3, image_h=32, image_w=32)
+        samples = generate_synthetic(scene, 5)
+        ablation_sweep([0.5, 1.0], sweep_fixture_config(), samples[:2], samples[2:],
+                       TrainingConfig(steps=0))
+        assert len(calls) == 2 * 3
 
     def test_table_layout(self):
         cfg = sweep_fixture_config()

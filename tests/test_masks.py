@@ -6,7 +6,7 @@ import pytest
 from spt.errors import ConfigError, ShapeError, SptError
 from spt.masks import AttentionMask
 
-from mask_helpers import identity_mask, same_bits
+from mask_helpers import identity_mask
 
 
 class TestConstruction:
@@ -37,12 +37,6 @@ class TestFrozenBits:
         bits[0, :] = 0
         assert mask.bits.tolist() == [[1, 1, 1], [1, 1, 1]]
         assert bits.flags.writeable
-
-    def test_copy_is_equal_and_frozen(self):
-        mask = AttentionMask(np.tril(np.ones((4, 4), dtype=np.uint8)))
-        twin = mask.copy()
-        assert same_bits(twin, mask) and twin.bits is not mask.bits
-        assert not twin.bits.flags.writeable
 
 
 class TestDerived:

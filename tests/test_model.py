@@ -1,5 +1,6 @@
 """Model assembly: patchify, forward, loss, training step, checkpoints."""
 
+import math
 import tracemalloc
 from dataclasses import fields
 from typing import get_type_hints
@@ -13,7 +14,7 @@ from spt.attention import encoder_block
 from spt.errors import CheckpointError, ConfigError, NonFiniteLossError
 from spt.formats import save_tensor
 from spt.masks import AttentionMask
-from spt.model import (AdamState, ModelConfig, PoseModelParams, forward,
+from spt.model import (AdamState, ModelConfig, PoseModelParams, TrainingConfig, forward,
                        full_token_mask, load_checkpoint, loss_mse,
                        patchify_embed, save_checkpoint, train_step)
 from spt.pruning import PruneSchedule
@@ -49,6 +50,20 @@ def chain_skeleton(j):
 
 def dense_joint_mask(j):
     return AttentionMask.ones(j)
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1e-3),
+        ("target_sigma", math.nan), ("target_sigma", math.inf), ("target_sigma", 0.0),
+        ("target_sigma", -1.0),
+    ])
+    def test_out_of_range_value_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            TrainingConfig(**{name: value})
+
+    def test_zero_learning_rate_is_allowed(self):
+        assert TrainingConfig(learning_rate=0.0).learning_rate == 0.0
 
 
 class TestConfig:

@@ -5,8 +5,8 @@ import pytest
 
 from spt.errors import ConfigError
 from spt.masks import AttentionMask
-from spt.model import ModelConfig
-from spt.pruning import (MaskState, PruneSchedule, apply_prune_schedule,
+from spt.model import ModelConfig, PoseModelParams, forward
+from spt.pruning import (K_MODES, MaskState, PruneSchedule, apply_prune_schedule,
                          round_half_up, sparsity_report, topk_row_mask)
 
 from mask_helpers import same_bits
@@ -140,7 +140,7 @@ class TestTopkRowMask:
         attn = rng.uniform(size=(7, 7))
         prev = AttentionMask.ones(7)
         a = topk_row_mask(attn, prev, PruneSchedule(keep_ratio=0.37))
-        b = topk_row_mask(attn.copy(), prev.copy(), PruneSchedule(keep_ratio=0.37))
+        b = topk_row_mask(attn.copy(), prev, PruneSchedule(keep_ratio=0.37))
         assert same_bits(a, b)
 
     def test_keep_ratio_out_of_range(self):
@@ -184,7 +184,7 @@ class TestSchedule:
 
     def test_non_update_layer_leaves_state_alone(self):
         state = MaskState.dense(5)
-        before = state.current.copy()
+        before = state.current
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.5)
         apply_prune_schedule(2, None, state, schedule)
         assert state.stage == 0
@@ -221,12 +221,12 @@ class TestSchedule:
         n = 30
         state = MaskState.dense(n)
         schedule = PruneSchedule(update_layers=(1, 2, 3), keep_ratio=0.7)
-        previous = state.current.copy()
+        previous = state.current
         for layer in (1, 2, 3):
             apply_prune_schedule(layer, rng.uniform(size=(n, n)),
                                  state, schedule)
             assert ((state.current.bits == 1) <= (previous.bits == 1)).all()
-            previous = state.current.copy()
+            previous = state.current
 
     def test_keypoint_offset_restricts_to_visual_block(self):
         rng = np.random.default_rng(8)
@@ -250,45 +250,55 @@ class TestSparsityStats:
 
     def test_keep_all_reports_dense(self):
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=1.0)
-        config = self.config(10, 12, schedule)
-        state = MaskState.dense(100)
-        rng = np.random.default_rng(9)
-        for layer in (3, 6, 9):
-            apply_prune_schedule(layer, rng.uniform(size=(100, 100)),
-                                 state, schedule)
-        stats = sparsity_report(state, config)
+        stats = sparsity_report(self.config(10, 12, schedule))
         assert stats.per_stage_density == [1.0, 1.0, 1.0]
         assert stats.mac_ratio == 1.0
 
     def test_exact_halving(self):
         schedule = PruneSchedule(update_layers=(1,), keep_ratio=0.5)
-        config = self.config(4, 2, schedule)  # N = 16, even
-        state = MaskState.dense(16)
-        rng = np.random.default_rng(10)
-        apply_prune_schedule(1, rng.uniform(size=(16, 16)), state, schedule)
-        stats = sparsity_report(state, config)
+        stats = sparsity_report(self.config(4, 2, schedule))  # N = 16, even
         assert stats.per_stage_density == [0.5]
 
     def test_layer_weighted_density_reference_case(self):
         # N=100, keep 0.6, updates at 3/6/9 over 12 layers:
         # (3*1.0 + 3*0.60 + 3*0.36 + 3*0.22) / 12 = 0.545
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
-        config = self.config(10, 12, schedule)
-        state = MaskState.dense(100)
-        rng = np.random.default_rng(11)
-        for layer in (3, 6, 9):
-            apply_prune_schedule(layer, rng.uniform(size=(100, 100)),
-                                 state, schedule)
-        stats = sparsity_report(state, config)
+        stats = sparsity_report(self.config(10, 12, schedule))
         expected = (3 * 1.0 + 3 * 0.60 + 3 * 0.36 + 3 * 0.22) / 12
         assert abs(stats.mac_ratio - expected) <= 1e-12
 
     def test_json_fields(self):
         schedule = PruneSchedule(update_layers=(1,), keep_ratio=0.5)
-        config = self.config(4, 2, schedule)
-        state = MaskState.dense(16)
-        rng = np.random.default_rng(12)
-        apply_prune_schedule(1, rng.uniform(size=(16, 16)), state, schedule)
-        doc = sparsity_report(state, config).to_json_dict()
+        doc = sparsity_report(self.config(4, 2, schedule)).to_json_dict()
         assert sorted(doc) == ["mac_ratio", "per_stage_density", "stages"]
         assert doc["stages"] == 1
+
+    @pytest.mark.parametrize("k_mode", K_MODES)
+    @pytest.mark.parametrize("keep_ratio", [1.0, 0.6, 0.37, 0.1, 0.01])
+    def test_prediction_matches_the_masks_of_a_forward(self, keep_ratio, k_mode):
+        for update_layers in [(), (1,), (4,), (2, 4), (1, 2, 3), (1, 2, 3, 4)]:
+            config = ModelConfig(
+                image_h=8, image_w=8, channels=1, downsample=1, patch_h=1, patch_w=1,
+                embed_dim=8, heads=2, encoder_layers=4, graph_layers=1, joint_count=4,
+                heatmap_h=2, heatmap_w=2, mlp_ratio=1,
+                schedule=PruneSchedule(update_layers, keep_ratio, k_mode),
+            )
+            params = PoseModelParams.init(config, seed=len(update_layers))
+            predicted = sparsity_report(config).to_json_dict()
+            for seed in (1, 2):
+                image = np.random.default_rng(seed).uniform(size=(8, 8))
+                _, diag = forward(image, params, config, AttentionMask.ones(4))
+                assert diag.sparsity.to_json_dict() == predicted
+                assert measured_sparsity(diag.mask_state, config) == predicted
+
+
+def measured_sparsity(state, config):
+    """The stats counted from the stage masks of one forward, as a JSON dict."""
+    n, layers = config.num_patches, config.encoder_layers
+    live = [int(mask.row_support.sum()) for mask in state.masks]
+    per_layer = [live[sum(u < layer for u in config.schedule.update_layers)]
+                 for layer in range(1, layers + 1)]
+    return {"stages": state.stage,
+            "per_stage_density": [cells / (float(n) * float(n)) for cells in live[1:]],
+            "mac_ratio": sum(2 * cells * config.embed_dim for cells in per_layer)
+            / (2 * n * n * config.embed_dim * layers)}
