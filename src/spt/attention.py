@@ -80,13 +80,6 @@ class AttentionLayerParams:
             ("mlp_b2", (d,), "zeros"),
         ]
 
-    @classmethod
-    def init(cls, embed_dim: int, mlp_ratio: int, rng: SplitMix64) -> "AttentionLayerParams":
-        return cls(**{
-            name: Tensor(initial_array(fill, shape, rng), requires_grad=True)
-            for name, shape, fill in cls.layout(embed_dim, mlp_ratio)
-        })
-
     def named(self, prefix: str):
         for f in fields(self):
             yield f"{prefix}.{f.name}", getattr(self, f.name)

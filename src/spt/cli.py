@@ -18,7 +18,8 @@ Each command takes only the flags it reads:
 schedule from the run config they write: the checkpoint's trained schedule
 with ``--akr`` and ``--k-mode`` applied.  Their ``--config`` is optional.
 
-Exit codes: 0 success, 2 config/usage error, 3 data validation error,
+Exit codes: 0 success, 1 any other ``SptError`` (such as a ``ShapeError``
+from a library call), 2 config/usage error, 3 data validation error,
 4 non-finite loss, 5 I/O error, 6 checkpoint incompatibility.
 """
 
@@ -37,7 +38,7 @@ from .data import (Annotation, SyntheticSceneConfig, generate_sample, load_annot
                    save_annotations)
 from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, SkeletonError, SptError)
-from .evaluation import ablation_sweep, evaluate_model, report_table, sweep_table
+from .evaluation import ablation_sweep, evaluate_model, pckh_table
 from .formats import atomic_write, load_pgm, save_csv, save_pbm, save_pgm
 from .model import (ModelConfig, TrainingConfig, forward, load_checkpoint, save_checkpoint,
                     train_model)
@@ -83,10 +84,6 @@ class RunConfig:
         """The ``data`` block, checked; ``data`` itself stays as written."""
         return from_json(DataConfig, self.data, "data")
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RunConfig":
-        return from_json(cls, doc, "run")
-
     def digest(self) -> str:
         # output_dir is where results land, not what they are; exclude it so
         # the same run written elsewhere hashes identically.
@@ -101,7 +98,7 @@ def load_run_config(path) -> RunConfig:
     doc = read_json(path)
     has_digest = isinstance(doc, dict) and "config_digest" in doc
     recorded = doc.pop("config_digest") if has_digest else None
-    run = RunConfig.from_json_dict(doc)
+    run = from_json(RunConfig, doc, "run")
     if has_digest and recorded != run.digest():
         raise ConfigError(f"{path}: config_digest does not match; the file was edited "
                           "after it was written")
@@ -187,8 +184,6 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
 
 
 def cmd_gen_data(args) -> int:
-    if args.count is not None and args.count < 0:
-        raise ConfigError(f"--count must be >= 0, got {args.count}")
     run = _apply_overrides(load_run_config(args.config), args)
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
@@ -216,8 +211,6 @@ def cmd_train(args) -> int:
     digest = _write_run_config(run, out_dir)
     joint_mask = compile_joint_mask(_skeleton(run))
     train_samples = _split(run, "train")
-    if not train_samples:
-        raise AnnotationError("training dataset is empty")
     cfg = run.model
     with atomic_write(out_dir / "log.jsonl") as log:
         def log_step(step, loss, seconds):
@@ -255,7 +248,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
     _write_json(out_dir / "report.json", report.to_json_dict(), digest)
-    table = f"# config {digest}\n" + report_table(report, skeleton.names, label="checkpoint")
+    table = f"# config {digest}\n" + pckh_table([("checkpoint", report)], skeleton.names)
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(table)
     print(table, end="")
@@ -284,12 +277,13 @@ def cmd_masks(args) -> int:
         peak_range = maps[j].max() - maps[j].min()
         normalized = (maps[j] - maps[j].min()) / (peak_range if peak_range > 0 else 1.0)
         save_pgm(out_dir / f"heatmap_{j:02d}.pgm", normalized, comment=comment)
+    history = diag.mask_state.history
     _write_json(out_dir / "masks_meta.json", {
-        "stages": diag.mask_state.stage,
-        "stage_row_support": [h.tolist() for h in diag.mask_state.history],
+        "stages": len(history),
+        "stage_row_support": [h.tolist() for h in history],
         "sparsity": diag.sparsity.to_json_dict(),
     }, digest)
-    print(f"wrote {diag.mask_state.stage} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
+    print(f"wrote {len(history)} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
     return 0
 
 
@@ -301,9 +295,11 @@ def cmd_sweep(args) -> int:
     train_samples, test_samples = _split(run, "train"), _split(run, "test")
     if not test_samples:
         raise AnnotationError("sweep needs a non-empty test split")
-    rows = ablation_sweep(args.keep_ratios, run.model, train_samples, test_samples,
-                          run.training, skeleton=skeleton, refine=run.decoder == "refined")
-    table = f"# config {digest}\n" + sweep_table(rows, skeleton.names)
+    rows = ablation_sweep(args.keep_ratios, run.model, compile_joint_mask(skeleton),
+                          train_samples, test_samples, run.training,
+                          refine=run.decoder == "refined")
+    table = f"# config {digest}\n" + pckh_table(
+        [(f"akr={ratio:.2f}", report) for ratio, report in rows], skeleton.names)
     with atomic_write(out_dir / "sweep.txt") as fh:
         fh.write(table)
     _write_json(out_dir / "sweep.json", {"rows": [{

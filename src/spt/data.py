@@ -199,13 +199,10 @@ def render_target_heatmaps(ann: Annotation, heatmap_h: int, heatmap_w: int,
         raise ConfigError(f"target sigma must be finite and > 0, got {sigma}")
     j = ann.joint_count
     out = np.zeros((j, heatmap_h, heatmap_w), dtype=np.float64)
-    yy, xx = np.mgrid[0:heatmap_h, 0:heatmap_w]
     sx, sy = heatmap_w / image_w, heatmap_h / image_h
     for idx in range(j):
-        if not ann.visibility[idx]:
-            continue
-        cx, cy = ann.joints[idx, 0] * sx, ann.joints[idx, 1] * sy
-        out[idx] = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma * sigma))
+        if ann.visibility[idx]:
+            render_joint_blob(out[idx], ann.joints[idx, 0] * sx, ann.joints[idx, 1] * sy, sigma)
     return out
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import TrainingConfig, forward, train_model
-from .skeleton import compile_joint_mask, default_skeleton
-from .tensor import finite_checks_enabled, set_finite_checks
+from .tensor import finite_checks, finite_checks_enabled
 
 DEFAULT_ALPHAS = (0.5, 0.1)
 
@@ -82,6 +81,17 @@ class PckhReport:
         }
 
 
+def _checked_thresholds(alphas) -> tuple:
+    """``alphas`` as a tuple of floats; ConfigError unless each is finite and
+    > 0 and no two are equal."""
+    alphas = tuple(float(a) for a in alphas)
+    if not all(0 < a < math.inf for a in alphas):
+        raise ConfigError(f"thresholds must be finite and > 0: {alphas}")
+    if len(set(alphas)) != len(alphas):
+        raise ConfigError(f"thresholds must be distinct: {alphas}")
+    return alphas
+
+
 def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
     """Head-normalized correct-keypoint rates at each threshold."""
     if len(predictions) != len(annotations):
@@ -90,11 +100,7 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
         )
     if not annotations:
         raise ConfigError("cannot evaluate an empty dataset")
-    alphas = tuple(float(a) for a in alphas)
-    if not all(0 < a < math.inf for a in alphas):
-        raise ConfigError(f"thresholds must be finite and > 0: {alphas}")
-    if len(set(alphas)) != len(alphas):
-        raise ConfigError(f"thresholds must be distinct: {alphas}")
+    alphas = _checked_thresholds(alphas)
     j = annotations[0].joint_count
     visible = np.zeros(j, dtype=np.int64)
     correct = {a: np.zeros(j, dtype=np.int64) for a in alphas}
@@ -119,43 +125,47 @@ def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS
                    refine: bool = True, workers: int = 1) -> PckhReport:
     """Forward + decode every (image, Annotation) sample, then score PCKh.
 
-    ``workers`` > 1 opts into thread-parallel evaluation; the dataset and
-    parameters are shared read-only, and every worker thread runs under the
-    caller's NaN/Inf guard setting.
+    The thresholds are checked before the first forward.  ``workers`` > 1
+    opts into thread-parallel evaluation; the dataset and parameters are
+    shared read-only, and every sample runs under the caller's NaN/Inf
+    guard setting.
     """
+    alphas = _checked_thresholds(alphas)
+    guard = finite_checks_enabled()
+
     def predict(sample):
         image, _ = sample
-        heatmaps, _ = forward(image, params, config, skeleton_mask)
+        with finite_checks(guard):
+            heatmaps, _ = forward(image, params, config, skeleton_mask)
         return decode_heatmaps(heatmaps, config.image_h, config.image_w, refine)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers, initializer=set_finite_checks,
-                                initargs=(finite_checks_enabled(),)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             preds = list(pool.map(predict, samples))
     else:
         preds = [predict(s) for s in samples]
     return pckh(preds, [ann for _, ann in samples], alphas)
 
 
-def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
-                   training: TrainingConfig, skeleton=None, alphas=DEFAULT_ALPHAS,
-                   refine: bool = True):
+def ablation_sweep(keep_ratios, base_config, skeleton_mask, train_samples, test_samples,
+                   training: TrainingConfig, refine: bool = True):
     """Train one identically-seeded model per keep ratio and score each.
 
     Mirrors the keep-ratio ablation protocol: same data, same budget, same
-    seed; only the prune schedule's keep ratio changes.  ``train_model``
-    reads all of ``training``: steps, batch_size, learning_rate, seed and
-    target_sigma.  Returns one ``(keep_ratio, PckhReport)`` pair per ratio;
-    a ratio's sparsity is ``sparsity_report(base_config.with_keep_ratio(ratio))``.
+    seed; only the prune schedule's keep ratio changes.  Every ratio's
+    config is built, and so checked, before any model trains.
+    ``train_model`` reads all of ``training``: steps, batch_size,
+    learning_rate, seed and target_sigma.  Returns one
+    ``(keep_ratio, PckhReport)`` pair per ratio, scored at the default
+    thresholds; a ratio's sparsity is
+    ``sparsity_report(base_config.with_keep_ratio(ratio))``.
     """
-    skeleton = skeleton or default_skeleton()
-    joint_mask = compile_joint_mask(skeleton)
+    configs = [(ratio, base_config.with_keep_ratio(ratio)) for ratio in map(float, keep_ratios)]
     rows = []
-    for keep_ratio in map(float, keep_ratios):
-        config = base_config.with_keep_ratio(keep_ratio)
-        params, _ = train_model(train_samples, config, joint_mask, training)
-        rows.append((keep_ratio, evaluate_model(params, config, joint_mask, test_samples,
-                                                alphas, refine)))
+    for keep_ratio, config in configs:
+        params, _ = train_model(train_samples, config, skeleton_mask, training)
+        rows.append((keep_ratio, evaluate_model(params, config, skeleton_mask, test_samples,
+                                                refine=refine)))
     return rows
 
 
@@ -164,21 +174,11 @@ def ablation_sweep(keep_ratios, base_config, train_samples, test_samples,
 # ---------------------------------------------------------------------------
 
 
-def report_table(report: PckhReport, joint_names, label: str = "model") -> str:
-    return sweep_table_from_pairs([(label, report)], joint_names)
-
-
-def sweep_table(rows, joint_names) -> str:
-    return sweep_table_from_pairs(
-        [(f"akr={ratio:.2f}", report) for ratio, report in rows], joint_names
-    )
-
-
-def sweep_table_from_pairs(labeled_reports, joint_names) -> str:
-    """Aligned table: one row per entry, per-joint rates in percent and
-    their mean at alpha=0.5 (at the reports' first threshold without 0.5),
-    headed ``Mean@<alpha>``, then a Mean@0.1 column.  All rows must use
-    one threshold, so the header names it for each of them."""
+def pckh_table(labeled_reports, joint_names) -> str:
+    """Aligned table: one row per (label, PckhReport) pair, per-joint rates
+    in percent and their mean at alpha=0.5 (at the reports' first threshold
+    without 0.5), headed ``Mean@<alpha>``, then a Mean@0.1 column.  All rows
+    must use one threshold, so the header names it for each of them."""
     thresholds = {0.5 if 0.5 in report.per_joint else report.alphas[0]
                   for _, report in labeled_reports}
     if len(thresholds) != 1:

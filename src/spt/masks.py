@@ -40,21 +40,10 @@ class AttentionMask:
             raise DegenerateMaskRowError(
                 f"mask rows {dead.tolist()} have no admissible positions"
             )
-        self._set(arr, support)
-
-    @classmethod
-    def _trusted(cls, bits: np.ndarray) -> "AttentionMask":
-        # Fast path for masks built by code that guarantees the invariants
-        # and hands over an array nothing else writes.
-        obj = cls.__new__(cls)
-        obj._set(bits, bits.sum(axis=1, dtype=np.int64))
-        return obj
-
-    def _set(self, bits: np.ndarray, support: np.ndarray) -> None:
-        bits.flags.writeable = False
-        self.bits = bits
+        arr.flags.writeable = False
+        self.bits = arr
         self.row_support = support
-        self.all_ones = bool((support == bits.shape[1]).all())
+        self.all_ones = bool((support == arr.shape[1]).all())
         self._gate_bias = None
 
     def gate_bias(self):

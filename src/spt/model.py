@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionLayerParams, encoder_block, initial_array
 from .data import render_target_heatmaps
-from .errors import CheckpointError, ConfigError, FormatError, NonFiniteLossError
+from .errors import AnnotationError, CheckpointError, ConfigError, FormatError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
 from .masks import AttentionMask
 from .pruning import MaskState, PruneSchedule, SparsityStats, apply_prune_schedule, sparsity_report
@@ -128,10 +128,6 @@ class ModelConfig:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        return from_json(cls, doc, "model")
 
     def with_keep_ratio(self, keep_ratio: float) -> "ModelConfig":
         return replace(self, schedule=replace(self.schedule, keep_ratio=keep_ratio))
@@ -354,14 +350,16 @@ def loss_mse(pred: Tensor, target, visibility) -> Tensor:
     return T.scale(T.sum_all(masked_sq), 1.0 / (visible * pred.shape[1] * pred.shape[2]))
 
 
+ADAM_BETA1 = 0.9  # decay of the first-moment average
+ADAM_BETA2 = 0.999  # decay of the second-moment average
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state; hyperparameters ride along."""
+    """Adaptive-moment optimizer state at learning rate ``lr``."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -372,12 +370,13 @@ class AdamState:
         The moments ``m`` and ``v`` are updated in place, through two scratch
         arrays per parameter, in the operation order of
         ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-        ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, so they get the same
-        bits.  ``p.data`` becomes a fresh array.
+        ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, with b1, b2 and eps the
+        ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
+        a fresh array and ``p.grad`` is cleared.
         """
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in params.named_parameters():
             grad = p.grad if p.grad is not None else np.zeros(p.shape)
             m = self.m.get(name)
@@ -386,21 +385,21 @@ class AdamState:
                 v = self.v[name] = np.zeros(p.shape)
             else:
                 v = self.v[name]
-            buf = np.multiply(1.0 - self.beta1, grad)
-            m *= self.beta1
+            buf = np.multiply(1.0 - ADAM_BETA1, grad)
+            m *= ADAM_BETA1
             m += buf
-            np.multiply(1.0 - self.beta2, grad, out=buf)
+            np.multiply(1.0 - ADAM_BETA2, grad, out=buf)
             buf *= grad
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += buf
             denom = np.divide(v, bc2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             np.divide(m, bc1, out=buf)
             buf *= self.lr
             buf /= denom
             p.data = p.data - buf
-            p.zero_grad()
+            p.grad = None
 
 
 def _sample_backward(sample, index: int, weight: float, params: PoseModelParams,
@@ -494,8 +493,11 @@ def train_model(train_samples, config: ModelConfig, skeleton_mask: AttentionMask
     ``seed``, and targets rendered with Gaussian width ``target_sigma``.
     Batches cycle through the dataset in order, so runs are a pure function
     of (seed, data, budget).  ``log_fn(step, loss, seconds)``, if given, is
-    called after every step with that step's wall time.
+    called after every step with that step's wall time.  An empty
+    ``train_samples`` raises ``AnnotationError`` before any work.
     """
+    if not train_samples:
+        raise AnnotationError("training dataset is empty")
     params = PoseModelParams.init(config, seed=training.seed)
     optimizer = AdamState(lr=training.learning_rate)
     prepared = [

@@ -73,10 +73,6 @@ class MaskState:
         return self.masks[-1]
 
     @property
-    def stage(self) -> int:
-        return len(self.masks) - 1
-
-    @property
     def history(self) -> list:
         """Row-support vector of each stage after the dense one."""
         return [m.row_support for m in self.masks[1:]]
@@ -113,7 +109,7 @@ def topk_row_mask(scores, prev: AttentionMask, schedule: PruneSchedule) -> Atten
         room = k - above.sum(axis=1)
         keep[tied_rows] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
                                            <= room[:, None]))
-    return AttentionMask._trusted(keep.view(np.uint8))
+    return AttentionMask(keep)
 
 
 def apply_prune_schedule(layer_index: int, head_average, state: MaskState,

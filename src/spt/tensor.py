@@ -66,12 +66,7 @@ _GELU_A = 0.044715
 _EXP_SAFE = 512.0
 _ROW_SUM_FLOOR = 2.0 ** -600
 
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle this thread's per-op NaN/Inf guard; returns the previous setting."""
-    previous = _tls.finite_checks
-    _tls.finite_checks = bool(enabled)
-    return previous
+_LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 def finite_checks_enabled() -> bool:
@@ -81,11 +76,13 @@ def finite_checks_enabled() -> bool:
 
 @contextmanager
 def finite_checks(enabled: bool):
-    previous = set_finite_checks(enabled)
+    """Set this thread's per-op NaN/Inf guard for the block, then restore it."""
+    previous = _tls.finite_checks
+    _tls.finite_checks = bool(enabled)
     try:
         yield
     finally:
-        set_finite_checks(previous)
+        _tls.finite_checks = previous
 
 
 class _Node:
@@ -111,9 +108,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -212,7 +206,7 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
     ``loss`` must be a scalar produced under ``tape``.  Gradients add to
-    any earlier ``.grad``; call ``zero_grad`` between steps.
+    any earlier ``.grad``; set each leaf's ``.grad`` to None between steps.
 
     The tape is consumed: each record is popped as it is replayed, so its
     closure and the arrays it keeps are freed before the next one runs.
@@ -509,7 +503,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _finish(out_data, keys, pullback)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -517,7 +511,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = centered * inv
     gain_data = gain.data
     out_data = xhat * gain_data + bias.data

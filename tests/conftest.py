@@ -1,11 +1,10 @@
 import pytest
 
-from spt.tensor import set_finite_checks
+from spt.tensor import finite_checks
 
 
 @pytest.fixture(autouse=True)
 def finite_guard():
     """Run every test with the per-op NaN/Inf guard enabled."""
-    previous = set_finite_checks(True)
-    yield
-    set_finite_checks(previous)
+    with finite_checks(True):
+        yield

@@ -14,7 +14,7 @@ def finite_difference_check(build_loss, tensors, h=1e-5, rtol=1e-4, atol=1e-8,
     a seeded random subset of coordinates is probed per tensor.
     """
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with ComputationTape() as tape:
         loss = build_loss()
     backward(loss, tape)

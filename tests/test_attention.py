@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spt.tensor as T
-from spt.attention import (AttentionLayerParams, encoder_block,
+from spt.attention import (AttentionLayerParams, encoder_block, initial_array,
                            masked_self_attention, project_qkv)
 from spt.errors import ShapeError
 from spt.masks import AttentionMask
@@ -20,7 +20,12 @@ from mask_helpers import identity_mask
 
 
 def make_params(d, mlp_ratio=2, seed=0):
-    return AttentionLayerParams.init(d, mlp_ratio, SplitMix64(seed))
+    """One block's weights, drawn from one SplitMix64(seed) stream in layout order."""
+    rng = SplitMix64(seed)
+    return AttentionLayerParams(**{
+        name: Tensor(initial_array(fill, shape, rng), requires_grad=True)
+        for name, shape, fill in AttentionLayerParams.layout(d, mlp_ratio)
+    })
 
 
 class TestProjectQkv:

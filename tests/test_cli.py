@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spt.cli
+import spt.evaluation
 from spt.cli import RunConfig, build_parser, main
 from spt.data import SyntheticSceneConfig, generate_sample, generate_synthetic
 from spt.errors import SptError
@@ -17,6 +18,7 @@ from spt.formats import load_pgm, save_pgm
 from spt.model import (ModelConfig, PoseModelParams, TrainingConfig, forward,
                        load_checkpoint, train_model)
 from spt.pruning import sparsity_report
+from spt.schema import from_json
 from spt.skeleton import compile_joint_mask, default_skeleton, save_skeleton
 
 
@@ -55,14 +57,14 @@ def scene_of(cfg):
     return SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16, **synthetic)
 
 
-def spy(monkeypatch, name):
-    """Calls of ``spt.cli.<name>`` as (args, kwargs), passed on to the real function."""
-    real, calls = getattr(spt.cli, name), []
+def spy(monkeypatch, name, owner=spt.cli):
+    """Calls of ``owner.<name>`` as (args, kwargs), passed on to the real function."""
+    real, calls = getattr(owner, name), []
 
     def wrapper(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
-    monkeypatch.setattr(spt.cli, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -188,7 +190,7 @@ class TestTrain:
         doc = json.loads(cfg.read_text())
         train = generate_synthetic(scene_of(cfg), 9)[:6]
         params, losses = train_model(
-            train, ModelConfig.from_json_dict(doc["model"]),
+            train, from_json(ModelConfig, doc["model"], "model"),
             compile_joint_mask(default_skeleton()),
             TrainingConfig(**{**doc["training"], "steps": 4}),
         )
@@ -212,7 +214,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
         assert forwards == []
         doc = json.loads((tmp_path / "out" / "sparsity.json").read_text())
-        config = RunConfig.from_json_dict(json.loads(cfg.read_text())).model
+        config = from_json(RunConfig, json.loads(cfg.read_text()), "run").model
         assert doc == {**sparsity_report(config).to_json_dict(),
                        "config_digest": doc["config_digest"]}
 
@@ -312,6 +314,7 @@ class TestSweep:
         assert lines[0].startswith("# config ")
         assert len(lines) == 4  # digest + header + 2 ratios
         doc = json.loads(first_json)
+        assert [line.split()[0] for line in lines[2:]] == ["akr=0.50", "akr=1.00"]
         assert [row["keep_ratio"] for row in doc["rows"]] == [0.5, 1.0]
         assert all("sparsity" in row for row in doc["rows"])
 
@@ -365,7 +368,7 @@ class TestCommandsRunWhatTheyRecord:
             calls = spy(monkeypatch, fn)
             assert main(argv + flags + ["--out", str(out)]) == 0
             recorded = json.loads((out / "run_config.json").read_text())["model"]
-            schedule = ModelConfig.from_json_dict(recorded).schedule
+            schedule = from_json(ModelConfig, recorded, "model").schedule
             assert (schedule.keep_ratio, schedule.k_mode) == (0.3, "total")
             assert [args[position].schedule for args, _ in calls] == [schedule], fn
             monkeypatch.undo()
@@ -447,13 +450,13 @@ class TestRunConfig:
 
     def test_digest_known_answers(self, tmp_path):
         doc = json.loads(write_run_config(tmp_path).read_text())
-        assert RunConfig.from_json_dict(doc).digest() == \
+        assert from_json(RunConfig, doc, "run").digest() == \
             "5c653a0049503e6f58a726b315d9a4caac0acdbe46df25028716e50588b570ce"
         assert RunConfig().digest() == \
             "cd7ad8278f2c9b6f840fe7a5b13627965e51a8f7b0c73b29ff8c6905c2bce7b1"
 
     def test_int_in_float_field_is_stored_as_float(self):
-        run = RunConfig.from_json_dict({"training": {"learning_rate": 1}})
+        run = from_json(RunConfig, {"training": {"learning_rate": 1}}, "run")
         assert type(run.training.learning_rate) is float
 
 
@@ -566,6 +569,11 @@ def replaced(path, value):
     return edit
 
 
+def swept(setup, *flags):
+    """The train run ``setup`` gives, as a sweep with ``flags``."""
+    return lambda tmp_path: ["sweep", *setup(tmp_path)[1:], *flags]
+
+
 def gen_data(*flags):
     """A gen-data run on the tests' run config with ``flags`` added."""
     def setup(tmp_path):
@@ -647,6 +655,7 @@ MALFORMED = [
     ("negative_train_count", run_value("data.train_count", -1), 2),
     ("negative_test_count", run_value("data.test_count", -1), 2),
     ("negative_gen_data_count", gen_data("--count", "-3"), 2),
+    ("sweep_empty_train_split", swept(run_value("data.train_count", 0), "--akr", "0.6"), 3),
     ("run_config_edited_after_writing", edited_run_config(replaced("training.steps", 1)), 2),
     ("run_config_digest_null", edited_run_config(replaced("config_digest", None)), 2),
     ("skeleton_pair_string", skeleton_file(replaced("edges", [["a", 1]])), 3),
@@ -704,3 +713,17 @@ class TestErrors:
                                                            name, setup):
         assert main(setup(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: run.model: {name} must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("thresholds", [["nan"], ["0"], ["0.5", "0.5"]])
+    def test_eval_checks_thresholds_before_any_forward(self, tmp_path, monkeypatch,
+                                                       thresholds):
+        argv = eval_flags("--thresholds", *thresholds)(tmp_path)
+        forwards = spy(monkeypatch, "forward", owner=spt.evaluation)
+        assert main(argv) == 2
+        assert forwards == []
+
+    def test_sweep_checks_every_ratio_before_training(self, tmp_path, monkeypatch):
+        trainings = spy(monkeypatch, "train_model", owner=spt.evaluation)
+        assert main(["sweep", "--config", str(write_run_config(tmp_path)),
+                     "--akr", "0.6", "0"]) == 2
+        assert trainings == []

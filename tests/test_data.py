@@ -99,6 +99,24 @@ class TestSceneKnownAnswers:
         assert ann.image_ref == (seed, index)
 
 
+class TestTargetKnownAnswers:
+    """Pin render_target_heatmaps' bytes for two (scene, heatmap, sigma) settings."""
+
+    @pytest.mark.parametrize("seed, index, image, grid, sigma, hidden, sha", [
+        (5, 2, 256, 64, 1.5, 7,
+         "4c69b56e738eb8dbb9d6b2e9a46ad55ad707bae6b8435a872ec96ad2bfd0227f"),
+        (11, 0, 32, 8, 1.2, None,
+         "d94ec655796bc2c110b6ce15bcd7379f990fc82e5462993b74cd28b9eefa03e0"),
+    ])
+    def test_target_digests(self, seed, index, image, grid, sigma, hidden, sha):
+        _, ann = generate_sample(scene(seed=seed, image_h=image, image_w=image), index)
+        if hidden is not None:
+            ann.visibility[hidden] = False
+        maps = render_target_heatmaps(ann, grid, grid, sigma, image, image)
+        assert maps.shape == (16, grid, grid)
+        assert sha256_f8(maps) == sha
+
+
 def whole_canvas_blob(canvas, x, y, sigma, peak):
     """Reference: the blob formula evaluated on every pixel of the canvas."""
     h, w = canvas.shape

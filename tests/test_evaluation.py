@@ -11,8 +11,7 @@ from spt.data import Annotation, SyntheticSceneConfig, generate_synthetic, \
     render_target_heatmaps
 from spt.errors import ConfigError
 from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
-                            evaluate_model, pckh, report_table, sweep_table,
-                            sweep_table_from_pairs)
+                            evaluate_model, pckh, pckh_table)
 from spt.model import ModelConfig, PoseModelParams, TrainingConfig, forward
 from spt.pruning import PruneSchedule, sparsity_report
 from spt.skeleton import compile_joint_mask, default_skeleton
@@ -171,6 +170,9 @@ class TestPckh:
             pckh([np.array([[0.0, 0.0]])], [ann], alphas=(0.5, bad))
 
 
+JOINT_MASK = compile_joint_mask(default_skeleton())
+
+
 def sweep_fixture_config():
     return ModelConfig(
         image_h=32, image_w=32, channels=1, downsample=1, patch_h=8, patch_w=8,
@@ -186,7 +188,7 @@ class TestSweep:
         scene = SyntheticSceneConfig(seed=0, image_h=32, image_w=32, jitter=3.0,
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 6)
-        rows = ablation_sweep([0.5, 1.0], cfg, samples[:4], samples[4:],
+        rows = ablation_sweep([0.5, 1.0], cfg, JOINT_MASK, samples[:4], samples[4:],
                               TrainingConfig(steps=0, seed=7))
         assert [ratio for ratio, _ in rows] == [0.5, 1.0]
         (_, a), (_, b) = rows
@@ -198,7 +200,7 @@ class TestSweep:
         scene = SyntheticSceneConfig(seed=1, image_h=32, image_w=32, jitter=3.0,
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 6)
-        rows = ablation_sweep([1.0], cfg, samples[:4], samples[4:],
+        rows = ablation_sweep([1.0], cfg, JOINT_MASK, samples[:4], samples[4:],
                               TrainingConfig(steps=0, seed=9))
         [(ratio, report)] = rows
         assert ratio == 1.0
@@ -217,8 +219,8 @@ class TestSweep:
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         scene = SyntheticSceneConfig(seed=3, image_h=32, image_w=32)
         samples = generate_synthetic(scene, 5)
-        ablation_sweep([0.5, 1.0], sweep_fixture_config(), samples[:2], samples[2:],
-                       TrainingConfig(steps=0))
+        ablation_sweep([0.5, 1.0], sweep_fixture_config(), JOINT_MASK, samples[:2],
+                       samples[2:], TrainingConfig(steps=0))
         assert len(calls) == 2 * 3
 
     def test_table_layout(self):
@@ -226,10 +228,10 @@ class TestSweep:
         scene = SyntheticSceneConfig(seed=2, image_h=32, image_w=32, jitter=3.0,
                                      blob_sigma=1.2)
         samples = generate_synthetic(scene, 4)
-        rows = ablation_sweep([0.6, 1.0], cfg, samples[:2], samples[2:],
+        rows = ablation_sweep([0.6, 1.0], cfg, JOINT_MASK, samples[:2], samples[2:],
                               TrainingConfig(steps=0, seed=3))
         names = default_skeleton().names
-        table = sweep_table(rows, names)
+        table = pckh_table([(f"akr={ratio:.2f}", report) for ratio, report in rows], names)
         lines = table.strip().splitlines()
         assert len(lines) == 3  # header + one row per ratio
         header = lines[0].split()
@@ -249,7 +251,7 @@ class TestSweep:
         # correct from alpha 0.25 on.
         ann = make_ann([[0.0, 0.0], [10.0, 10.0]], head_size=4.0)
         report = pckh([np.array([[0.0, 0.0], [10.0, 11.0]])], [ann], alphas)
-        row = report_table(report, ["a", "b"]).splitlines()[1].split()
+        row = pckh_table([("model", report)], ["a", "b"]).splitlines()[1].split()
         assert row == ["model"] + cells
 
     @pytest.mark.parametrize("alphas, mean", [((0.2, 0.3), "Mean@0.2"),
@@ -258,14 +260,14 @@ class TestSweep:
     def test_mean_column_names_its_threshold(self, alphas, mean):
         ann = make_ann([[0.0, 0.0]])
         report = pckh([np.array([[0.0, 0.0]])], [ann], alphas)
-        header = report_table(report, ["a"]).splitlines()[0].split()
+        header = pckh_table([("model", report)], ["a"]).splitlines()[0].split()
         assert header == ["method", "a", mean, "Mean@0.1"]
 
     def test_rows_at_different_thresholds_rejected(self):
         ann = make_ann([[0.0, 0.0]])
         reports = [pckh([np.array([[0.0, 0.0]])], [ann], alphas) for alphas in ((0.5,), (0.2,))]
         with pytest.raises(ConfigError, match="one threshold"):
-            sweep_table_from_pairs(list(zip("ab", reports)), ["j"])
+            pckh_table(list(zip("ab", reports)), ["j"])
 
 
 class TestEvaluateModel:

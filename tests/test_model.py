@@ -14,17 +14,20 @@ from spt.attention import encoder_block
 from spt.errors import CheckpointError, ConfigError, NonFiniteLossError
 from spt.formats import save_tensor
 from spt.masks import AttentionMask
-from spt.model import (AdamState, ModelConfig, PoseModelParams, TrainingConfig, forward,
-                       full_token_mask, load_checkpoint, loss_mse,
-                       patchify_embed, save_checkpoint, train_step)
+from spt.model import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ModelConfig,
+                       PoseModelParams, TrainingConfig, forward, full_token_mask,
+                       load_checkpoint, loss_mse, patchify_embed, save_checkpoint,
+                       train_step)
 from spt.pruning import PruneSchedule
 from spt.rng import SplitMix64
+from spt.schema import from_json
 from spt.skeleton import SkeletonSpec, compile_joint_mask, default_skeleton
 from spt.tensor import Tensor
 
 from dense_reference import ref_forward
 from gradcheck import finite_difference_check
 from mask_helpers import identity_mask, same_bits
+from test_attention import make_params
 
 
 def tiny_config(**kw):
@@ -103,7 +106,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = tiny_config(schedule=PruneSchedule(update_layers=(1, 2), keep_ratio=0.3))
-        back = ModelConfig.from_json_dict(cfg.to_json_dict())
+        back = from_json(ModelConfig, cfg.to_json_dict(), "model")
         assert back == cfg
 
 
@@ -158,7 +161,7 @@ class TestForward:
         heatmaps, diag = forward(np.zeros((16, 16)), params, cfg,
                                  compile_joint_mask(chain_skeleton(4)))
         assert heatmaps.shape == (4, 4, 4)
-        assert diag.mask_state.stage == 0
+        assert len(diag.mask_state.history) == 0
 
     def test_dense_settings_match_reference_forward(self):
         cfg = tiny_config(
@@ -183,7 +186,7 @@ class TestForward:
         params = PoseModelParams.init(cfg, seed=4)
         _, diag = forward(np.ones((16, 16)), params, cfg,
                           compile_joint_mask(chain_skeleton(4)))
-        assert diag.mask_state.stage == 2
+        assert len(diag.mask_state.history) == 2
         assert len(diag.mask_state.masks) == 3
         for stage_mask in diag.mask_state.masks[1:]:
             full = full_token_mask(stage_mask, 4)
@@ -247,9 +250,7 @@ class TestForward:
         # token leaves every other token's block output bit-identical
         rng = np.random.default_rng(8)
         d, j = 8, 5
-        from spt.attention import AttentionLayerParams
-
-        block = AttentionLayerParams.init(d, 2, SplitMix64(9))
+        block = make_params(d, 2, seed=9)
         x = rng.normal(size=(j, d))
         out_a, _ = encoder_block(Tensor(x), identity_mask(j), block, heads=2)
         perturbed = x.copy()
@@ -334,16 +335,16 @@ class TestAdam:
                 held[name] = (p.data, p.data.copy())
             opt.step(params)
             # The reference: Adam as one expression per moment and update.
-            bc1 = 1.0 - opt.beta1 ** step
-            bc2 = 1.0 - opt.beta2 ** step
+            bc1 = 1.0 - ADAM_BETA1 ** step
+            bc2 = 1.0 - ADAM_BETA2 ** step
             for name, p in named:
                 grad = np.zeros(p.shape) if grads[name] is None else grads[name]
                 m = ref_m.get(name, np.zeros(p.shape))
                 v = ref_v.get(name, np.zeros(p.shape))
-                m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-                v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
                 ref_m[name], ref_v[name] = m, v
-                ref_p[name] = ref_p[name] - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+                ref_p[name] = ref_p[name] - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             for name, p in named:
                 assert p.data.tobytes() == ref_p[name].tobytes(), (step, name)
                 assert opt.m[name].tobytes() == ref_m[name].tobytes(), (step, name)

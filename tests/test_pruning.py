@@ -187,7 +187,7 @@ class TestSchedule:
         before = state.current
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.5)
         apply_prune_schedule(2, None, state, schedule)
-        assert state.stage == 0
+        assert len(state.history) == 0
         assert same_bits(state.current, before)
 
     def test_update_layer_without_record_is_a_contract_error(self):
@@ -201,7 +201,7 @@ class TestSchedule:
         state = MaskState.dense(10)
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
         apply_prune_schedule(3, rng.uniform(size=(10, 10)), state, schedule)
-        assert state.stage == 1
+        assert len(state.history) == 1
         assert (state.current.row_support == 6).all()
 
     def test_iterated_supports_60_36_22(self):
@@ -298,7 +298,7 @@ def measured_sparsity(state, config):
     live = [int(mask.row_support.sum()) for mask in state.masks]
     per_layer = [live[sum(u < layer for u in config.schedule.update_layers)]
                  for layer in range(1, layers + 1)]
-    return {"stages": state.stage,
+    return {"stages": len(state.history),
             "per_stage_density": [cells / (float(n) * float(n)) for cells in live[1:]],
             "mac_ratio": sum(2 * cells * config.embed_dim for cells in per_layer)
             / (2 * n * n * config.embed_dim * layers)}

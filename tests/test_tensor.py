@@ -359,8 +359,6 @@ class TestBackward:
                 loss = T.sum_all(x)
             backward(loss, tape)
         assert np.array_equal(x.grad, [2.0])
-        x.zero_grad()
-        assert x.grad is None
 
     @pytest.mark.parametrize("route", ["add", "concat", "reshape"])
     def test_lent_adjoints_reach_leaves_as_their_own_arrays(self, route):
@@ -684,13 +682,24 @@ class TestFiniteChecks:
 
     def test_guard_is_per_thread(self):
         assert T.finite_checks_enabled()  # turned on for this thread by conftest
-        other = threading.Thread(target=T.set_finite_checks, args=(False,))
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_disabled():
+            with T.finite_checks(False):
+                inside.set()
+                release.wait(timeout=10)
+
+        other = threading.Thread(target=hold_disabled)
         other.start()
-        other.join(timeout=10)
+        try:
+            assert inside.wait(timeout=10)  # the other thread is in its disabled block
+            assert T.finite_checks_enabled()
+            with np.errstate(over="ignore"), pytest.raises(T.NonFiniteValueError):
+                T.scale(Tensor([1e308]), 10.0)
+        finally:
+            release.set()
+            other.join(timeout=10)
         assert not other.is_alive()
-        assert T.finite_checks_enabled()
-        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteValueError):
-            T.scale(Tensor([1e308]), 10.0)
 
     def test_disabled_guard_passes_through(self):
         with np.errstate(over="ignore"), T.finite_checks(False):
