@@ -135,15 +135,20 @@ def _resolve_image(ann: Annotation, run: RunConfig, base_dir: Path) -> np.ndarra
 
 def _split(run: RunConfig, name: str):
     """The ``"train"`` or ``"test"`` list of (image, Annotation) from the run's data
-    block; only that split is read.  Synthetic test samples follow the train indices."""
+    block; only that split is read.  Synthetic test samples follow the train indices.
+    An empty split raises ``AnnotationError``."""
     data = run.data_config()
     train = name == "train"
     if data.annotations is not None:
         path = data.annotations if train else data.test_annotations
-        return _file_samples(run, path) if path is not None else []
-    scene = _scene_config(run)
-    first, count = (0, data.train_count) if train else (data.train_count, data.test_count)
-    return [generate_sample(scene, index) for index in range(first, first + count)]
+        samples = _file_samples(run, path) if path is not None else []
+    else:
+        scene = _scene_config(run)
+        first, count = (0, data.train_count) if train else (data.train_count, data.test_count)
+        samples = [generate_sample(scene, index) for index in range(first, first + count)]
+    if not samples:
+        raise AnnotationError(f"the {name} split is empty")
+    return samples
 
 
 def _file_samples(run: RunConfig, path):
@@ -207,10 +212,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     run = _apply_overrides(load_run_config(args.config), args)
+    train_samples = _split(run, "train")
+    joint_mask = compile_joint_mask(_skeleton(run))
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
-    joint_mask = compile_joint_mask(_skeleton(run))
-    train_samples = _split(run, "train")
     cfg = run.model
     with atomic_write(out_dir / "log.jsonl") as log:
         def log_step(step, loss, seconds):
@@ -289,15 +294,14 @@ def cmd_masks(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = _apply_overrides(load_run_config(args.config), args)
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
+    test_samples = _split(run, "test")
+    train_samples = _split(run, "train")
     skeleton = _skeleton(run)
-    train_samples, test_samples = _split(run, "train"), _split(run, "test")
-    if not test_samples:
-        raise AnnotationError("sweep needs a non-empty test split")
     rows = ablation_sweep(args.keep_ratios, run.model, compile_joint_mask(skeleton),
                           train_samples, test_samples, run.training,
                           refine=run.decoder == "refined")
+    out_dir = Path(run.output_dir)
+    digest = _write_run_config(run, out_dir)
     table = f"# config {digest}\n" + pckh_table(
         [(f"akr={ratio:.2f}", report) for ratio, report in rows], skeleton.names)
     with atomic_write(out_dir / "sweep.txt") as fh:

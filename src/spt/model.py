@@ -353,6 +353,26 @@ def loss_mse(pred: Tensor, target, visibility) -> Tensor:
 ADAM_BETA1 = 0.9  # decay of the first-moment average
 ADAM_BETA2 = 0.999  # decay of the second-moment average
 ADAM_EPS = 1e-8  # added to the root of the second moment
+_ADAM_SPLIT_MIN = 2 ** 16  # a parameter this large updates in two halves at once
+
+
+def _adam_update(grad, p, m, v, buf, out, lr: float, bc1: float, bc2: float) -> None:
+    """Adam's moment and parameter update on matching arrays; the new
+    parameter goes to ``out``, which holds the denominator until then."""
+    np.multiply(1.0 - ADAM_BETA1, grad, out=buf)
+    m *= ADAM_BETA1
+    m += buf
+    np.multiply(1.0 - ADAM_BETA2, grad, out=buf)
+    buf *= grad
+    v *= ADAM_BETA2
+    v += buf
+    np.divide(v, bc2, out=out)
+    np.sqrt(out, out=out)
+    out += ADAM_EPS
+    np.divide(m, bc1, out=buf)
+    buf *= lr
+    buf /= out
+    np.subtract(p, buf, out=out)
 
 
 @dataclass
@@ -367,12 +387,15 @@ class AdamState:
     def step(self, params: PoseModelParams) -> None:
         """One update of every parameter from its ``.grad`` (zeros if None).
 
-        The moments ``m`` and ``v`` are updated in place, through two scratch
-        arrays per parameter, in the operation order of
+        The moments ``m`` and ``v`` are updated in place, through one scratch
+        array and the new parameter array, in the operation order of
         ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, with b1, b2 and eps the
         ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
-        a fresh array and ``p.grad`` is cleared.
+        a fresh array and ``p.grad`` is cleared.  A parameter of at least
+        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the second
+        offered to a helper thread; every operation is elementwise, so the
+        bits stay.
         """
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
@@ -385,20 +408,15 @@ class AdamState:
                 v = self.v[name] = np.zeros(p.shape)
             else:
                 v = self.v[name]
-            buf = np.multiply(1.0 - ADAM_BETA1, grad)
-            m *= ADAM_BETA1
-            m += buf
-            np.multiply(1.0 - ADAM_BETA2, grad, out=buf)
-            buf *= grad
-            v *= ADAM_BETA2
-            v += buf
-            denom = np.divide(v, bc2)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            np.divide(m, bc1, out=buf)
-            buf *= self.lr
-            buf /= denom
-            p.data = p.data - buf
+            arrays = (grad, p.data, m, v, np.empty(p.shape), np.empty(p.shape))
+            if p.data.size < _ADAM_SPLIT_MIN:
+                _adam_update(*arrays, self.lr, bc1, bc2)
+            else:
+                half = p.shape[0] // 2
+                task = T._Task(_adam_update, *(a[half:] for a in arrays), self.lr, bc1, bc2)
+                _adam_update(*(a[:half] for a in arrays), self.lr, bc1, bc2)
+                task.wait()
+            p.data = arrays[-1]
             p.grad = None
 
 

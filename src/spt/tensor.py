@@ -32,12 +32,29 @@ Its pullback recomputes each head's probabilities instead of keeping the
 ``matmul``, ``add_bias``, ``gelu``, ``matmul``, ``add_bias`` chain, which
 recomputes its GELU output in the pullback instead of keeping it on the
 tape.  Both give the bits of the chains they replace.
+
+On a machine with more than one CPU, ``backward`` offers work that the
+replaying thread's next call does not read, and that is large enough to pay
+for the hand-over, to helper threads (``_Task``): the second product of a ``matmul`` pullback, the two weight products of the
+``mlp`` pullback, and the heads of the ``multi_head_attention`` pullback,
+which the replaying thread and the helpers take one at a time;
+``model.AdamState.step`` offers half of each large parameter's update.  A
+helper makes plain numpy calls into arrays the replaying thread allocated,
+and the replaying thread waits for them before it reads them, or makes the
+call itself if no helper has started it yet.  A helper never touches a
+tape, a ``.grad`` or the gradient store: the replaying thread makes every
+``_accumulate`` call, in the serial order, and every task makes the serial
+numpy call on the same operands, so the bits do not depend on the CPU
+count.  The forward stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -67,6 +84,61 @@ _EXP_SAFE = 512.0
 _ROW_SUM_FLOOR = 2.0 ** -600
 
 _LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the helper threads plus the calling one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_pool = None  # the helper threads, started on first use
+_pool_lock = threading.Lock()
+# A call of fewer multiply-adds stays on the calling thread: handing it to a
+# helper and back costs about as much as it saves.
+_TASK_MIN_WORK = 2 ** 22
+
+
+class _Task:
+    """``fn(*args)`` offered to a helper thread; ``fn`` writes into an array among ``args``.
+
+    ``wait()`` returns once it has run: on a helper if one has started it,
+    else here and now, so a helper that wakes late costs the caller no more
+    than the serial call.  No helper is asked on one CPU, or when ``work``,
+    the call's multiply-adds if given, is below ``_TASK_MIN_WORK``.  A
+    helper's exception re-raises from ``wait()``.  A task never waits on
+    another, so threads that train at once can share the helpers.
+    """
+
+    __slots__ = ("fn", "args", "future")
+
+    def __init__(self, fn, *args, work=None):
+        global _pool
+        self.fn, self.args, self.future = fn, args, None
+        if _cpus() < 2 or (work is not None and work < _TASK_MIN_WORK):
+            return
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="spt-helper")
+            self.future = _pool.submit(fn, *args)
+
+    def wait(self) -> None:
+        if self.future is None or self.future.cancel():  # no helper has started it
+            self.fn(*self.args)
+        else:
+            self.future.result()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def finite_checks_enabled() -> bool:
@@ -122,7 +194,8 @@ class ComputationTape:
     popping each record as it replays it; ``len`` stays the number of ops
     recorded.  A tape is confined to one logical thread of execution;
     concurrent forwards use independent tapes or run grad-free (no tape
-    active).
+    active).  The helper threads that ``backward``'s pullbacks start never
+    see a tape: they compute into arrays the replaying thread hands them.
     """
 
     def __init__(self):
@@ -254,21 +327,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; equal-rank stacked batches share leading extents.
 
     Each side's gradient is computed, and the other operand's array kept,
-    only when that side needs a gradient.
+    only when that side needs a gradient.  When both do, the pullback runs
+    ``a_t @ g`` on a helper thread while it computes ``g @ b_t``.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul needs equal-rank >=2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    ka, kb = _key(a), _key(b)
+    ka, kb, b_shape = _key(a), _key(b), b.shape
     a_t = a.data.swapaxes(-1, -2) if kb is not None else None
     b_t = b.data.swapaxes(-1, -2) if ka is not None else None
 
     def pullback(g, store):
-        if ka is not None:
-            _accumulate(store, ka, g @ b_t, owned=True)
-        if kb is not None:
+        if ka is None:
             _accumulate(store, kb, a_t @ g, owned=True)
+        elif kb is None:
+            _accumulate(store, ka, g @ b_t, owned=True)
+        else:
+            gb = np.empty(b_shape)
+            task = _Task(np.matmul, a_t, g, gb, work=gb.size * g.shape[-2])
+            _accumulate(store, ka, g @ b_t, owned=True)
+            task.wait()
+            _accumulate(store, kb, gb, owned=True)
 
     return _finish(a.data @ b.data, (ka, kb), pullback)
 
@@ -468,6 +548,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
     same bits.  All five input adjoints are fresh and handed over owned.
+    The pullback runs the ``w2`` product on a helper thread while it
+    computes the pre-activation adjoint, and the ``w1`` product while it
+    computes the ``x`` adjoint.
     """
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
@@ -484,21 +567,31 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     x_t = x.data.T if kw1 is not None else None
     w1_t = w1.data.T if kx is not None else None
     w2_t = w2.data.T if needs_dpre else None
+    w1_shape, w2_shape = w1.shape, w2.shape
 
     def pullback(g, store):
         if kb2 is not None:
             _accumulate(store, kb2, g.sum(axis=0), owned=True)
         if kw2 is not None:
-            _accumulate(store, kw2, _gelu_out(pre, t).T @ g, owned=True)
+            gw2 = np.empty(w2_shape)
+            task = _Task(np.matmul, _gelu_out(pre, t).T, g, gw2, work=gw2.size * len(g))
+        if needs_dpre:
+            dpre = _gelu_pullback(g @ w2_t, pre, t)
+        if kw2 is not None:
+            task.wait()
+            _accumulate(store, kw2, gw2, owned=True)
         if not needs_dpre:
             return
-        dpre = _gelu_pullback(g @ w2_t, pre, t)
         if kb1 is not None:
             _accumulate(store, kb1, dpre.sum(axis=0), owned=True)
+        if kw1 is not None:
+            gw1 = np.empty(w1_shape)
+            task = _Task(np.matmul, x_t, dpre, gw1, work=gw1.size * len(dpre))
         if kx is not None:
             _accumulate(store, kx, dpre @ w1_t, owned=True)
         if kw1 is not None:
-            _accumulate(store, kw1, x_t @ dpre, owned=True)
+            task.wait()
+            _accumulate(store, kw1, gw1, owned=True)
 
     return _finish(out_data, keys, pullback)
 
@@ -644,14 +737,17 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     The tape keeps only ``packed`` and ``mask``.  The pullback fills one
     owned (n, 3D) gradient head by head.  It first rebuilds P_i with the
     forward's own calls, ``q_i k_iᵀ`` and the masked softmax (shifted
-    redo included), into one (r, n) tile it reuses for every head, so P_i
+    redo included), into an (r, n) tile it reuses for the next head, so P_i
     has the forward's bits.  Then dV_i = P_iᵀ g_i, dS is the softmax
     pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i) / sqrt(head_dim) on the
     first r rows (the rest are zeroed, the only cells no head writes),
     dK_i = (q_iᵀ dS)ᵀ.  Each product is the BLAS call, in the same operand
     orientation, that the chain of ``scale``, ``matmul``,
     ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
-    bits; dK_i as dSᵀ q_i would be a different call.
+    bits; dK_i as dSᵀ q_i would be a different call.  The replaying thread
+    and up to one helper per further CPU take heads from a shared queue,
+    each with tiles of its own; no two heads write the same columns of the
+    gradient.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -677,18 +773,42 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     def pullback(g, store):
         grad = np.empty(data.shape)
         grad[r:, :d] = 0.0
-        tile, dp, ds = np.empty((r, n)), np.empty((r, n)), np.empty((r, n))
-        for q, k, v in columns:
-            q_i = data[:r, q] * s
-            np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
-            _softmax_rows(ds, mask, tile)
-            g_i = g[:, q]
-            np.matmul(tile.T, g_i, out=grad[:, v])
-            np.matmul(g_i, data[:, v].T, out=dp)
-            _softmax_pullback(dp, tile, out=ds)
-            np.matmul(ds, data[:, k], out=grad[:r, q])
-            grad[:r, q] *= s
-            grad[:, k] = np.matmul(q_i.T, ds).T
+        if not mask.all_ones:
+            mask.gate_bias()  # fill the mask's cache before threads read it
+        todo = deque(columns)
+        head_work = 5 * r * n * head_dim  # the multiply-adds of one head's products
+        threads = min(_cpus(), heads) if head_work >= _TASK_MIN_WORK else 1
+        tiles = np.empty((threads, 3, r, n))
+        tasks = [_Task(_attention_heads, data, g, mask, s, todo, own, grad) for own in tiles[1:]]
+        _attention_heads(data, g, mask, s, todo, tiles[0], grad)
+        for task in tasks:
+            task.wait()
         _accumulate(store, kp, grad, owned=True)
 
     return _finish(context, (kp,), pullback), probs
+
+
+def _attention_heads(data, g, mask, s, todo, tiles, grad):
+    """Write the packed-gradient columns of heads taken from ``todo`` into ``grad``.
+
+    The body of ``multi_head_attention``'s pullback.  Each thread that runs
+    it takes heads from the shared deque until none is left, with its own
+    (3, r, n) scratch ``tiles``.
+    """
+    r = mask.rows
+    tile, dp, ds = tiles
+    while True:
+        try:
+            q, k, v = todo.popleft()
+        except IndexError:  # every head is taken
+            return
+        q_i = data[:r, q] * s
+        np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
+        _softmax_rows(ds, mask, tile)
+        g_i = g[:, q]
+        np.matmul(tile.T, g_i, out=grad[:, v])
+        np.matmul(g_i, data[:, v].T, out=dp)
+        _softmax_pullback(dp, tile, out=ds)
+        np.matmul(ds, data[:, k], out=grad[:r, q])
+        grad[:r, q] *= s
+        grad[:, k] = np.matmul(q_i.T, ds).T

@@ -356,6 +356,7 @@ class TestAttentionKernel:
         packed = Tensor(rng.normal(size=(n, 3 * d)), requires_grad=True)
         recorder = _RecordingNumpy()
         monkeypatch.setattr(T, "np", recorder)
+        monkeypatch.setattr(T, "_cpus", lambda: 1)  # every head on this thread, in order
         with T.ComputationTape() as tape:
             context, _ = T.multi_head_attention(packed, kernel_mask("random", r, n, rng),
                                                 heads)

@@ -398,6 +398,24 @@ class TestSplits:
             assert np.array_equal(image, want_image)
             assert np.array_equal(ann.joints, want_ann.joints)
 
+    @pytest.mark.parametrize("command, count", [("train", "train_count"),
+                                                ("sweep", "test_count")])
+    def test_empty_split_is_refused_before_any_output(self, tmp_path, monkeypatch,
+                                                      command, count):
+        cfg = write_run_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["data"][count] = 0
+        cfg.write_text(json.dumps(doc))
+        renders = spy(monkeypatch, "generate_sample")
+        assert main([command, "--config", str(cfg), "--akr", "0.6"]) == 3
+        assert not (tmp_path / "out").exists()
+        assert renders == []  # the sweep reads its empty test split first
+
+    def test_sweep_refused_keep_ratio_writes_nothing(self, tmp_path):
+        cfg = write_run_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--akr", "0.6", "0"]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 # The options each subcommand takes; every one of them is read by its command.
 OPTIONS = {
