@@ -24,7 +24,7 @@ from .model import (AdamState, Diagnostics, ModelConfig, PoseModelParams,
 from .data import (Annotation, SyntheticSceneConfig, generate_sample,
                    generate_synthetic, load_annotations,
                    render_target_heatmaps, save_annotations)
-from .evaluation import (PckhReport, ablation_sweep, decode_heatmap,
-                         decode_heatmaps, evaluate_model, pckh)
+from .evaluation import (PckhReport, ablation_sweep, decode_heatmaps, evaluate_model,
+                         pckh)
 
 __version__ = "0.1.0"

@@ -16,30 +16,17 @@ context, one head's tile at a time) and the output projection.  The
 feed-forward is one taped op, ``tensor.mlp``.  A block is therefore two
 layer norms, the three attention ops, ``mlp`` and two residual adds.
 ``project_qkv`` splits the packed product into per-head stacks, as the
-composed reference chain that the kernel is tested against does.
+composed reference chain that the kernel is tested against does; it checks
+no shapes of its own.  Parameter initialization lives in ``model``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import tensor as T
-from .errors import ConfigError
 from .masks import AttentionMask
-from .rng import SplitMix64
 from .tensor import Tensor
-
-
-INIT_STD = 0.02  # standard deviation of every "normal" parameter's initial draws
-
-
-def initial_array(fill: str, shape: tuple, rng: SplitMix64) -> np.ndarray:
-    """A parameter's starting value: N(0, INIT_STD^2) draws from ``rng``, zeros or ones."""
-    if fill == "normal":
-        return rng.normal_array(shape, INIT_STD)
-    return np.zeros(shape) if fill == "zeros" else np.ones(shape)
 
 
 @dataclass
@@ -85,23 +72,10 @@ class AttentionLayerParams:
             yield f"{prefix}.{f.name}", getattr(self, f.name)
 
 
-def _check_qkv(x: Tensor, params: AttentionLayerParams, heads: int) -> int:
-    """Head dim of ``heads`` heads over ``x``; ConfigError if the projection or
-    the head count does not fit its width."""
-    d = x.shape[1]
-    if (d, 3 * d) != params.qkv_projection.shape:
-        raise ConfigError(
-            f"qkv projection {params.qkv_projection.shape} does not match embed dim {d}"
-        )
-    if d % heads:
-        raise ConfigError(f"heads={heads} must evenly partition embed dim {d}")
-    return d // heads
-
-
 def project_qkv(x: Tensor, params: AttentionLayerParams, heads: int):
     """Project tokens to per-head query/key/value stacks (heads, N, head_dim)."""
     n = x.shape[0]
-    head_dim = _check_qkv(x, params, heads)
+    head_dim = x.shape[1] // heads
     packed = T.matmul(x, params.qkv_projection)            # (N, 3D)
     packed = T.reshape(packed, (n, 3, heads, head_dim))
     packed = T.transpose(packed, (1, 2, 0, 3))             # (3, heads, N, head_dim)

@@ -20,7 +20,7 @@ with ``--akr`` and ``--k-mode`` applied.  Their ``--config`` is optional.
 
 Exit codes: 0 success, 1 any other ``SptError`` (such as a ``ShapeError``
 from a library call), 2 config/usage error, 3 data validation error,
-4 non-finite loss, 5 I/O error, 6 checkpoint incompatibility.
+4 non-finite loss or value, 5 I/O error, 6 checkpoint incompatibility.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 from .data import (Annotation, SyntheticSceneConfig, generate_sample, load_annotations,
                    save_annotations)
 from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
-                     NonFiniteLossError, SkeletonError, SptError)
-from .evaluation import ablation_sweep, evaluate_model, pckh_table
+                     NonFiniteLossError, NonFiniteValueError, SkeletonError, SptError)
+from .evaluation import DEFAULT_ALPHAS, ablation_sweep, evaluate_model, pckh_table
 from .formats import atomic_write, load_pgm, save_csv, save_pbm, save_pgm
 from .model import (ModelConfig, TrainingConfig, forward, load_checkpoint, save_checkpoint,
                     train_model)
@@ -69,8 +69,9 @@ class DataConfig:
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     skeleton: str | None = None  # path to a skeleton JSON; None = built-in default
-    data: dict = field(default_factory=lambda: {"synthetic": {}, "train_count": 64,
-                                                "test_count": 16})
+    data: dict = field(default_factory=lambda: {
+        "synthetic": {}, "train_count": DataConfig.train_count,
+        "test_count": DataConfig.test_count})
     training: TrainingConfig = field(default_factory=TrainingConfig)
     output_dir: str = "out"
     decoder: str = "refined"
@@ -79,6 +80,12 @@ class RunConfig:
         if self.decoder not in DECODERS:
             raise ConfigError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         self.data_config()
+        synthetic = self.data.get("synthetic", {})  # _scene_config's extents default to the model's
+        for axis in ("image_h", "image_w"):
+            want = getattr(self.model, axis)
+            if synthetic.get(axis, want) != want:
+                raise ConfigError(f"data.synthetic.{axis} is {synthetic[axis]}, "
+                                  f"but model.{axis} is {want}")
 
     def data_config(self) -> DataConfig:
         """The ``data`` block, checked; ``data`` itself stays as written."""
@@ -247,8 +254,7 @@ def cmd_eval(args) -> int:
                                   f"checkpoint expects {run.model.joint_count}")
     skeleton = _skeleton(run)
     joint_mask = compile_joint_mask(skeleton)
-    alphas = tuple(args.thresholds)
-    report = evaluate_model(params, run.model, joint_mask, samples, alphas,
+    report = evaluate_model(params, run.model, joint_mask, samples, args.thresholds,
                             refine=run.decoder == "refined")
     out_dir = Path(run.output_dir)
     digest = _write_run_config(run, out_dir)
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                 config_help="run config JSON whose data, skeleton, decoder and output_dir "
                             "eval reads; the model comes from the checkpoint")
     p.add_argument("--data", help="annotation JSON (default: config's test split)")
-    p.add_argument("--thresholds", type=float, nargs="+", default=[0.5, 0.1])
+    p.add_argument("--thresholds", type=float, nargs="+", default=list(DEFAULT_ALPHAS))
 
     p = command("masks", cmd_masks, "export masks, attention maps, heatmaps",
                 ["--checkpoint", "--out", "--akr", "--k-mode"],
@@ -387,6 +393,7 @@ _EXIT_CODES = (
     (AnnotationError, 3),
     (FormatError, 3),
     (NonFiniteLossError, 4),
+    (NonFiniteValueError, 4),
     (CheckpointError, 6),
 )
 

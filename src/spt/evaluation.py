@@ -5,7 +5,8 @@ predicted location lies within alpha * head_size of ground truth (boundary
 inclusive).  Joints invisible in ground truth are excluded from both
 numerator and denominator.  The decoder is argmax plus a quarter-pixel
 shift toward the larger axis neighbor; plain argmax is selectable for
-debugging.  Training lives in ``model.train_model``; the sweep only calls it.
+debugging.  Both decode (a (J, H, W) stack) and score (every sample) run on
+whole arrays.  Training lives in ``model.train_model``; the sweep only calls it.
 """
 
 from __future__ import annotations
@@ -23,39 +24,31 @@ from .tensor import finite_checks, finite_checks_enabled
 DEFAULT_ALPHAS = (0.5, 0.1)
 
 
-def decode_heatmap(heatmap, image_h: int, image_w: int, refine: bool = True):
-    """Peak location of one heatmap, in input-image pixel coordinates.
+def _quarter_steps(hi, lo, interior):
+    """±0.25 toward the larger of ``hi`` and ``lo`` on ``interior``, else 0 (as for a NaN)."""
+    return np.where(interior, np.where(hi > lo, 0.25, np.where(lo > hi, -0.25, 0.0)), 0.0)
+
+
+def decode_heatmaps(heatmaps, image_h: int, image_w: int, refine: bool = True) -> np.ndarray:
+    """Peak location of each map of a (J, H, W) stack: a (J, 2) array of (x, y)
+    in input-image pixel coordinates.
 
     Ties go to the lowest row-major index; the quarter-pixel shift applies
     only when both axis neighbors exist and differ.
     """
-    grid = np.asarray(getattr(heatmap, "data", heatmap), dtype=np.float64)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ConfigError(f"heatmap must be a non-empty 2-D map, got shape {grid.shape}")
-    h, w = grid.shape
-    flat_index = int(np.argmax(grid))
-    row, col = divmod(flat_index, w)
-    x, y = float(col), float(row)
-    if refine:
-        if 0 < col < w - 1:
-            right, left = grid[row, col + 1], grid[row, col - 1]
-            if right > left:
-                x += 0.25
-            elif left > right:
-                x -= 0.25
-        if 0 < row < h - 1:
-            below, above = grid[row + 1, col], grid[row - 1, col]
-            if below > above:
-                y += 0.25
-            elif above > below:
-                y -= 0.25
-    return x * (image_w / w), y * (image_h / h)
-
-
-def decode_heatmaps(heatmaps, image_h: int, image_w: int, refine: bool = True) -> np.ndarray:
-    """Stack of per-joint decodes: (J, 2) array of (x, y)."""
     stack = np.asarray(getattr(heatmaps, "data", heatmaps), dtype=np.float64)
-    return np.array([decode_heatmap(m, image_h, image_w, refine) for m in stack])
+    if stack.ndim != 3 or 0 in stack.shape[1:]:
+        raise ConfigError(f"heatmaps must be a (J, H, W) stack, H and W >= 1, got {stack.shape}")
+    j, h, w = stack.shape
+    row, col = divmod(np.argmax(stack.reshape(j, h * w), axis=1), w)
+    x, y = col.astype(np.float64), row.astype(np.float64)
+    if refine:
+        maps = np.arange(j)
+        x += _quarter_steps(stack[maps, row, np.minimum(col + 1, w - 1)],
+                            stack[maps, row, np.maximum(col - 1, 0)], (0 < col) & (col < w - 1))
+        y += _quarter_steps(stack[maps, np.minimum(row + 1, h - 1), col],
+                            stack[maps, np.maximum(row - 1, 0), col], (0 < row) & (row < h - 1))
+    return np.stack([x * (image_w / w), y * (image_h / h)], axis=1)
 
 
 @dataclass
@@ -102,21 +95,17 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
         raise ConfigError("cannot evaluate an empty dataset")
     alphas = _checked_thresholds(alphas)
     j = annotations[0].joint_count
-    visible = np.zeros(j, dtype=np.int64)
-    correct = {a: np.zeros(j, dtype=np.int64) for a in alphas}
-    for pred, ann in zip(predictions, annotations):
-        pred = np.asarray(pred, dtype=np.float64).reshape(j, 2)
-        dist = np.linalg.norm(pred - ann.joints, axis=1)
-        vis = ann.visibility
-        visible += vis
-        for a in alphas:
-            correct[a] += vis & (dist <= a * ann.head_size)
+    pred = np.stack([np.asarray(p, dtype=np.float64).reshape(j, 2) for p in predictions])
+    dist = np.linalg.norm(pred - np.stack([ann.joints for ann in annotations]), axis=-1)
+    vis = np.stack([ann.visibility for ann in annotations])
+    head = np.array([ann.head_size for ann in annotations], dtype=np.float64)[:, None]
+    visible = vis.sum(axis=0)
     per_joint, mean = {}, {}
     with np.errstate(invalid="ignore"):
         for a in alphas:
-            rates = np.where(visible > 0, correct[a] / np.maximum(visible, 1), np.nan)
-            per_joint[a] = rates
-            mean[a] = float(np.nanmean(rates))
+            correct = (vis & (dist <= a * head)).sum(axis=0)
+            per_joint[a] = np.where(visible > 0, correct / np.maximum(visible, 1), np.nan)
+            mean[a] = float(np.nanmean(per_joint[a]))
     return PckhReport(alphas=alphas, per_joint=per_joint, mean=mean,
                       sample_count=len(annotations))
 

@@ -2,8 +2,9 @@
 
 The token sequence is [keypoint tokens, visual tokens].  The encoder mask
 over the full sequence keeps every keypoint-involved entry at 1; only the
-visual-by-visual block evolves under the prune schedule.  After the
-encoder, the keypoint token rows pass through the graph stage (the same
+visual-by-visual block evolves.  ``forward`` runs the update loop: each
+scheduled layer hands that block of its attention to ``apply_prune_schedule``.
+After the encoder, the keypoint token rows pass through the graph stage (the same
 block structure under the constant joint mask) and a head maps each
 token to one heatmap: a layer norm, then ``tensor.mlp`` (width D, GELU,
 then H_h * W_h outputs).
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionLayerParams, encoder_block, initial_array
+from .attention import AttentionLayerParams, encoder_block
 from .data import render_target_heatmaps
 from .errors import AnnotationError, CheckpointError, ConfigError, FormatError, NonFiniteLossError
 from .formats import load_tensor, save_tensor
@@ -143,6 +144,16 @@ def sinusoidal_encoding(grid_h: int, grid_w: int, embed_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(xs), np.cos(xs), np.sin(ys), np.cos(ys)], axis=1)
 
 
+INIT_STD = 0.02  # standard deviation of every "normal" parameter's initial draws
+
+
+def initial_array(fill: str, shape: tuple, rng: SplitMix64) -> np.ndarray:
+    """A parameter's starting value: N(0, INIT_STD^2) draws from ``rng``, zeros or ones."""
+    if fill == "normal":
+        return rng.normal_array(shape, INIT_STD)
+    return np.zeros(shape) if fill == "zeros" else np.ones(shape)
+
+
 def parameter_layout(config: ModelConfig) -> list:
     """(name, shape, fill) of every trainable tensor, in ``named_parameters`` order.
 
@@ -175,7 +186,7 @@ def parameter_layout(config: ModelConfig) -> list:
 @dataclass
 class PoseModelParams:
     """All trainable tensors.  Weights and keypoint tokens start from
-    N(0, INIT_STD^2), with ``attention.INIT_STD`` = 0.02."""
+    N(0, INIT_STD^2), with ``INIT_STD`` = 0.02."""
 
     patch_projection: Tensor
     positional_encoding: Tensor
@@ -260,11 +271,11 @@ def patchify_embed(image: Tensor, params: PoseModelParams, config: ModelConfig) 
     return T.add(x, params.positional_encoding)
 
 
-def full_token_mask(visual_mask: AttentionMask, keypoint_count: int) -> AttentionMask:
+def full_token_mask(visual_mask: AttentionMask, joint_count: int) -> AttentionMask:
     """Embed the visual-block mask; keypoint rows and columns stay all-ones."""
-    n = keypoint_count + visual_mask.rows
+    n = joint_count + visual_mask.rows
     bits = np.ones((n, n), dtype=np.uint8)
-    bits[keypoint_count:, keypoint_count:] = visual_mask.bits
+    bits[joint_count:, joint_count:] = visual_mask.bits
     return AttentionMask(bits)
 
 
@@ -302,7 +313,8 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
     mask = full_token_mask(state.current, j)
     last = config.encoder_layers
     for layer in range(1, last + 1):
-        need_record = keep_records or layer in config.schedule.update_layers
+        update = layer in config.schedule.update_layers
+        need_record = keep_records or update
         # Only the keypoint rows of the last layer's output are read, and
         # keypoint rows of the mask are all-ones.
         layer_mask = mask if need_record or layer < last else AttentionMask.ones(j, mask.cols)
@@ -310,7 +322,8 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
                                              config.heads, need_record=need_record)
         if keep_records:
             records.append(head_average)
-        if apply_prune_schedule(layer, head_average, state, config.schedule, keypoint_count=j):
+        if update:
+            apply_prune_schedule(head_average[j:, j:], state, config.schedule)
             mask = full_token_mask(state.current, j)
 
     kp = T.narrow(tokens, 0, 0, j)
@@ -324,12 +337,7 @@ def forward(image, params: PoseModelParams, config: ModelConfig,
     h = T.mlp(kp, params.head_w1, params.head_b1, params.head_w2, params.head_b2)
     heatmaps = T.reshape(h, (j, config.heatmap_h, config.heatmap_w))
 
-    diagnostics = Diagnostics(
-        mask_state=state,
-        sparsity=sparsity_report(config),
-        records=records,
-    )
-    return heatmaps, diagnostics
+    return heatmaps, Diagnostics(state, sparsity_report(config), records)
 
 
 def loss_mse(pred: Tensor, target, visibility) -> Tensor:
@@ -396,6 +404,9 @@ class AdamState:
         ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the second
         offered to a helper thread; every operation is elementwise, so the
         bits stay.
+
+        No rollback: ``step_count`` rises first, and a step that raises
+        part-way leaves the parameters before it updated.
         """
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
@@ -460,8 +471,9 @@ def train_step(batch, params: PoseModelParams, config: ModelConfig, skeleton_mas
 
     A non-finite sample loss aborts before the update with
     ``NonFiniteLossError``.  Since samples run last to first, it names the
-    highest offending batch index.  A step that raises leaves every
-    ``.grad``, every parameter and ``optimizer`` as they were on entry.
+    highest offending batch index.  A failure in a sample's forward, loss
+    or backward leaves every ``.grad``, parameter and ``optimizer`` as they
+    were on entry; one in ``optimizer.step`` does not (see there).
     """
     if not batch:
         raise ConfigError("empty training batch")

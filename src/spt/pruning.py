@@ -11,6 +11,7 @@ effect from layer u+1 onward; layer u itself runs under the previous mask.
 
 Every update keeps exactly K columns in every row, and K depends only on
 N and the schedule, so ``sparsity_report`` predicts the stats from them.
+The loop over layers, and the token layout, are ``model.forward``'s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValueError
 from .masks import AttentionMask
 
 K_MODES = ("support", "total")
@@ -84,14 +85,14 @@ def topk_row_mask(scores, prev: AttentionMask, schedule: PruneSchedule) -> Atten
     ``scores`` is an array of ``prev``'s shape; K follows ``schedule``'s
     keep ratio and K mode.  Ties break toward the lower column index.
     Every row keeps at least one column, and the result's support is always
-    a subset of ``prev``'s.  Scores must be finite.
+    a subset of ``prev``'s.  A non-finite score raises ``NonFiniteValueError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = prev.rows
     if scores.shape != (n, prev.cols):
         raise ConfigError(f"attention shape {scores.shape} does not match mask {n}x{prev.cols}")
     if not np.isfinite(scores).all():
-        raise ConfigError("attention scores must be finite")
+        raise NonFiniteValueError("attention scores must be finite")
     k = schedule.row_k(prev.row_support, prev.cols)
     # Dropped columns score -inf, so they rank last.  A row keeps every
     # column at or above its K-th largest score.  A row where that is more
@@ -112,25 +113,10 @@ def topk_row_mask(scores, prev: AttentionMask, schedule: PruneSchedule) -> Atten
     return AttentionMask(keep)
 
 
-def apply_prune_schedule(layer_index: int, head_average, state: MaskState,
-                         schedule: PruneSchedule, keypoint_count: int = 0) -> bool:
-    """Append the next stage's mask after encoder layer ``layer_index`` (1-indexed).
-
-    On a scheduled layer ``head_average``, the layer's head-averaged
-    attention array, restricted to the visual-by-visual block (keypoint
-    rows/columns stripped off the front), elects the next mask.  The caller
-    runs layer ``layer_index`` under the pre-existing mask and only later
-    layers see the update.  Returns whether a mask was appended.
-    """
-    if layer_index not in schedule.update_layers:
-        return False
-    if head_average is None:
-        raise ConfigError(
-            f"layer {layer_index} is a scheduled update but no attention record was retained"
-        )
-    visual = head_average[keypoint_count:, keypoint_count:]
-    state.masks.append(topk_row_mask(visual, state.current, schedule))
-    return True
+def apply_prune_schedule(scores, state: MaskState, schedule: PruneSchedule) -> None:
+    """Append the next stage's mask: ``topk_row_mask`` of ``scores``, a scheduled
+    layer's head-averaged visual-by-visual attention, under the current mask."""
+    state.masks.append(topk_row_mask(scores, state.current, schedule))
 
 
 @dataclass

@@ -746,8 +746,9 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
     bits; dK_i as dSᵀ q_i would be a different call.  The replaying thread
     and up to one helper per further CPU take heads from a shared queue,
-    each with tiles of its own; no two heads write the same columns of the
-    gradient.
+    each with tiles of its own; each helper is a ``_Task`` sized by one
+    head's products, so ``_Task`` alone decides whether it is offered.  No
+    two heads write the same columns of the gradient.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -776,10 +777,10 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
         if not mask.all_ones:
             mask.gate_bias()  # fill the mask's cache before threads read it
         todo = deque(columns)
-        head_work = 5 * r * n * head_dim  # the multiply-adds of one head's products
-        threads = min(_cpus(), heads) if head_work >= _TASK_MIN_WORK else 1
-        tiles = np.empty((threads, 3, r, n))
-        tasks = [_Task(_attention_heads, data, g, mask, s, todo, own, grad) for own in tiles[1:]]
+        tiles = np.empty((min(_cpus(), heads), 3, r, n))
+        # work: the multiply-adds of one head's five products.
+        tasks = [_Task(_attention_heads, data, g, mask, s, todo, own, grad,
+                       work=5 * r * n * head_dim) for own in tiles[1:]]
         _attention_heads(data, g, mask, s, todo, tiles[0], grad)
         for task in tasks:
             task.wait()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import spt.tensor as T
-from spt.attention import (AttentionLayerParams, encoder_block, initial_array,
-                           masked_self_attention, project_qkv)
+from spt.attention import (AttentionLayerParams, encoder_block, masked_self_attention,
+                           project_qkv)
 from spt.errors import ShapeError
 from spt.masks import AttentionMask
+from spt.model import initial_array
 from spt.rng import SplitMix64
 from spt.tensor import Tensor
 

@@ -473,6 +473,14 @@ class TestRunConfig:
         assert RunConfig().digest() == \
             "cd7ad8278f2c9b6f840fe7a5b13627965e51a8f7b0c73b29ff8c6905c2bce7b1"
 
+    def test_scene_check_leaves_models_the_scene_refuses_alone(self):
+        # Annotation-file runs may use joint counts and extents that the
+        # synthetic scene refuses; only a scene extent set unlike the model's is.
+        run = from_json(RunConfig, {"model": {"image_h": 4, "image_w": 4, "downsample": 1,
+                                              "patch_h": 1, "patch_w": 1, "joint_count": 4}},
+                        "run")
+        assert run.model.joint_count == 4
+
     def test_int_in_float_field_is_stored_as_float(self):
         run = from_json(RunConfig, {"training": {"learning_rate": 1}}, "run")
         assert type(run.training.learning_rate) is float
@@ -739,6 +747,27 @@ class TestErrors:
         forwards = spy(monkeypatch, "forward", owner=spt.evaluation)
         assert main(argv) == 2
         assert forwards == []
+
+    # numpy warns as the weights overflow on the way to the non-finite value.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("update_layers", [[1, 2], []])
+    def test_diverged_run_exits_4_under_any_schedule(self, tmp_path, update_layers):
+        # Pruned, the non-finite value first shows in a prune layer's
+        # attention scores; dense, in the loss.
+        cfg = write_run_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["model"]["schedule"]["update_layers"] = update_layers
+        doc["training"].update(learning_rate=1e300, steps=8)
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("axis", ["image_h", "image_w"])
+    def test_scene_sized_unlike_the_model_is_refused_before_output(self, tmp_path, capsys,
+                                                                  axis):
+        assert main(run_value(f"data.synthetic.{axis}", 64)(tmp_path)) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"error: run: data.synthetic.{axis} is 64, but model.{axis} is 32\n")
 
     def test_sweep_checks_every_ratio_before_training(self, tmp_path, monkeypatch):
         trainings = spy(monkeypatch, "train_model", owner=spt.evaluation)

@@ -1,5 +1,6 @@
 """Heatmap decoding, PCKh scoring, and the keep-ratio sweep protocol."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import spt.tensor as T
 from spt.data import Annotation, SyntheticSceneConfig, generate_synthetic, \
     render_target_heatmaps
 from spt.errors import ConfigError
-from spt.evaluation import (ablation_sweep, decode_heatmap, decode_heatmaps,
+from spt.evaluation import (ablation_sweep, decode_heatmaps,
                             evaluate_model, pckh, pckh_table)
 from spt.model import ModelConfig, PoseModelParams, TrainingConfig, forward
 from spt.pruning import PruneSchedule, sparsity_report
@@ -23,15 +24,58 @@ def make_ann(joints, visible=None, head_size=4.0):
     return Annotation(joints, visible, head_size, "x")
 
 
+def decode_one(grid, image_h, image_w, refine=True):
+    """``decode_heatmaps`` of the one-map stack [grid], as an (x, y) pair."""
+    ((x, y),) = decode_heatmaps(np.asarray(grid)[None], image_h, image_w, refine)
+    return x, y
+
+
+def decode_stacks(count=400, seed=19):
+    """Seeded (maps, image_h, image_w): J 1-16, H and W 1-8, half of them
+    small-integer maps full of ties, with NaN, inf and -inf cells."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        j = int(rng.integers(1, 17))
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        if rng.uniform() < 0.5:
+            maps = rng.integers(0, 3, size=(j, h, w)).astype(np.float64)
+        else:
+            maps = rng.normal(size=(j, h, w))
+        special = rng.uniform(size=maps.shape)
+        maps[special < 0.04] = np.nan
+        maps[(special >= 0.04) & (special < 0.07)] = np.inf
+        maps[(special >= 0.07) & (special < 0.09)] = -np.inf
+        yield maps, int(rng.integers(1, 65)), int(rng.integers(1, 65))
+
+
+def pckh_cases(count=100, seed=23):
+    """Seeded (predictions, annotations): 1-8 samples of 1-16 joints, some
+    invisible, some predictions on the alpha=0.5 boundary and some NaN."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        j, samples = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+        anns, preds = [], []
+        for _ in range(samples):
+            joints = rng.uniform(0, 64, size=(j, 2))
+            head = float(rng.uniform(0.5, 12.0))
+            anns.append(Annotation(joints, rng.uniform(size=j) < 0.7, head, "x"))
+            pred = joints + rng.normal(scale=head * 0.4, size=(j, 2))
+            pick = rng.uniform(size=j)
+            pred[pick < 0.15] = joints[pick < 0.15] + [0.5 * head, 0.0]
+            pred[(pick >= 0.15) & (pick < 0.2)] = np.nan
+            preds.append(pred)
+        yield preds, anns
+
+
 class TestDecode:
     def test_one_hot_scales_exactly(self):
         grid = np.zeros((8, 8))
         grid[5, 2] = 1.0
-        x, y = decode_heatmap(grid, image_h=32, image_w=32)
+        x, y = decode_one(grid, image_h=32, image_w=32)
         assert (x, y) == (2 * 4.0, 5 * 4.0)  # neighbors equal, no shift
 
     def test_uniform_map_decodes_to_origin(self):
-        x, y = decode_heatmap(np.ones((6, 6)), image_h=6, image_w=6)
+        x, y = decode_one(np.ones((6, 6)), image_h=6, image_w=6)
         assert (x, y) == (0.0, 0.0)
 
     def test_quarter_shift_toward_larger_neighbor(self):
@@ -39,20 +83,30 @@ class TestDecode:
         grid[1, 1] = 1.0
         grid[1, 2] = 0.5  # right neighbor larger than left (0.2)
         grid[1, 0] = 0.2
-        x, y = decode_heatmap(grid, image_h=3, image_w=3)
+        x, y = decode_one(grid, image_h=3, image_w=3)
         assert x == 1.25 and y == 1.0
-        x, y = decode_heatmap(grid, image_h=3, image_w=3, refine=False)
+        x, y = decode_one(grid, image_h=3, image_w=3, refine=False)
         assert x == 1.0 and y == 1.0
 
     def test_edge_peak_skips_shift(self):
         grid = np.zeros((3, 3))
         grid[0, 0] = 1.0
         grid[0, 1] = 0.9
-        assert decode_heatmap(grid, 3, 3) == (0.0, 0.0)
+        assert decode_one(grid, 3, 3) == (0.0, 0.0)
 
     def test_empty_map_rejected(self):
         with pytest.raises(ConfigError):
-            decode_heatmap(np.zeros((0, 3)), 4, 4)
+            decode_heatmaps(np.zeros((1, 0, 3)), 4, 4)
+        with pytest.raises(ConfigError):
+            decode_heatmaps(np.zeros((3, 3)), 4, 4)  # one map, not a stack
+
+    def test_nan_neighbor_gives_no_shift(self):
+        # argmax takes the first NaN as the peak; a NaN neighbor compares
+        # false both ways, like a tie, so the keypoint stays finite.
+        grid = np.zeros((3, 3))
+        grid[1, 1] = grid[1, 2] = np.nan
+        grid[2, 1] = 5.0
+        assert decode_one(grid, 3, 3) == (1.0, 1.25)
 
     def test_render_then_decode_within_one_pixel(self):
         # sigma=2 interior joints, heatmap at input resolution
@@ -62,12 +116,35 @@ class TestDecode:
             ann = make_ann([joint])
             maps = render_target_heatmaps(ann, 32, 32, sigma=2.0,
                                           image_h=32, image_w=32)
-            x, y = decode_heatmap(maps[0], image_h=32, image_w=32)
+            x, y = decode_heatmaps(maps[:1], image_h=32, image_w=32)[0]
             assert abs(x - joint[0]) <= 1.0
             assert abs(y - joint[1]) <= 1.0
 
+    @pytest.mark.parametrize("refine, digest", [
+        (True, "be01412e8be35b03a4eb223a960f9f316ac86d18b8064fabf90f72b2b898d7e4"),
+        (False, "62b5f6fb1f4b217f21eae7ff730e741a594db517997b0b056c9656f85f8f0382"),
+    ])
+    def test_known_answer_digest(self, refine, digest):
+        # Taken from the per-map decoder this one replaced.
+        hasher = hashlib.sha256()
+        for maps, image_h, image_w in decode_stacks():
+            hasher.update(decode_heatmaps(maps, image_h, image_w, refine=refine).tobytes())
+        assert hasher.hexdigest() == digest
+
 
 class TestPckh:
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    def test_known_answer_digest(self):
+        # Taken from the per-sample scorer this one replaced.
+        hasher = hashlib.sha256()
+        for preds, anns in pckh_cases():
+            report = pckh(preds, anns, alphas=(0.5, 0.1, 0.25))
+            for a in report.alphas:
+                hasher.update(report.per_joint[a].tobytes())
+                hasher.update(np.float64(report.mean[a]).tobytes())
+        assert hasher.hexdigest() == (
+            "745011619667a0c50a00789a55d75e9ec35e2675b08127387477c4b5a1258c64")
+
     def test_exact_predictions_score_one(self):
         anns = [make_ann([[3.0, 4.0], [10.0, 2.0]]) for _ in range(4)]
         preds = [ann.joints.copy() for ann in anns]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spt.errors import ConfigError
+from spt.errors import ConfigError, NonFiniteValueError
 from spt.masks import AttentionMask
 from spt.model import ModelConfig, PoseModelParams, forward
 from spt.pruning import (K_MODES, MaskState, PruneSchedule, apply_prune_schedule,
@@ -155,7 +155,7 @@ class TestTopkRowMask:
         for bad in (np.nan, np.inf, -np.inf):
             attn = np.full((2, 3), 0.25)
             attn[1, 2] = bad
-            with pytest.raises(ConfigError, match="finite"):
+            with pytest.raises(NonFiniteValueError, match="finite"):
                 topk_row_mask(attn, AttentionMask.ones(2, 3), PruneSchedule(keep_ratio=0.5))
 
     def test_total_mode_uses_fraction_of_n(self):
@@ -182,25 +182,11 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             PruneSchedule(k_mode="bogus")
 
-    def test_non_update_layer_leaves_state_alone(self):
-        state = MaskState.dense(5)
-        before = state.current
-        schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.5)
-        apply_prune_schedule(2, None, state, schedule)
-        assert len(state.history) == 0
-        assert same_bits(state.current, before)
-
-    def test_update_layer_without_record_is_a_contract_error(self):
-        state = MaskState.dense(5)
-        schedule = PruneSchedule(update_layers=(3,), keep_ratio=0.5)
-        with pytest.raises(ConfigError):
-            apply_prune_schedule(3, None, state, schedule)
-
     def test_single_update_row_support(self):
         rng = np.random.default_rng(5)
         state = MaskState.dense(10)
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
-        apply_prune_schedule(3, rng.uniform(size=(10, 10)), state, schedule)
+        apply_prune_schedule(rng.uniform(size=(10, 10)), state, schedule)
         assert len(state.history) == 1
         assert (state.current.row_support == 6).all()
 
@@ -210,9 +196,8 @@ class TestSchedule:
         state = MaskState.dense(n)
         schedule = PruneSchedule(update_layers=(3, 6, 9), keep_ratio=0.6)
         expected = (60, 36, 22)  # round(0.6*100), round(0.6*60), round(0.6*36)
-        for layer, support in zip((3, 6, 9), expected):
-            apply_prune_schedule(layer, rng.uniform(size=(n, n)),
-                                 state, schedule)
+        for support in expected:
+            apply_prune_schedule(rng.uniform(size=(n, n)), state, schedule)
             assert (state.current.row_support == support).all()
         assert [int(h[0]) for h in state.history] == list(expected)
 
@@ -222,21 +207,31 @@ class TestSchedule:
         state = MaskState.dense(n)
         schedule = PruneSchedule(update_layers=(1, 2, 3), keep_ratio=0.7)
         previous = state.current
-        for layer in (1, 2, 3):
-            apply_prune_schedule(layer, rng.uniform(size=(n, n)),
-                                 state, schedule)
+        for _ in range(3):
+            apply_prune_schedule(rng.uniform(size=(n, n)), state, schedule)
             assert ((state.current.bits == 1) <= (previous.bits == 1)).all()
             previous = state.current
 
     def test_keypoint_offset_restricts_to_visual_block(self):
-        rng = np.random.default_rng(8)
-        j, n = 3, 6
-        state = MaskState.dense(n)
-        schedule = PruneSchedule(update_layers=(1,), keep_ratio=0.5)
-        full = rng.uniform(size=(j + n, j + n))
-        apply_prune_schedule(1, full, state, schedule, keypoint_count=j)
-        expected = topk_row_mask(full[j:, j:], AttentionMask.ones(n), schedule)
-        assert same_bits(state.current, expected)
+        # Each stage mask of a forward is the top-K election, under the
+        # previous stage, of its update layer's record restricted to the
+        # visual-by-visual block (keypoint rows and columns come first).
+        j = 3
+        schedule = PruneSchedule(update_layers=(1, 3), keep_ratio=0.5)
+        cfg = ModelConfig(image_h=8, image_w=8, channels=1, downsample=1, patch_h=2,
+                          patch_w=2, embed_dim=8, heads=2, encoder_layers=3, graph_layers=1,
+                          joint_count=j, heatmap_h=4, heatmap_w=4, schedule=schedule)
+        params = PoseModelParams.init(cfg, seed=8)
+        image = np.random.default_rng(8).uniform(size=(8, 8))
+        _, diag = forward(image, params, cfg, AttentionMask.ones(j), keep_records=True)
+        masks = diag.mask_state.masks
+        assert len(masks) == 3
+        for stage, layer in enumerate(schedule.update_layers, start=1):
+            record = diag.records[layer - 1]
+            assert record.shape == (j + 16, j + 16)
+            expected = topk_row_mask(record[j:, j:], masks[stage - 1], schedule)
+            assert same_bits(masks[stage], expected)
+        assert (masks[2].row_support == 4).all()  # 16 -> 8 -> 4
 
 
 class TestSparsityStats:
