@@ -1,10 +1,11 @@
 """Command-line entry point: gen-data, train, eval, masks, sweep.
 
 Runs are config-driven and reproducible: flags override fields of the JSON
-run config, the merged effective config is always persisted next to the
-outputs as ``run_config.json`` (itself a valid ``--config``), and every
-artifact carries the config digest.  Training logs keep wall-clock fields,
-everything else is a pure function of (config, inputs).
+run config, and every artifact carries the config digest.  Each command
+returns the run it ran, and ``main`` writes that merged config as
+``run_config.json`` (itself a valid ``--config``) last, only for a command
+that succeeded.  Training logs keep wall-clock fields, everything else is a
+pure function of (config, inputs).
 
 Each command takes only the flags it reads:
 
@@ -140,15 +141,19 @@ def _resolve_image(ann: Annotation, run: RunConfig, base_dir: Path) -> np.ndarra
     return _load_image(base_dir / ann.image_ref, run.model)
 
 
-def _split(run: RunConfig, name: str):
-    """The ``"train"`` or ``"test"`` list of (image, Annotation) from the run's data
-    block; only that split is read.  Synthetic test samples follow the train indices.
-    An empty split raises ``AnnotationError``."""
+def _split(run: RunConfig, name: str, path=None):
+    """The ``"train"`` or ``"test"`` list of (image, Annotation) from the annotation
+    file ``path``, else from that split alone of the run's data block.  Synthetic
+    test samples follow the train indices.  An empty split raises ``AnnotationError``."""
     data = run.data_config()
     train = name == "train"
-    if data.annotations is not None:
+    if path is None and data.annotations is not None:
         path = data.annotations if train else data.test_annotations
-        samples = _file_samples(run, path) if path is not None else []
+    if path is not None:
+        anns = load_annotations(path, image_h=run.model.image_h, image_w=run.model.image_w)
+        samples = [(_resolve_image(ann, run, Path(path).parent), ann) for ann in anns]
+    elif data.annotations is not None:
+        samples = []  # annotation files, but none for this split
     else:
         scene = _scene_config(run)
         first, count = (0, data.train_count) if train else (data.train_count, data.test_count)
@@ -158,23 +163,10 @@ def _split(run: RunConfig, name: str):
     return samples
 
 
-def _file_samples(run: RunConfig, path):
-    path = Path(path)
-    anns = load_annotations(path, image_h=run.model.image_h, image_w=run.model.image_w)
-    return [(_resolve_image(ann, run, path.parent), ann) for ann in anns]
-
-
 def _write_json(path: Path, doc: dict, digest: str) -> None:
     """``doc`` and its ``config_digest`` as indented JSON with sorted keys."""
     with atomic_write(path) as fh:
         fh.write(json.dumps({**doc, "config_digest": digest}, indent=2, sort_keys=True) + "\n")
-
-
-def _write_run_config(run: RunConfig, out_dir: Path) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digest = run.digest()
-    _write_json(out_dir / "run_config.json", asdict(run), digest)
-    return digest
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:
@@ -195,10 +187,9 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> RunConfig:
     run = _apply_overrides(load_run_config(args.config), args)
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
+    out_dir, digest = Path(run.output_dir), run.digest()
     scene = _scene_config(run)
     count = run.data_config().train_count
     annotations = []
@@ -214,26 +205,27 @@ def cmd_gen_data(args) -> int:
         hasher.update((out_dir / name).read_bytes())
     print(f"wrote {count} samples to {out_dir}")
     print(f"dataset digest: sha256:{hasher.hexdigest()}")
-    return 0
+    return run
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> RunConfig:
     run = _apply_overrides(load_run_config(args.config), args)
     train_samples = _split(run, "train")
     joint_mask = compile_joint_mask(_skeleton(run))
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
-    cfg = run.model
-    with atomic_write(out_dir / "log.jsonl") as log:
-        def log_step(step, loss, seconds):
-            log.write(json.dumps({"step": step, "loss": loss, "wall_ms": 1000.0 * seconds,
-                                  "config_digest": digest}) + "\n")
+    out_dir, digest, cfg = Path(run.output_dir), run.digest(), run.model
+    log = []  # written once training has succeeded
 
-        params, _ = train_model(train_samples, cfg, joint_mask, run.training, log_fn=log_step)
+    def log_step(step, loss, seconds):
+        log.append(json.dumps({"step": step, "loss": loss, "wall_ms": 1000.0 * seconds,
+                               "config_digest": digest}) + "\n")
+
+    params, _ = train_model(train_samples, cfg, joint_mask, run.training, log_fn=log_step)
+    with atomic_write(out_dir / "log.jsonl") as fh:
+        fh.writelines(log)
     save_checkpoint(out_dir / "checkpoint", params, cfg, extra={"config_digest": digest})
     _write_json(out_dir / "sparsity.json", sparsity_report(cfg).to_json_dict(), digest)
     print(f"trained {run.training.steps} steps; checkpoint at {out_dir / 'checkpoint'}")
-    return 0
+    return run
 
 
 def _checkpoint_run(args):
@@ -243,11 +235,9 @@ def _checkpoint_run(args):
     return params, _apply_overrides(replace(run, model=config), args)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> RunConfig:
     params, run = _checkpoint_run(args)
-    samples = _file_samples(run, args.data) if args.data else _split(run, "test")
-    if not samples:
-        raise AnnotationError("evaluation dataset is empty")
+    samples = _split(run, "test", args.data)
     for index, (_, ann) in enumerate(samples):
         if ann.joint_count != run.model.joint_count:
             raise CheckpointError(f"dataset record {index} has {ann.joint_count} joints, "
@@ -256,27 +246,24 @@ def cmd_eval(args) -> int:
     joint_mask = compile_joint_mask(skeleton)
     report = evaluate_model(params, run.model, joint_mask, samples, args.thresholds,
                             refine=run.decoder == "refined")
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
+    out_dir, digest = Path(run.output_dir), run.digest()
     _write_json(out_dir / "report.json", report.to_json_dict(), digest)
     table = f"# config {digest}\n" + pckh_table([("checkpoint", report)], skeleton.names)
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(table)
     print(table, end="")
-    return 0
+    return run
 
 
-def cmd_masks(args) -> int:
+def cmd_masks(args) -> RunConfig:
     params, run = _checkpoint_run(args)
     joint_mask = compile_joint_mask(_skeleton(run))
     if args.image:
         image = _load_image(args.image, run.model)
     else:
         image, _ = generate_sample(_scene_config(run), args.sample_index)
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
     heatmaps, diag = forward(image, params, run.model, joint_mask, keep_records=True)
-
+    out_dir, digest = Path(run.output_dir), run.digest()
     comment = f"config {digest}"
     for stage, mask in enumerate(diag.mask_state.masks[1:], start=1):
         save_pbm(out_dir / f"visual_mask_stage_{stage}.pbm", mask.bits, comment=comment)
@@ -295,10 +282,10 @@ def cmd_masks(args) -> int:
         "sparsity": diag.sparsity.to_json_dict(),
     }, digest)
     print(f"wrote {len(history)} stage masks and {maps.shape[0]} heatmaps to {out_dir}")
-    return 0
+    return run
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> RunConfig:
     run = _apply_overrides(load_run_config(args.config), args)
     test_samples = _split(run, "test")
     train_samples = _split(run, "train")
@@ -306,8 +293,7 @@ def cmd_sweep(args) -> int:
     rows = ablation_sweep(args.keep_ratios, run.model, compile_joint_mask(skeleton),
                           train_samples, test_samples, run.training,
                           refine=run.decoder == "refined")
-    out_dir = Path(run.output_dir)
-    digest = _write_run_config(run, out_dir)
+    out_dir, digest = Path(run.output_dir), run.digest()
     table = f"# config {digest}\n" + pckh_table(
         [(f"akr={ratio:.2f}", report) for ratio, report in rows], skeleton.names)
     with atomic_write(out_dir / "sweep.txt") as fh:
@@ -318,7 +304,7 @@ def cmd_sweep(args) -> int:
         "sparsity": sparsity_report(run.model.with_keep_ratio(ratio)).to_json_dict(),
     } for ratio, report in rows]}, digest)
     print(table, end="")
-    return 0
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +387,9 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        run = args.fn(args)
+        _write_json(Path(run.output_dir) / "run_config.json", asdict(run), run.digest())
+        return 0
     except SptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)

@@ -56,7 +56,8 @@ class PckhReport:
     """Correctness rates per joint and their mean, per threshold.
 
     ``per_joint[alpha]`` holds one rate per joint (NaN when that joint is
-    never visible); ``mean[alpha]`` averages the defined rates.
+    never visible); ``mean[alpha]`` averages the defined rates (NaN when
+    there are none).  JSON writes each NaN as null.
     """
 
     alphas: tuple
@@ -70,7 +71,7 @@ class PckhReport:
             "alphas": list(self.alphas),
             "per_joint": {str(a): [None if np.isnan(r) else float(r) for r in rates]
                           for a, rates in self.per_joint.items()},
-            "mean": {str(a): float(m) for a, m in self.mean.items()},
+            "mean": {str(a): None if np.isnan(m) else float(m) for a, m in self.mean.items()},
         }
 
 
@@ -86,7 +87,8 @@ def _checked_thresholds(alphas) -> tuple:
 
 
 def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
-    """Head-normalized correct-keypoint rates at each threshold."""
+    """Head-normalized correct-keypoint rates at each threshold; each prediction
+    and annotation must have the first annotation's joint count."""
     if len(predictions) != len(annotations):
         raise ConfigError(
             f"{len(predictions)} predictions for {len(annotations)} annotations"
@@ -95,7 +97,10 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
         raise ConfigError("cannot evaluate an empty dataset")
     alphas = _checked_thresholds(alphas)
     j = annotations[0].joint_count
-    pred = np.stack([np.asarray(p, dtype=np.float64).reshape(j, 2) for p in predictions])
+    shapes = {np.shape(p) for p in predictions} | {ann.joints.shape for ann in annotations}
+    if shapes != {(j, 2)}:
+        raise ConfigError(f"predictions and annotations must be ({j}, 2), got {sorted(shapes)}")
+    pred = np.stack([np.asarray(p, dtype=np.float64) for p in predictions])
     dist = np.linalg.norm(pred - np.stack([ann.joints for ann in annotations]), axis=-1)
     vis = np.stack([ann.visibility for ann in annotations])
     head = np.array([ann.head_size for ann in annotations], dtype=np.float64)[:, None]
@@ -105,7 +110,8 @@ def pckh(predictions, annotations, alphas=DEFAULT_ALPHAS) -> PckhReport:
         for a in alphas:
             correct = (vis & (dist <= a * head)).sum(axis=0)
             per_joint[a] = np.where(visible > 0, correct / np.maximum(visible, 1), np.nan)
-            mean[a] = float(np.nanmean(per_joint[a]))
+            # np.nanmean's sum and count, without its "Mean of empty slice" warning
+            mean[a] = float(np.where(visible > 0, per_joint[a], 0.0).sum() / (visible > 0).sum())
     return PckhReport(alphas=alphas, per_joint=per_joint, mean=mean,
                       sample_count=len(annotations))
 
@@ -176,12 +182,8 @@ def pckh_table(labeled_reports, joint_names) -> str:
     headers = ["method"] + list(joint_names) + [f"Mean@{alpha:g}", "Mean@0.1"]
     body = []
     for label, report in labeled_reports:
-        cells = [label]
-        cells += ["-" if np.isnan(r) else f"{100.0 * r:.2f}" for r in report.per_joint[alpha]]
-        cells.append(f"{100.0 * report.mean[alpha]:.2f}")
-        tail = report.mean.get(0.1)
-        cells.append("-" if tail is None else f"{100.0 * tail:.2f}")
-        body.append(cells)
+        rates = [*report.per_joint[alpha], report.mean[alpha], report.mean.get(0.1, np.nan)]
+        body.append([label] + ["-" if np.isnan(r) else f"{100.0 * r:.2f}" for r in rates])
     widths = [max(len(row[i]) for row in [headers] + body) for i in range(len(headers))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for row in body:

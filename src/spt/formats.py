@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 MAGIC = b"SPT1"
 MAX_RANK = 32
@@ -36,10 +36,12 @@ MAX_RANK = 32
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside ``path``; rename it to ``path`` when the block ends.
 
-    If the block raises, the temporary file is removed and any earlier
-    file at ``path`` is left as it was.
+    The parent directory is created if missing.  If the block raises, the
+    temporary file is removed and any earlier file at ``path`` is left as
+    it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(staged, mode) as fh:
@@ -102,7 +104,7 @@ def save_csv(path, array, comment: str | None = None) -> None:
     """Row-major CSV of a 2-D array, one line per row."""
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"CSV expects a 2-D array, got shape {arr.shape}")
+        raise ShapeError(f"CSV expects a 2-D array, got shape {arr.shape}")
     lines = []
     if comment:
         lines.append(f"# {comment}")
@@ -115,7 +117,7 @@ def save_csv(path, array, comment: str | None = None) -> None:
 def save_pbm(path, bits, comment: str | None = None) -> None:
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 2:
-        raise ValueError(f"PBM expects a 2-D bit matrix, got shape {arr.shape}")
+        raise ShapeError(f"PBM expects a 2-D bit matrix, got shape {arr.shape}")
     h, w = arr.shape
     head = f"P1\n# {comment}\n" if comment else "P1\n"
     body = "\n".join(" ".join(str(int(v)) for v in row) for row in arr)
@@ -127,7 +129,7 @@ def save_pgm(path, image, comment: str | None = None) -> None:
     """8-bit binary PGM; input values are clipped to [0, 1]."""
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"PGM expects a 2-D image, got shape {arr.shape}")
+        raise ShapeError(f"PGM expects a 2-D image, got shape {arr.shape}")
     quant = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = arr.shape
     head = f"P5\n# {comment}\n" if comment else "P5\n"

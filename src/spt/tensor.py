@@ -35,9 +35,10 @@ tape.  Both give the bits of the chains they replace.
 
 On a machine with more than one CPU, ``backward`` offers work that the
 replaying thread's next call does not read, and that is large enough to pay
-for the hand-over, to helper threads (``_Task``): the second product of a ``matmul`` pullback, the two weight products of the
-``mlp`` pullback, and the heads of the ``multi_head_attention`` pullback,
-which the replaying thread and the helpers take one at a time;
+for the hand-over, to helper threads (``_Task``): the second product of a
+``matmul`` pullback, the two weight products of the ``mlp`` pullback, and
+the heads of the ``multi_head_attention`` pullback, which the replaying
+thread and the helpers take one at a time;
 ``model.AdamState.step`` offers half of each large parameter's update.  A
 helper makes plain numpy calls into arrays the replaying thread allocated,
 and the replaying thread waits for them before it reads them, or makes the
@@ -45,7 +46,10 @@ call itself if no helper has started it yet.  A helper never touches a
 tape, a ``.grad`` or the gradient store: the replaying thread makes every
 ``_accumulate`` call, in the serial order, and every task makes the serial
 numpy call on the same operands, so the bits do not depend on the CPU
-count.  The forward stays on the calling thread.
+count.  The forward stays on the calling thread.  The helpers pay only with
+single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): on a 2-vCPU x86 host the
+reference ``train_step`` at batch 2 took a median 731 ms with them and 861 ms
+inline, but under OpenBLAS's default threads 830 ms against 778.
 """
 
 from __future__ import annotations

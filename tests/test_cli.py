@@ -255,6 +255,23 @@ class TestEval:
                      "--data", str(bad), "--out", str(tmp_path / "e")])
         assert code == 6
 
+    def test_no_visible_joint_reports_null_and_dash(self, tmp_path):
+        cfg, ckpt = self.checkpoint(tmp_path)
+        data = tmp_path / "hidden.json"
+        data.write_text(json.dumps([{"image": {"seed": 11, "index": 0},
+                                     "joints": [[5.0, 5.0]] * 16, "visible": [False] * 16,
+                                     "head_size": 3.0}]))
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--data", str(data), "--out", str(out)]) == 0
+
+        def not_json(name):
+            raise AssertionError(f"report.json holds {name}")
+        report = json.loads((out / "report.json").read_text(), parse_constant=not_json)
+        assert report["mean"] == {"0.5": None, "0.1": None}
+        row = (out / "report.txt").read_text().splitlines()[2].split()
+        assert row == ["checkpoint"] + ["-"] * 18  # 16 joints, Mean@0.5, Mean@0.1
+
     def test_skeleton_file_is_read_once(self, tmp_path, monkeypatch):
         # The joint mask and the table's joint names come from one read.
         path = tmp_path / "skeleton.json"
@@ -595,9 +612,19 @@ def replaced(path, value):
     return edit
 
 
-def swept(setup, *flags):
-    """The train run ``setup`` gives, as a sweep with ``flags``."""
-    return lambda tmp_path: ["sweep", *setup(tmp_path)[1:], *flags]
+def as_command(command, setup, *flags):
+    """The train run ``setup`` gives, as ``command`` with ``flags``."""
+    return lambda tmp_path: [command, *setup(tmp_path)[1:], *flags]
+
+
+def on_checkpoint(command, setup):
+    """``command`` on a freshly written checkpoint, with the config of the train
+    run ``setup`` gives."""
+    def make(tmp_path):
+        assert main(["train", "--config", str(write_run_config(tmp_path)), "--steps", "0"]) == 0
+        return [command, "--checkpoint", str(tmp_path / "out" / "checkpoint"),
+                *setup(tmp_path)[1:]]
+    return make
 
 
 def gen_data(*flags):
@@ -681,7 +708,8 @@ MALFORMED = [
     ("negative_train_count", run_value("data.train_count", -1), 2),
     ("negative_test_count", run_value("data.test_count", -1), 2),
     ("negative_gen_data_count", gen_data("--count", "-3"), 2),
-    ("sweep_empty_train_split", swept(run_value("data.train_count", 0), "--akr", "0.6"), 3),
+    ("sweep_empty_train_split",
+     as_command("sweep", run_value("data.train_count", 0), "--akr", "0.6"), 3),
     ("run_config_edited_after_writing", edited_run_config(replaced("training.steps", 1)), 2),
     ("run_config_digest_null", edited_run_config(replaced("config_digest", None)), 2),
     ("skeleton_pair_string", skeleton_file(replaced("edges", [["a", 1]])), 3),
@@ -707,6 +735,25 @@ MALFORMED = [
     ("eval_thresholds_repeated", eval_flags("--thresholds", "0.5", "0.5"), 2),
     ("eval_threshold_nan", eval_flags("--thresholds", "nan"), 2),
     ("eval_threshold_infinite", eval_flags("--thresholds", "0.5", "inf"), 2),
+]
+
+
+# A well-formed skeleton whose joint count the tests' 16-joint model does not take.
+THREE_JOINTS = skeleton_file(lambda text: json.dumps(
+    {"joint_count": 3, "names": ["a", "b", "c"], "edges": [[0, 1]], "symmetric_pairs": []}))
+
+# Runs refused while reading their inputs, or at their first forward or training step.
+REFUSED = [
+    ("gen_data_scene_joint_count",
+     as_command("gen-data", run_value("model.joint_count", 14)), 2),
+    ("train_skeleton_joint_count", THREE_JOINTS, 2),
+    ("masks_skeleton_joint_count", on_checkpoint("masks", THREE_JOINTS), 2),
+    ("train_annotation_joint_count",
+     annotation_record(joints=[[5.0, 5.0]] * 14, visible=[True] * 14), 2),
+    ("sweep_skeleton_joint_count", as_command("sweep", THREE_JOINTS, "--akr", "0.6"), 2),
+    ("eval_skeleton_joint_count", on_checkpoint("eval", THREE_JOINTS), 2),
+    ("eval_data_empty", eval_annotations(()), 3),
+    ("eval_record_joint_count_differs", eval_annotations((16, 15)), 6),
 ]
 
 
@@ -768,6 +815,13 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err == (
             f"error: run: data.synthetic.{axis} is 64, but model.{axis} is 32\n")
+
+    @pytest.mark.parametrize("setup, code", [case[1:] for case in REFUSED],
+                             ids=[case[0] for case in REFUSED])
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, setup, code):
+        out = tmp_path / "refused"
+        assert main(setup(tmp_path) + ["--out", str(out)]) == code
+        assert not out.exists()
 
     def test_sweep_checks_every_ratio_before_training(self, tmp_path, monkeypatch):
         trainings = spy(monkeypatch, "train_model", owner=spt.evaluation)

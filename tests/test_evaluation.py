@@ -133,7 +133,6 @@ class TestDecode:
 
 
 class TestPckh:
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
     def test_known_answer_digest(self):
         # Taken from the per-sample scorer this one replaced.
         hasher = hashlib.sha256()
@@ -231,6 +230,16 @@ class TestPckh:
             pckh([], [ann])
         with pytest.raises(ConfigError):
             pckh([], [])
+
+    @pytest.mark.parametrize("preds, joint_counts", [
+        ([[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 3], (2, 3)),  # annotations differ
+        ([[[0.0, 0.0]] * 3], (2,)),                      # a (3, 2) prediction, 2 joints
+        ([[0.0, 0.0, 0.0, 0.0]], (2,)),                  # flat, not (J, 2)
+    ])
+    def test_joint_count_mismatch_rejected(self, preds, joint_counts):
+        anns = [make_ann([[0.0, 0.0]] * n) for n in joint_counts]
+        with pytest.raises(ConfigError, match=r"must be \(2, 2\)"):
+            pckh([np.array(p) for p in preds], anns)
 
     def test_repeated_threshold_rejected(self):
         # Listed twice, one hit would count twice: a rate of 2.0.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spt.formats
-from spt.errors import FormatError
+from spt.errors import FormatError, ShapeError
 from spt.formats import (atomic_write, load_pgm, load_tensor, save_csv, save_pbm,
                          save_pgm, save_tensor)
 
@@ -38,6 +38,12 @@ class TestAtomicWrite:
         save_pgm(path, np.ones((3, 2)), comment="second")
         assert np.array_equal(load_pgm(path), np.ones((3, 2)))
         assert [p.name for p in tmp_path.iterdir()] == ["image.pgm"]
+
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "note.txt"
+        with atomic_write(path) as fh:
+            fh.write("x")
+        assert path.read_text() == "x"
 
 
 class TestBinaryTensor:
@@ -169,6 +175,12 @@ class TestCsv:
     def test_only_a_matrix_is_written(self, tmp_path, shape):
         with pytest.raises(ValueError, match="2-D"):
             save_csv(tmp_path / "m.csv", np.zeros(shape))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("save", [save_csv, save_pbm, save_pgm])
+    def test_every_saver_refuses_a_non_matrix_with_shape_error(self, tmp_path, save):
+        with pytest.raises(ShapeError, match="2-D"):
+            save(tmp_path / "x", np.zeros((2, 2, 2)))
         assert not list(tmp_path.iterdir())
 
 
