@@ -12,14 +12,12 @@ whole arrays.  Training lives in ``model.train_model``; the sweep only calls it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import TrainingConfig, forward, train_model
-from .tensor import finite_checks, finite_checks_enabled
 
 DEFAULT_ALPHAS = (0.5, 0.1)
 
@@ -120,25 +118,15 @@ def evaluate_model(params, config, skeleton_mask, samples, alphas=DEFAULT_ALPHAS
                    refine: bool = True, workers: int = 1) -> PckhReport:
     """Forward + decode every (image, Annotation) sample, then score PCKh.
 
-    The thresholds are checked before the first forward.  ``workers`` > 1
-    opts into thread-parallel evaluation; the dataset and parameters are
-    shared read-only, and every sample runs under the caller's NaN/Inf
-    guard setting.
+    Samples run one after another on the calling thread, under its NaN/Inf
+    guard setting.  ``workers`` must be 1; any other value is refused with
+    ConfigError, as are bad thresholds, before the first forward.
     """
     alphas = _checked_thresholds(alphas)
-    guard = finite_checks_enabled()
-
-    def predict(sample):
-        image, _ = sample
-        with finite_checks(guard):
-            heatmaps, _ = forward(image, params, config, skeleton_mask)
-        return decode_heatmaps(heatmaps, config.image_h, config.image_w, refine)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(predict, samples))
-    else:
-        preds = [predict(s) for s in samples]
+    if workers != 1:
+        raise ConfigError(f"evaluation runs on the calling thread: workers must be 1, got {workers}")
+    preds = [decode_heatmaps(forward(image, params, config, skeleton_mask)[0],
+                             config.image_h, config.image_w, refine) for image, _ in samples]
     return pckh(preds, [ann for _, ann in samples], alphas)
 
 

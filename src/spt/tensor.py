@@ -12,13 +12,14 @@ last record that reads the leaf has been replayed.  Tensors are treated as
 immutable once produced by an operation; parameter updates happen between
 tapes.
 
-Adjoints are owned or borrowed.  ``matmul``, ``mlp`` and
-``multi_head_attention`` hand over the fresh arrays they compute as owned:
-later adjoints are summed into them in place, and a leaf receives one as
-its ``.grad`` without a copy.  Every other pullback lends its adjoint,
-often the upstream gradient or a view of it (``add``, ``concat``,
-``reshape``); a borrowed array is never written, and a leaf receives a
-copy.
+Every adjoint has one owner.  A pullback owns the gradient ``g`` that
+``backward`` pops for it: it may hand ``g``, or a view of it, to one input,
+and every other input gets memory of its own: an array the pullback
+computed, a copy (``add`` copies ``g`` for its first operand when both
+need a gradient), or a disjoint slice of ``g`` (``concat``).  So no two
+entries of the adjoint store share memory, ``_accumulate`` sums into an
+entry in place, and a leaf receives its adjoint as its ``.grad``, copied
+only if it is a view.
 
 Everything is 64-bit and broadcasting is restricted to scalar-with-tensor
 (plus the dedicated last-axis bias op), which keeps every adjoint auditable
@@ -46,10 +47,13 @@ call itself if no helper has started it yet.  A helper never touches a
 tape, a ``.grad`` or the gradient store: the replaying thread makes every
 ``_accumulate`` call, in the serial order, and every task makes the serial
 numpy call on the same operands, so the bits do not depend on the CPU
-count.  The forward stays on the calling thread.  The helpers pay only with
-single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): on a 2-vCPU x86 host the
-reference ``train_step`` at batch 2 took a median 731 ms with them and 861 ms
-inline, but under OpenBLAS's default threads 830 ms against 778.
+count.  A helper reads only ``g`` and forward arrays, and ``g`` shares
+memory with no entry of the store, so no in-place sum the replaying thread
+makes meanwhile writes memory a helper reads.  The forward stays on the
+calling thread.  The helpers pay only with single-threaded BLAS
+(``OPENBLAS_NUM_THREADS=1``): on a 2-vCPU x86 host the reference
+``train_step`` at batch 2 took a median 731 ms with them and 861 ms inline,
+but under OpenBLAS's default threads 830 ms against 778.
 """
 
 from __future__ import annotations
@@ -250,33 +254,27 @@ def _finish(out_data, keys, pullback):
     return out
 
 
-def _accumulate(store, key, grad, owned: bool = False):
-    # An entry is [array, owned].  A borrowed array is never written: the
-    # first further accumulation replaces it with a fresh sum, which the
-    # entry then owns.  ``owned=True`` promises ``grad`` was computed for
-    # this call alone, so it is summed into in place and may become a
-    # leaf's ``.grad`` as it is.
+def _accumulate(store, key, grad):
+    """Sum ``grad`` into ``key``'s adjoint; ``grad`` becomes the entry if it is the first."""
     if key is None:
         return
-    entry = store.get(key)
-    if entry is None:
-        store[key] = [grad, owned]
-    elif entry[1]:
-        entry[0] += grad
+    if key in store:
+        store[key] += grad  # item assignment also rebinds a numpy scalar
     else:
-        entry[0] = entry[0] + grad
-        entry[1] = True
+        store[key] = grad
 
 
-def _give(leaf: Tensor, grad: np.ndarray, owned: bool) -> None:
-    """Add a finished adjoint to ``leaf.grad`` without writing an earlier ``.grad``."""
-    if leaf.grad is None:
-        leaf.grad = grad if owned else np.array(grad, dtype=np.float64)
-    elif owned:
+def _give(leaf: Tensor, grad) -> None:
+    """Add a finished adjoint to ``leaf.grad`` without writing an earlier ``.grad``.
+
+    The new ``.grad`` owns its data: a view (or a read-only numpy scalar) is
+    copied first, and any earlier ``.grad`` is summed into it in place.
+    """
+    if not (grad.flags.owndata and grad.flags.writeable):
+        grad = np.array(grad)
+    if leaf.grad is not None:
         grad += leaf.grad  # the same bits as leaf.grad + grad
-        leaf.grad = grad
-    else:
-        leaf.grad = leaf.grad + grad
+    leaf.grad = grad
 
 
 def backward(loss: Tensor, tape: ComputationTape) -> None:
@@ -289,9 +287,9 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     closure and the arrays it keeps are freed before the next one runs.
     Only leaves receive ``.grad``.  An output of another tape counts as an
     intermediate here, not as a leaf: its gradient is dropped.  A leaf's
-    new ``.grad`` is its owned adjoint itself (plus any earlier ``.grad``),
-    or a fresh copy or sum of a borrowed one: no two leaves share a
-    gradient array, and an earlier ``.grad`` array is never written.
+    new ``.grad`` is its adjoint (a copy if that is a view), with any
+    earlier ``.grad`` summed into it: no two leaves share a gradient array,
+    and an earlier ``.grad`` array is never written.
 
     A leaf receives its ``.grad`` as soon as the last record that reads it
     has been replayed (or skipped, when off the loss's path), and its
@@ -303,23 +301,23 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     key = _key(loss)
-    store = {} if key is None else {key: [np.ones((), dtype=np.float64), True]}
+    store = {} if key is None else {key: np.ones((), dtype=np.float64)}
     records, readers = tape._records, tape._readers
     while records:
         node, pullback, leaves = records.pop()
-        entry = store.pop(node, None)
-        if entry is not None:  # else not on a path to the loss
-            pullback(entry[0], store)
+        g = store.pop(node, None)
+        if g is not None:  # else not on a path to the loss
+            pullback(g, store)
         for leaf in leaves:
             readers[leaf] -= 1
             if not readers[leaf]:
                 del readers[leaf]
-                entry = store.pop(leaf, None)
-                if entry is not None:
-                    _give(leaf, *entry)
-    for key, (grad, owned) in store.items():
+                grad = store.pop(leaf, None)
+                if grad is not None:
+                    _give(leaf, grad)
+    for key, grad in store.items():
         if isinstance(key, Tensor):  # else an intermediate of another tape
-            _give(key, grad, owned)
+            _give(key, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +342,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def pullback(g, store):
         if ka is None:
-            _accumulate(store, kb, a_t @ g, owned=True)
+            _accumulate(store, kb, a_t @ g)
         elif kb is None:
-            _accumulate(store, ka, g @ b_t, owned=True)
+            _accumulate(store, ka, g @ b_t)
         else:
             gb = np.empty(b_shape)
             task = _Task(np.matmul, a_t, g, gb, work=gb.size * g.shape[-2])
-            _accumulate(store, ka, g @ b_t, owned=True)
+            _accumulate(store, ka, g @ b_t)
             task.wait()
-            _accumulate(store, kb, gb, owned=True)
+            _accumulate(store, kb, gb)
 
     return _finish(a.data @ b.data, (ka, kb), pullback)
 
@@ -363,7 +361,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ka, kb = _key(a), _key(b)
 
     def pullback(g, store):
-        _accumulate(store, ka, g)
+        _accumulate(store, ka, g if kb is None else g.copy())  # b takes g itself
         _accumulate(store, kb, g)
 
     return _finish(a.data + b.data, (ka, kb), pullback)
@@ -425,8 +423,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def pullback(g, store):
         _accumulate(store, kx, g)
-        axes = tuple(range(g.ndim - 1))
-        _accumulate(store, kb, g.sum(axis=axes) if axes else g)
+        # Summed over no axes (a 1-D x), g.sum is a copy of g.
+        _accumulate(store, kb, g.sum(axis=tuple(range(g.ndim - 1))))
 
     return _finish(x.data + b.data, (kx, kb), pullback)
 
@@ -551,7 +549,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     instead of keeping it.  Every product, bias sum and elementwise pass is
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
-    same bits.  All five input adjoints are fresh and handed over owned.
+    same bits.  All five input adjoints are arrays the pullback computes.
     The pullback runs the ``w2`` product on a helper thread while it
     computes the pre-activation adjoint, and the ``w1`` product while it
     computes the ``x`` adjoint.
@@ -575,7 +573,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def pullback(g, store):
         if kb2 is not None:
-            _accumulate(store, kb2, g.sum(axis=0), owned=True)
+            _accumulate(store, kb2, g.sum(axis=0))
         if kw2 is not None:
             gw2 = np.empty(w2_shape)
             task = _Task(np.matmul, _gelu_out(pre, t).T, g, gw2, work=gw2.size * len(g))
@@ -583,19 +581,19 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             dpre = _gelu_pullback(g @ w2_t, pre, t)
         if kw2 is not None:
             task.wait()
-            _accumulate(store, kw2, gw2, owned=True)
+            _accumulate(store, kw2, gw2)
         if not needs_dpre:
             return
         if kb1 is not None:
-            _accumulate(store, kb1, dpre.sum(axis=0), owned=True)
+            _accumulate(store, kb1, dpre.sum(axis=0))
         if kw1 is not None:
             gw1 = np.empty(w1_shape)
             task = _Task(np.matmul, x_t, dpre, gw1, work=gw1.size * len(dpre))
         if kx is not None:
-            _accumulate(store, kx, dpre @ w1_t, owned=True)
+            _accumulate(store, kx, dpre @ w1_t)
         if kw1 is not None:
             task.wait()
-            _accumulate(store, kw1, gw1, owned=True)
+            _accumulate(store, kw1, gw1)
 
     return _finish(out_data, keys, pullback)
 
@@ -616,8 +614,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def pullback(g, store):
         axes = tuple(range(g.ndim - 1))
-        _accumulate(store, kg, (g * xhat).sum(axis=axes) if axes else g * xhat)
-        _accumulate(store, kb, g.sum(axis=axes) if axes else g)
+        _accumulate(store, kg, (g * xhat).sum(axis=axes))
+        _accumulate(store, kb, g.sum(axis=axes))
         dxhat = g * gain_data
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -637,8 +635,8 @@ def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     kx = _key(x)
 
     def pullback(g, store):
-        spread = g[:, :, None, :, None] / (pool_h * pool_w)
-        full = np.broadcast_to(spread, (c, oh, pool_h, ow, pool_w)).reshape(c, h, w)
+        full = np.empty((c, h, w))
+        full.reshape(c, oh, pool_h, ow, pool_w)[...] = g[:, :, None, :, None] / (pool_h * pool_w)
         _accumulate(store, kx, full)
 
     return _finish(out_data, (kx,), pullback)
@@ -739,7 +737,7 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     head's context columns.
 
     The tape keeps only ``packed`` and ``mask``.  The pullback fills one
-    owned (n, 3D) gradient head by head.  It first rebuilds P_i with the
+    fresh (n, 3D) gradient head by head.  It first rebuilds P_i with the
     forward's own calls, ``q_i k_iᵀ`` and the masked softmax (shifted
     redo included), into an (r, n) tile it reuses for the next head, so P_i
     has the forward's bits.  Then dV_i = P_iᵀ g_i, dS is the softmax
@@ -788,7 +786,7 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
         _attention_heads(data, g, mask, s, todo, tiles[0], grad)
         for task in tasks:
             task.wait()
-        _accumulate(store, kp, grad, owned=True)
+        _accumulate(store, kp, grad)
 
     return _finish(context, (kp,), pullback), probs
 

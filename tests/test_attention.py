@@ -387,8 +387,8 @@ class TestAttentionKernel:
         store = {}
         record[1](g, store)
         assert np.array_equal(packed.data, packed_before) and np.array_equal(g, g_before)
-        grad, owned = store[packed]
-        assert owned and not np.shares_memory(grad, packed.data)
+        grad = store[packed]
+        assert not np.shares_memory(grad, packed.data)
         assert not np.shares_memory(grad, g) and not probs.flags.writeable
 
     def test_shape_errors(self):

@@ -3,7 +3,10 @@
 import argparse
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +392,21 @@ class TestCommandsRunWhatTheyRecord:
             assert (schedule.keep_ratio, schedule.k_mode) == (0.3, "total")
             assert [args[position].schedule for args, _ in calls] == [schedule], fn
             monkeypatch.undo()
+
+
+class TestManifest:
+    def test_a_rerun_writes_the_same_bytes(self, tmp_path):
+        # The script in its own process, then in this one under the suite's
+        # NaN/Inf guard: every file and stdout must hash the same.
+        from cli_manifest import write_manifest  # it imports this module
+
+        script = Path(__file__).with_name("cli_manifest.py")
+        env = {**os.environ, "PYTHONPATH": str(Path(spt.cli.__file__).parents[1])}
+        subprocess.run([sys.executable, str(script), str(tmp_path / "a")], env=env,
+                       check=True, capture_output=True, timeout=120)
+        lines = write_manifest(tmp_path / "b")
+        assert (tmp_path / "a" / "manifest.txt").read_text().splitlines() == lines
+        assert len(lines) > 100 and any(line.startswith("sweep/stdout ") for line in lines)
 
 
 class TestSplits:

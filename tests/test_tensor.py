@@ -279,7 +279,7 @@ class TestKernelsLeaveInputsAlone:
         assert np.array_equal(g, g_before)
         assert np.array_equal(x.data, x_before)
         assert np.array_equal(out.data, out_before)
-        grad = store[x][0]
+        grad = store[x]
         for array in (g, x.data, out.data):
             assert not np.shares_memory(grad, array)
 
@@ -405,6 +405,53 @@ class TestBackward:
         backward(loss, tape)
         assert np.array_equal(earlier, earlier_copy) and w.grad is not earlier
         assert w.grad.tobytes() == (earlier_copy + x.data.T @ np.ones((2, 4))).tobytes()
+
+    @pytest.mark.parametrize("shapes, op", [
+        ([(2, 3)], lambda a: T.add(a, a)),
+        ([(2, 3), (2, 3)], T.add),
+        ([(2, 3)], lambda a: T.sub(a, a)),
+        ([(2, 3)], lambda a: T.concat([a, a], axis=0)),
+        ([(4,), (4,)], T.add_bias),
+        ([(4,), (4,), (4,)], T.layer_norm),
+        ([(2, 3, 4)], lambda x: T.avg_pool2d(x, 1, 1)),
+    ], ids=["add_same", "add_two", "sub_same", "concat_same", "add_bias_1d",
+            "layer_norm_1d", "avg_pool2d_1x1"])
+    def test_an_adjoint_handed_to_two_inputs_reaches_each_as_its_own(self, shapes, op):
+        # Each leaf is also read by an op recorded before ``op``, so its
+        # adjoint from ``op`` is summed into in place once more afterwards: an
+        # adjoint ``op`` shared between two inputs would leak into the other.
+        rng = np.random.default_rng(23)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        extra = [Tensor(rng.normal(size=shape)) for shape in shapes]
+
+        def build():
+            loss = T.sum_all(T.mul(leaves[0], extra[0]))
+            for leaf, weights in zip(leaves[1:], extra[1:]):
+                loss = T.add(loss, T.sum_all(T.mul(leaf, weights)))
+            out = op(*leaves)
+            weights = Tensor(np.random.default_rng(24).normal(size=out.shape))
+            return T.add(loss, T.sum_all(T.mul(out, weights)))
+
+        finite_difference_check(build, leaves)
+        once = [leaf.grad for leaf in leaves]
+        earlier = [rng.normal(size=shape) for shape in shapes]
+        for leaf, grad in zip(leaves, earlier):
+            leaf.grad = grad
+        for _ in range(2):
+            held = [leaf.grad for leaf in leaves]
+            copies = [grad.copy() for grad in held]
+            with ComputationTape() as tape:
+                loss = build()
+            backward(loss, tape)
+            for leaf, grad, copy in zip(leaves, held, copies):
+                assert leaf.grad is not grad and np.array_equal(grad, copy)
+        for leaf, grad, first in zip(leaves, earlier, once):
+            assert leaf.grad.tobytes() == (first + (first + grad)).tobytes()
+        grads = [leaf.grad for leaf in leaves]
+        for i, grad in enumerate(grads):
+            assert grad.flags.owndata and grad.flags.writeable
+            others = grads[i + 1:] + [t.data for t in leaves + extra]
+            assert not any(np.shares_memory(grad, other) for other in others)
 
     def test_each_record_visited_once(self):
         # a diamond: two consumers of z; the tape replays each op exactly once
