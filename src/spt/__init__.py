@@ -17,7 +17,7 @@ from .attention import AttentionLayerParams, encoder_block, masked_self_attentio
 from .pruning import (MaskState, PruneSchedule, SparsityStats,
                       apply_prune_schedule, sparsity_report, topk_row_mask)
 from .skeleton import (SkeletonSpec, compile_joint_mask, default_skeleton,
-                       load_skeleton, save_skeleton, validate_spec)
+                       load_skeleton, save_skeleton)
 from .model import (AdamState, Diagnostics, ModelConfig, PoseModelParams,
                     TrainingConfig, forward, full_token_mask, load_checkpoint,
                     loss_mse, patchify_embed, save_checkpoint, train_model, train_step)

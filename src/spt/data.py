@@ -4,9 +4,12 @@ The generator draws a 16-joint articulated figure: a template pose scaled
 into the image, per-joint uniform jitter, limbs rendered as dim segments
 and joints as Gaussian blobs whose peak brightness encodes the joint index
 (so joints are visually distinguishable at toy resolutions).  Every sample
-is a pure function of (seed, index) through the SplitMix64 stream, making
-golden tests portable.  Joint coordinates in annotations are exact floats,
-not pixel-quantized.
+is a pure function of (seed, index) through the SplitMix64 stream on one
+host, but not across hosts: blobs and target heatmaps are float64 ``exp``,
+whose AVX-512 kernel in numpy and libm's differ by 1 ULP, so the scene and
+target digests in ``tests/test_data.py`` hold on the x86 AVX-512 host that
+recorded them.  Joint coordinates in annotations are exact floats, not
+pixel-quantized.
 
 Annotation files are a JSON array of
 ``{image, joints, visible, head_size}`` where ``image`` is either a path
@@ -61,7 +64,7 @@ _LIMBS = (
 
 @dataclass
 class Annotation:
-    """Ground truth for one sample: joint coordinates, visibility, PCKh scale."""
+    """Ground truth for one sample (joints, visibility, PCKh scale), checked when built."""
 
     joints: np.ndarray       # (J, 2) float (x, y) pixel coordinates
     visibility: np.ndarray   # (J,) bool
@@ -69,8 +72,18 @@ class Annotation:
     image_ref: object        # path string or (seed, index) tuple
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=np.float64).reshape(-1, 2)
-        self.visibility = np.asarray(self.visibility, dtype=bool).reshape(-1)
+        self.joints = np.asarray(self.joints, dtype=np.float64)
+        self.visibility = np.asarray(self.visibility, dtype=bool)
+        if self.joints.ndim != 2 or self.joints.shape[1] != 2:
+            raise AnnotationError(f"joints must be (J, 2), got {self.joints.shape}")
+        flags, j = self.visibility, self.joints.shape[0]
+        if flags.shape != (j,):
+            raise AnnotationError(f"{flags.shape[0] if flags.ndim == 1 else flags.shape} "
+                                  f"visibility flags for {j} joints")
+        if not 0 < self.head_size < math.inf:
+            raise AnnotationError(f"head_size must be finite and > 0, got {self.head_size}")
+        if not np.isfinite(self.joints).all():
+            raise AnnotationError("joint coordinates must be finite")
 
     @property
     def joint_count(self) -> int:
@@ -233,9 +246,10 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
 
     JSON types are checked, never coerced: an image ref's ``seed`` and
     ``index`` are integers, joint coordinates and ``head_size`` are numbers,
-    ``visible`` flags are booleans and an image path is a string.  Bounds
-    checking of visible joints needs image extents; pass them when known
-    (the file format does not embed extents).
+    ``visible`` flags are booleans and an image path is a string.  Shapes and
+    ranges are ``Annotation``'s checks; their errors gain the record index.
+    Bounds checking of visible joints needs image extents; pass them when
+    known (the file format does not embed extents).
     """
     doc = read_json(path, AnnotationError)
     if not isinstance(doc, list):
@@ -247,30 +261,19 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
             ref = ((json_value(int, image["seed"], "image.seed", TypeError),
                     json_value(int, image["index"], "image.index", TypeError))
                    if isinstance(image, dict) else json_value(str, image, "image", TypeError))
-            joints = np.asarray(json_value(tuple[tuple[float, ...], ...], rec["joints"],
-                                           "joints", TypeError), dtype=np.float64)
-            visible = np.asarray(json_value(tuple[bool, ...], rec["visible"], "visible",
-                                            TypeError), dtype=bool)
-            head_size = json_value(float, rec["head_size"], "head_size", TypeError)
+            ann = Annotation(
+                json_value(tuple[tuple[float, ...], ...], rec["joints"], "joints", TypeError),
+                json_value(tuple[bool, ...], rec["visible"], "visible", TypeError),
+                json_value(float, rec["head_size"], "head_size", TypeError), ref)
+        except AnnotationError as exc:
+            raise AnnotationError(str(exc), index=index) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise AnnotationError(f"malformed record: {exc!r}", index=index) from exc
-        if joints.ndim != 2 or joints.shape[1] != 2:
-            raise AnnotationError(f"joints must be (J, 2), got {joints.shape}", index=index)
-        if visible.shape[0] != joints.shape[0]:
-            raise AnnotationError(
-                f"{visible.shape[0]} visibility flags for {joints.shape[0]} joints",
-                index=index,
-            )
-        if not 0 < head_size < math.inf:
-            raise AnnotationError(f"head_size must be finite and > 0, got {head_size}",
-                                  index=index)
-        if not np.isfinite(joints).all():
-            raise AnnotationError("joint coordinates must be finite", index=index)
         if image_h is not None and image_w is not None:
-            vis = joints[visible]
+            vis = ann.joints[ann.visibility]
             inside = ((vis[:, 0] >= 0) & (vis[:, 0] <= image_w - 1)
                       & (vis[:, 1] >= 0) & (vis[:, 1] <= image_h - 1))
             if not inside.all():
                 raise AnnotationError("visible joint outside image bounds", index=index)
-        annotations.append(Annotation(joints, visible, head_size, ref))
+        annotations.append(ann)
     return annotations

@@ -1,9 +1,14 @@
 """Deterministic random numbers with a fixed, documented algorithm.
 
 Everything random in this package (synthetic scenes, parameter init) draws
-from SplitMix64 so that integer-seeded runs reproduce bit-identically on
-any platform, independent of numpy version or OS math libraries for the
-raw stream.  The generator is the standard SplitMix64 mixer:
+from SplitMix64, so an integer seed fixes every draw.  The raw stream and
+its uniforms are integer and exactly rounded arithmetic: the same bits on
+any platform, numpy version or math library.  Of what the package computes
+from them, config digests, ``decode_heatmaps`` and ``pckh`` are
+platform-stable too; what goes through a transcendental function is not
+(normal draws, below; synthetic scenes and targets, see ``spt.data``;
+parameter init, the forward and training).  The generator is the standard
+SplitMix64 mixer:
 
     state <- state + 0x9E3779B97F4A7C15            (mod 2^64)
     z <- state

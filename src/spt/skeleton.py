@@ -25,51 +25,49 @@ from .schema import from_json, read_json
 
 @dataclass(frozen=True)
 class SkeletonSpec:
+    """A skeleton; building one with a breach raises one ``SkeletonError`` listing all."""
+
     joint_count: int
     names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]            # unordered joint-index pairs, adjacency
     symmetric_pairs: tuple[tuple[int, int], ...]  # left/right pairs, each joint in at most one
 
-
-def validate_spec(spec: SkeletonSpec) -> list:
-    """Return one violation message per breach; empty means well-formed."""
-    violations = []
-    j = spec.joint_count
-    if j <= 0:
-        violations.append(f"joint_count must be positive, got {j}")
-    if len(spec.names) != j:
-        violations.append(f"expected {j} names, got {len(spec.names)}")
-    seen_edges = set()
-    for pair_kind, pairs in (("edge", spec.edges), ("symmetric pair", spec.symmetric_pairs)):
-        for a, b in pairs:
-            if not (0 <= a < j and 0 <= b < j):
-                violations.append(f"{pair_kind} ({a},{b}) references a joint >= {j}")
-            elif a == b:
-                violations.append(f"self-{pair_kind.replace(' ', '-')} at joint {a}")
-    for a, b in spec.edges:
-        key = (min(a, b), max(a, b))
-        if key in seen_edges:
-            violations.append(f"duplicate edge ({key[0]},{key[1]})")
-        seen_edges.add(key)
-    seen_pairs = set()
-    partnered = {}
-    for a, b in spec.symmetric_pairs:
-        key = (min(a, b), max(a, b))
-        if key in seen_pairs:
-            violations.append(f"duplicate symmetric pair ({key[0]},{key[1]})")
-        seen_pairs.add(key)
-        for joint in (a, b):
-            if joint in partnered and partnered[joint] != key:
-                violations.append(f"joint {joint} appears in more than one symmetric pair")
-            partnered[joint] = key
-    return violations
+    def __post_init__(self):
+        violations = []
+        j = self.joint_count
+        if j <= 0:
+            violations.append(f"joint_count must be positive, got {j}")
+        if len(self.names) != j:
+            violations.append(f"expected {j} names, got {len(self.names)}")
+        seen_edges = set()
+        for pair_kind, pairs in (("edge", self.edges), ("symmetric pair", self.symmetric_pairs)):
+            for a, b in pairs:
+                if not (0 <= a < j and 0 <= b < j):
+                    violations.append(f"{pair_kind} ({a},{b}) references a joint >= {j}")
+                elif a == b:
+                    violations.append(f"self-{pair_kind.replace(' ', '-')} at joint {a}")
+        for a, b in self.edges:
+            key = (min(a, b), max(a, b))
+            if key in seen_edges:
+                violations.append(f"duplicate edge ({key[0]},{key[1]})")
+            seen_edges.add(key)
+        seen_pairs = set()
+        partnered = {}
+        for a, b in self.symmetric_pairs:
+            key = (min(a, b), max(a, b))
+            if key in seen_pairs:
+                violations.append(f"duplicate symmetric pair ({key[0]},{key[1]})")
+            seen_pairs.add(key)
+            for joint in (a, b):
+                if joint in partnered and partnered[joint] != key:
+                    violations.append(f"joint {joint} appears in more than one symmetric pair")
+                partnered[joint] = key
+        if violations:
+            raise SkeletonError(violations)
 
 
 def compile_joint_mask(spec: SkeletonSpec) -> AttentionMask:
     """Constant J x J mask of one skeleton: diagonal + adjacency + symmetry."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SkeletonError(violations)
     j = spec.joint_count
     bits = np.eye(j, dtype=np.uint8)
     for a, b in spec.edges + spec.symmetric_pairs:
@@ -112,9 +110,5 @@ def save_skeleton(spec: SkeletonSpec, path) -> None:
 
 
 def load_skeleton(path) -> SkeletonSpec:
-    spec = from_json(SkeletonSpec, read_json(path, SkeletonError), f"skeleton file {path}",
+    return from_json(SkeletonSpec, read_json(path, SkeletonError), f"skeleton file {path}",
                      SkeletonError)
-    violations = validate_spec(spec)
-    if violations:
-        raise SkeletonError(violations)
-    return spec

@@ -149,11 +149,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def finite_checks_enabled() -> bool:
-    """This thread's NaN/Inf guard setting."""
-    return _tls.finite_checks
-
-
 @contextmanager
 def finite_checks(enabled: bool):
     """Set this thread's per-op NaN/Inf guard for the block, then restore it."""

@@ -6,7 +6,12 @@ Writes the ``tests/test_cli.py`` run config to ``OUT/run.json`` and runs, each
 into its own directory under ``OUT``: ``gen-data``; ``train`` in support mode
 and with ``--k-mode total --akr 0.3``; ``eval`` of both checkpoints on the
 config's test split and of the first with ``--data`` on the generated
-annotations; ``masks`` of both checkpoints; ``sweep --akr 1.0 0.6 0.1``.
+annotations; ``masks`` of both checkpoints; ``sweep --akr 1.0 0.6 0.1``; and
+``train`` from files, under ``OUT/run_files.json``: the same config with its
+skeleton read from ``OUT/skeleton.json`` (the default skeleton, saved) and both
+annotation splits read from the ``annotations.json`` that ``gen-data`` wrote.
+The commands run with ``OUT`` as the working directory, so those file paths are
+relative and the config digest does not depend on where ``OUT`` is.
 
 ``OUT/manifest.txt`` then lists ``path sha256`` for every file written and for
 each command's stdout (as ``<dir>/stdout``, with ``OUT`` spelled ``OUT``),
@@ -25,6 +30,7 @@ import sys
 from pathlib import Path
 
 from spt.cli import main
+from spt.skeleton import default_skeleton, save_skeleton
 
 from test_cli import write_run_config
 
@@ -44,7 +50,19 @@ def _commands(out: Path):
         ("masks_support", ["masks", *cfg, "--checkpoint", str(support)]),
         ("masks_total", ["masks", *cfg, "--checkpoint", str(total)]),
         ("sweep", ["sweep", *cfg, "--akr", "1.0", "0.6", "0.1"]),
+        ("train_files", ["train", "--config", str(out / "run_files.json")]),
     ]
+
+
+def _write_file_inputs(out: Path) -> None:
+    """``run_files.json``: the run config with a skeleton file and annotation files,
+    named relative to ``out``."""
+    save_skeleton(default_skeleton(), out / "skeleton.json")
+    doc = json.loads((out / "run.json").read_text())
+    annotations = "data/annotations.json"
+    doc.update(skeleton="skeleton.json",
+               data={"annotations": annotations, "test_annotations": annotations})
+    (out / "run_files.json").write_text(json.dumps(doc))
 
 
 def _canonical(path: Path) -> bytes:
@@ -63,13 +81,14 @@ def _canonical(path: Path) -> bytes:
 
 def write_manifest(out) -> list:
     """Run the command set under ``out``; write and return the manifest lines."""
-    out = Path(out)
+    out = Path(out).absolute()  # the commands run with ``out`` as working directory
     out.mkdir(parents=True)  # a fresh directory, so no earlier file is listed
     write_run_config(out)
+    _write_file_inputs(out)
     entries = {}
     for name, argv in _commands(out):
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        with contextlib.chdir(out), contextlib.redirect_stdout(stdout):
             code = main([*argv, "--out", str(out / name)])
         if code != 0:
             raise SystemExit(f"spt {' '.join(argv)} exited {code}")

@@ -219,6 +219,43 @@ class TestTargetHeatmaps:
             render_target_heatmaps(self.ann([[1.0, 1.0]]), 8, 8, sigma, 16, 16)
 
 
+class TestAnnotation:
+    """An Annotation checks itself when built, with the messages the loader reports."""
+
+    def test_valid_record_converts_dtypes_only(self):
+        ann = Annotation([[1, 2], [3, 4]], [1, 0], 2.0, "x")
+        assert ann.joints.dtype == np.float64 and ann.joints.shape == (2, 2)
+        assert ann.visibility.dtype == bool and ann.visibility.tolist() == [True, False]
+        assert ann.joint_count == 2
+
+    def test_joints_not_j_by_2(self):
+        with pytest.raises(AnnotationError, match=r"joints must be \(J, 2\), got \(4, 3\)"):
+            Annotation(np.zeros((4, 3)), np.ones(4, bool), 1.0, "x")
+
+    def test_flag_count_differs_from_joint_count(self):
+        with pytest.raises(AnnotationError, match="3 visibility flags for 4 joints"):
+            Annotation(np.zeros((4, 2)), np.ones(3, bool), 1.0, "x")
+
+    @pytest.mark.parametrize("head_size", [0.0, -1.0, float("inf"), float("nan")])
+    def test_head_size_not_finite_positive(self, head_size):
+        with pytest.raises(AnnotationError, match="head_size must be finite and > 0"):
+            Annotation(np.zeros((4, 2)), np.ones(4, bool), head_size, "x")
+
+    def test_nan_joint(self):
+        joints = np.zeros((4, 2))
+        joints[2, 1] = np.nan
+        with pytest.raises(AnnotationError, match="joint coordinates must be finite"):
+            Annotation(joints, np.ones(4, bool), 1.0, "x")
+
+    def test_loader_names_the_record(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps([{"image": "a.pgm", "joints": [[1.0, 1.0, 1.0]],
+                                     "visible": [True], "head_size": 2.0}]))
+        with pytest.raises(AnnotationError,
+                           match=r"^record 0: joints must be \(J, 2\), got \(1, 3\)$"):
+            load_annotations(path)
+
+
 class TestAnnotationIo:
     def test_round_trip_identity(self, tmp_path):
         samples = generate_synthetic(scene(), 5)

@@ -1,11 +1,11 @@
-"""Skeleton specs, validation, and joint mask compilation."""
+"""Skeleton specs, their checks at construction, and joint mask compilation."""
 
 import numpy as np
 import pytest
 
 from spt.errors import SkeletonError
 from spt.skeleton import (SkeletonSpec, compile_joint_mask, default_skeleton,
-                          load_skeleton, save_skeleton, validate_spec)
+                          load_skeleton, save_skeleton)
 
 
 def random_valid_spec(rng):
@@ -27,32 +27,41 @@ def random_valid_spec(rng):
     )
 
 
+def violations_of(*fields):
+    """The violation list of the ``SkeletonError`` that building ``SkeletonSpec(*fields)`` raises."""
+    with pytest.raises(SkeletonError) as err:
+        SkeletonSpec(*fields)
+    return err.value.violations
+
+
 class TestValidate:
     def test_default_spec_is_clean(self):
-        assert validate_spec(default_skeleton()) == []
+        spec = default_skeleton()  # builds without raising
+        assert spec.joint_count == len(spec.names) == 16
 
     def test_self_edge(self):
-        spec = SkeletonSpec(2, ("a", "b"), ((0, 0),), ())
-        violations = validate_spec(spec)
-        assert violations == ["self-edge at joint 0"]
+        assert violations_of(2, ("a", "b"), ((0, 0),), ()) == ["self-edge at joint 0"]
 
     def test_duplicate_symmetric_pair(self):
-        spec = SkeletonSpec(3, ("a", "b", "c"), (), ((0, 1), (1, 0)))
-        violations = validate_spec(spec)
-        assert any("duplicate symmetric pair" in v for v in violations)
+        violations = violations_of(3, ("a", "b", "c"), (), ((0, 1), (1, 0)))
+        assert violations == ["duplicate symmetric pair (0,1)"]
 
     def test_joint_in_two_pairs(self):
-        spec = SkeletonSpec(3, ("a", "b", "c"), (), ((0, 1), (1, 2)))
-        violations = validate_spec(spec)
-        assert any("more than one symmetric pair" in v for v in violations)
+        violations = violations_of(3, ("a", "b", "c"), (), ((0, 1), (1, 2)))
+        assert violations == ["joint 1 appears in more than one symmetric pair"]
 
     def test_out_of_range_index(self):
-        spec = SkeletonSpec(2, ("a", "b"), ((0, 5),), ())
-        assert any(">= 2" in v for v in validate_spec(spec))
+        violations = violations_of(2, ("a", "b"), ((0, 5),), ())
+        assert violations == ["edge (0,5) references a joint >= 2"]
 
     def test_name_count_mismatch(self):
-        spec = SkeletonSpec(3, ("a",), (), ())
-        assert any("names" in v for v in validate_spec(spec))
+        assert violations_of(3, ("a",), (), ()) == ["expected 3 names, got 1"]
+
+    def test_non_positive_joint_count(self):
+        assert violations_of(0, (), (), ()) == ["joint_count must be positive, got 0"]
+
+    def test_duplicate_edge_in_either_order(self):
+        assert violations_of(2, ("a", "b"), ((0, 1), (1, 0)), ()) == ["duplicate edge (0,1)"]
 
 
 class TestCompile:
@@ -79,16 +88,14 @@ class TestCompile:
             assert mask.bits[i].sum() == 1 + degree + partnered
 
     def test_invalid_spec_raises_with_all_violations(self):
-        spec = SkeletonSpec(2, ("a", "b"), ((0, 0), (0, 0)), ())
-        with pytest.raises(SkeletonError) as err:
-            compile_joint_mask(spec)
-        assert len(err.value.violations) >= 2
+        violations = violations_of(2, ("a", "b"), ((0, 0), (0, 0)), ())
+        assert violations == ["self-edge at joint 0", "self-edge at joint 0",
+                              "duplicate edge (0,0)"]
 
     def test_properties_over_random_graphs(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            spec = random_valid_spec(rng)
-            assert validate_spec(spec) == []
+            spec = random_valid_spec(rng)  # builds without raising
             mask = compile_joint_mask(spec)
             assert np.array_equal(mask.bits, mask.bits.T)
             assert (np.diag(mask.bits) == 1).all()
@@ -116,7 +123,7 @@ class TestJson:
         path = tmp_path / "bad.json"
         path.write_text('{"joint_count": 2, "names": ["a", "b"], '
                         '"edges": [[0, 0]], "symmetric_pairs": []}')
-        with pytest.raises(SkeletonError):
+        with pytest.raises(SkeletonError, match="self-edge at joint 0"):
             load_skeleton(path)
 
     def test_missing_key_rejected(self, tmp_path):

@@ -728,25 +728,29 @@ class TestFiniteChecks:
             T.scale(Tensor([1e308]), 10.0)
 
     def test_guard_is_per_thread(self):
-        assert T.finite_checks_enabled()  # turned on for this thread by conftest
+        # conftest turns the guard on for this thread; another thread turns it
+        # off for a block, and only that thread's ops pass non-finite values.
         inside, release = threading.Event(), threading.Event()
+        passed = []
 
         def hold_disabled():
             with T.finite_checks(False):
                 inside.set()
                 release.wait(timeout=10)
+                with np.errstate(over="ignore"):
+                    passed.append(T.scale(Tensor([1e308]), 10.0).data[0])
 
         other = threading.Thread(target=hold_disabled)
         other.start()
         try:
             assert inside.wait(timeout=10)  # the other thread is in its disabled block
-            assert T.finite_checks_enabled()
             with np.errstate(over="ignore"), pytest.raises(T.NonFiniteValueError):
                 T.scale(Tensor([1e308]), 10.0)
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+        assert passed == [np.inf]
 
     def test_disabled_guard_passes_through(self):
         with np.errstate(over="ignore"), T.finite_checks(False):
