@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,13 @@ class Annotation:
     image_ref: object        # path string or (seed, index) tuple
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=np.float64)
+        try:
+            joints = np.asarray(self.joints)
+        except ValueError as exc:  # ragged nesting
+            raise AnnotationError(f"joints must be (J, 2) numbers: {exc}") from None
+        if joints.dtype.kind not in "iuf":
+            raise AnnotationError(f"joints must be numbers, got dtype {joints.dtype}")
+        self.joints = joints.astype(np.float64, copy=False)
         self.visibility = np.asarray(self.visibility, dtype=bool)
         if self.joints.ndim != 2 or self.joints.shape[1] != 2:
             raise AnnotationError(f"joints must be (J, 2), got {self.joints.shape}")
@@ -80,8 +87,11 @@ class Annotation:
         if flags.shape != (j,):
             raise AnnotationError(f"{flags.shape[0] if flags.ndim == 1 else flags.shape} "
                                   f"visibility flags for {j} joints")
-        if not 0 < self.head_size < math.inf:
-            raise AnnotationError(f"head_size must be finite and > 0, got {self.head_size}")
+        size = self.head_size
+        if not isinstance(size, numbers.Real) or isinstance(size, bool):
+            raise AnnotationError(f"head_size must be a number, got {size!r}")
+        if not 0 < size < math.inf:
+            raise AnnotationError(f"head_size must be finite and > 0, got {size}")
         if not np.isfinite(self.joints).all():
             raise AnnotationError("joint coordinates must be finite")
 

@@ -13,6 +13,7 @@ symmetric_pairs) so joint conventions are user-definable, never baked in.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,25 +36,38 @@ class SkeletonSpec:
     def __post_init__(self):
         violations = []
         j = self.joint_count
-        if j <= 0:
+        if not _is_index(j):
+            violations.append(f"joint_count must be an integer, got {j!r}")
+            j = None
+        elif j <= 0:
             violations.append(f"joint_count must be positive, got {j}")
-        if len(self.names) != j:
+        if j is not None and len(self.names) != j:
             violations.append(f"expected {j} names, got {len(self.names)}")
-        seen_edges = set()
-        for pair_kind, pairs in (("edge", self.edges), ("symmetric pair", self.symmetric_pairs)):
-            for a, b in pairs:
-                if not (0 <= a < j and 0 <= b < j):
+        pairs = {}  # kind -> the listed pairs that are two integers
+        for pair_kind, listed in (("edge", self.edges), ("symmetric pair", self.symmetric_pairs)):
+            pairs[pair_kind] = []
+            for pair in listed:
+                try:
+                    a, b = pair
+                except (TypeError, ValueError):
+                    a = b = None
+                if not (_is_index(a) and _is_index(b)):
+                    violations.append(f"{pair_kind} {pair!r} is not two joint indices")
+                    continue
+                pairs[pair_kind].append((a, b))
+                if j is not None and not (0 <= a < j and 0 <= b < j):
                     violations.append(f"{pair_kind} ({a},{b}) references a joint >= {j}")
                 elif a == b:
                     violations.append(f"self-{pair_kind.replace(' ', '-')} at joint {a}")
-        for a, b in self.edges:
+        seen_edges = set()
+        for a, b in pairs["edge"]:
             key = (min(a, b), max(a, b))
             if key in seen_edges:
                 violations.append(f"duplicate edge ({key[0]},{key[1]})")
             seen_edges.add(key)
         seen_pairs = set()
         partnered = {}
-        for a, b in self.symmetric_pairs:
+        for a, b in pairs["symmetric pair"]:
             key = (min(a, b), max(a, b))
             if key in seen_pairs:
                 violations.append(f"duplicate symmetric pair ({key[0]},{key[1]})")
@@ -64,6 +78,11 @@ class SkeletonSpec:
                 partnered[joint] = key
         if violations:
             raise SkeletonError(violations)
+
+
+def _is_index(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def compile_joint_mask(spec: SkeletonSpec) -> AttentionMask:

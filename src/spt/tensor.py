@@ -34,30 +34,37 @@ Its pullback recomputes each head's probabilities instead of keeping the
 recomputes its GELU output in the pullback instead of keeping it on the
 tape.  Both give the bits of the chains they replace.
 
-On a machine with more than one CPU, ``backward`` offers work that the
-replaying thread's next call does not read, and that is large enough to pay
-for the hand-over, to helper threads (``_Task``): the second product of a
+On a machine with more than one CPU, the large calls offer part of their
+work to helper threads (``_Task``), each part large enough to pay for the
+hand-over.  The forward arrays are computed this way whether or not a tape
+is active: a 2-D ``matmul`` and ``mlp`` run their token rows as two halves
+(``_by_rows``), and ``multi_head_attention`` takes its heads from a shared
+queue, each thread with its own logits tile.  ``backward`` offers work that
+the replaying thread's next call does not read: the second product of a
 ``matmul`` pullback, the two weight products of the ``mlp`` pullback, and
-the heads of the ``multi_head_attention`` pullback, which the replaying
-thread and the helpers take one at a time;
-``model.AdamState.step`` offers half of each large parameter's update.  A
-helper makes plain numpy calls into arrays the replaying thread allocated,
-and the replaying thread waits for them before it reads them, or makes the
-call itself if no helper has started it yet.  A helper never touches a
-tape, a ``.grad`` or the gradient store: the replaying thread makes every
-``_accumulate`` call, in the serial order, and every task makes the serial
-numpy call on the same operands, so the bits do not depend on the CPU
+the heads of the ``multi_head_attention`` pullback, taken one at a time as
+in the forward; ``model.AdamState.step`` offers half of each large
+parameter's update.  A helper makes plain numpy calls into arrays the
+calling thread allocated, and the calling thread waits for them before it
+reads them, or makes the call itself if no helper has started it yet.  A
+helper never calls a taped op or touches a tape, a ``.grad`` or the
+gradient store: the calling thread makes every ``_accumulate`` call, in the
+serial order.  Every task makes the serial numpy call on the same operands,
+or on a row half whose product has the whole product's bits in the blocked
+BLAS kernel (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU
 count.  A helper reads only ``g`` and forward arrays, and ``g`` shares
 memory with no entry of the store, so no in-place sum the replaying thread
-makes meanwhile writes memory a helper reads.  The forward stays on the
-calling thread.  The helpers pay only with single-threaded BLAS
-(``OPENBLAS_NUM_THREADS=1``): on a 2-vCPU x86 host the reference
-``train_step`` at batch 2 took a median 731 ms with them and 861 ms inline,
-but under OpenBLAS's default threads 830 ms against 778.
+makes meanwhile writes memory a helper reads.  Helpers are offered work
+only while BLAS runs one thread of its own (``_cpus``), as under
+``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference forward
+then took 0.64 to 0.70 of its inline time with the second vCPU idle, and
+0.96 to 1.20 while another process kept it busy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -94,8 +101,35 @@ _ROW_SUM_FLOOR = 2.0 ** -600
 _LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
+@functools.cache
+def _blas_threads() -> int | None:
+    """BLAS's own thread count, read once from numpy's bundled OpenBLAS.
+
+    None when numpy exports no ``scipy_openblas_get_num_threads64_``: a
+    build linked to another BLAS, or an older wheel.
+    """
+    try:
+        from numpy._core import _multiarray_umath  # BLAS is a dependency of this module
+        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 def _cpus() -> int:
-    """CPUs this process may run on: the helper threads plus the calling one."""
+    """Threads that share one call's work: the calling thread plus the helpers.
+
+    The CPUs this process may run on, when BLAS runs one thread of its own
+    (``OPENBLAS_NUM_THREADS=1``); otherwise 1, so nothing is offered.  With
+    BLAS threads on the same cores the helpers lose: on a 2-vCPU x86 host
+    the reference ``train_step`` at batch 2 took a median 830 ms with them
+    and 778 ms inline under OpenBLAS's default threads.  A numpy without the
+    bundled OpenBLAS counts as multi-threaded, as every common BLAS is by
+    default: its calls run inline.
+    """
+    if _blas_threads() != 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -107,6 +141,19 @@ _pool_lock = threading.Lock()
 # A call of fewer multiply-adds stays on the calling thread: handing it to a
 # helper and back costs about as much as it saves.
 _TASK_MIN_WORK = 2 ** 22
+# A softmax cell counts as this many multiply-adds in a forward head's work.
+# It costs about 55 (a 272 x 272 tile in 0.27 ms, against 68 ps for each
+# multiply-add of the head's products, single-threaded on a 2-vCPU AVX-512
+# host), but counted so, the heads of a 272-token layer of head width 8
+# would be offered: a 64x64-image, D = 32, 4-head forward then took 10.5 to
+# 11.8 ms against 9.2 to 9.6 ms inline while the second vCPU was busy.
+_SOFTMAX_CELL_WORK = 32
+# A row half of fewer multiply-adds keeps its product whole.  OpenBLAS runs
+# a product of up to 10**6 multiply-adds (on AVX-512 x86) through a
+# small-matrix kernel, and a one-row product through gemv, and either can
+# round a row differently from the blocked kernel that runs the whole; the
+# blocked kernel's rows do not depend on the rows beside them.
+_ROW_SPLIT_MIN = 2 ** 22
 
 
 class _Task:
@@ -130,13 +177,56 @@ class _Task:
         with _pool_lock:
             if _pool is None:
                 _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="spt-helper")
-            self.future = _pool.submit(fn, *args)
+            self.future = _pool.submit(self._run)
+
+    def _run(self) -> None:
+        self.fn(*self.args)
 
     def wait(self) -> None:
-        if self.future is None or self.future.cancel():  # no helper has started it
-            self.fn(*self.args)
-        else:
-            self.future.result()
+        try:
+            if self.future is None or self.future.cancel():  # no helper has started it
+                self._run()
+            else:
+                self.future.result()
+        finally:
+            # A cancelled submission stays in the pool's queue until a helper
+            # wakes; it must not keep the call's arrays alive meanwhile.
+            self.fn = self.args = None
+
+
+def _by_rows(fn, row_products, *arrays) -> None:
+    """``fn(*arrays)`` as two row halves at once, the second offered to a helper.
+
+    Every array's first axis is the same rows, and ``fn`` writes each row
+    of its outputs from the same row of its inputs.  ``row_products`` lists
+    one row's multiply-adds in each product ``fn`` makes.  The call stays
+    whole when the offered half has fewer than 2 rows, or fewer than
+    ``_ROW_SPLIT_MIN`` multiply-adds in one of its products, or when
+    ``_Task`` does not offer it.
+    """
+    n = len(arrays[0])
+    half = n // 2
+    if half >= 2 and half * min(row_products) >= _ROW_SPLIT_MIN:
+        task = _Task(fn, *(a[n - half:] for a in arrays), work=half * sum(row_products))
+        if task.future is not None:
+            fn(*(a[:n - half] for a in arrays))
+            task.wait()
+            return
+    fn(*arrays)
+
+
+def _each_thread(body, scratch, work: int, *args) -> None:
+    """``body(own, *args)`` on the calling thread and on one helper per further
+    entry of ``scratch``, each thread with its own entry ``own``.
+
+    ``body`` takes its pieces of work from a queue among ``args`` until none
+    is left, so a helper that starts late takes only what is left.  Each
+    helper is a ``_Task`` of ``work``, one piece's multiply-adds.
+    """
+    tasks = [_Task(body, own, *args, work=work) for own in scratch[1:]]
+    body(scratch[0], *args)
+    for task in tasks:
+        task.wait()
 
 
 def _forget_pool() -> None:
@@ -197,8 +287,8 @@ class ComputationTape:
     popping each record as it replays it; ``len`` stays the number of ops
     recorded.  A tape is confined to one logical thread of execution;
     concurrent forwards use independent tapes or run grad-free (no tape
-    active).  The helper threads that ``backward``'s pullbacks start never
-    see a tape: they compute into arrays the replaying thread hands them.
+    active).  The helper threads that ops and pullbacks start never see a
+    tape: they compute into arrays the calling thread hands them.
     """
 
     def __init__(self):
@@ -323,8 +413,9 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; equal-rank stacked batches share leading extents.
 
-    Each side's gradient is computed, and the other operand's array kept,
-    only when that side needs a gradient.  When both do, the pullback runs
+    A 2-D product runs as two row halves at once (``_by_rows``).  Each
+    side's gradient is computed, and the other operand's array kept, only
+    when that side needs a gradient.  When both do, the pullback runs
     ``a_t @ g`` on a helper thread while it computes ``g @ b_t``.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
@@ -347,7 +438,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             task.wait()
             _accumulate(store, kb, gb)
 
-    return _finish(a.data @ b.data, (ka, kb), pullback)
+    if a.data.ndim > 2:
+        return _finish(a.data @ b.data, (ka, kb), pullback)
+    b_data = b.data
+    out = np.empty((a.shape[0], b.shape[1]))
+    _by_rows(lambda rows, out_rows: np.matmul(rows, b_data, out=out_rows), (b_data.size,),
+             a.data, out)
+    return _finish(out, (ka, kb), pullback)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -486,9 +583,9 @@ def sum_all(x: Tensor) -> Tensor:
     return _finish(np.asarray(x.data.sum(), dtype=np.float64), (kx,), pullback)
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """``tanh(c (x + a x^3))``, the tanh of GELU at ``x``."""
-    t = x * _GELU_A
+def _gelu_tanh(x: np.ndarray, out=None) -> np.ndarray:
+    """``tanh(c (x + a x^3))``, the tanh of GELU at ``x``, into ``out``."""
+    t = np.multiply(x, _GELU_A, out=out)
     t *= x
     t *= x
     t += x
@@ -497,10 +594,11 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """GELU at ``x`` from its tanh ``t``: ``0.5 x (1 + t)``."""
-    out = 0.5 * x
-    out *= 1.0 + t
+def _gelu_out(x: np.ndarray, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """GELU at ``x`` from its tanh ``t``: ``0.5 x (1 + t)``, into ``out``;
+    ``scratch`` takes ``1 + t``."""
+    out = np.multiply(0.5, x, out=out)
+    out *= np.add(1.0, t, out=scratch)
     return out
 
 
@@ -545,9 +643,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
     same bits.  All five input adjoints are arrays the pullback computes.
-    The pullback runs the ``w2`` product on a helper thread while it
-    computes the pre-activation adjoint, and the ``w1`` product while it
-    computes the ``x`` adjoint.
+    The forward runs as two row halves at once (``_by_rows``), into arrays
+    the calling thread allocates.  The pullback runs the ``w2`` product on
+    a helper thread while it computes the pre-activation adjoint, and the
+    ``w1`` product while it computes the ``x`` adjoint.
     """
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
@@ -555,11 +654,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp shape mismatch: {x.shape} @ {w1.shape} + {b1.shape} "
                          f"@ {w2.shape} + {b2.shape}")
     kx, kw1, kb1, kw2, kb2 = keys = tuple(_key(a) for a in (x, w1, b1, w2, b2))
-    pre = x.data @ w1.data
-    pre += b1.data
-    t = _gelu_tanh(pre)
-    out_data = _gelu_out(pre, t) @ w2.data
-    out_data += b2.data
+    w1_data, b1_data, w2_data, b2_data = w1.data, b1.data, w2.data, b2.data
+
+    def rows(x_rows, pre, t, act, scratch, out):
+        np.matmul(x_rows, w1_data, out=pre)
+        pre += b1_data
+        _gelu_tanh(pre, out=t)
+        np.matmul(_gelu_out(pre, t, act, scratch), w2_data, out=out)
+        out += b2_data
+
+    n, hidden = len(x.data), w1.shape[1]
+    pre, t = np.empty((n, hidden)), np.empty((n, hidden))
+    out_data = np.empty((n, w2.shape[1]))
+    _by_rows(rows, (w1_data.size, w2_data.size), x.data, pre, t, np.empty((n, hidden)),
+             np.empty((n, hidden)), out_data)
     needs_dpre = kx is not None or kw1 is not None or kb1 is not None
     x_t = x.data.T if kw1 is not None else None
     w1_t = w1.data.T if kx is not None else None
@@ -723,13 +831,16 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     context, heads side by side, and the (heads, r, n) probabilities as a
     plain read-only array the tape does not keep.
 
-    Head i reads column views of ``packed``, computes its logits into one
-    (r, n) scratch array the call reuses for every head, and writes its
-    probabilities into its own (r, n) tile of ``probs``, so both stay in
-    cache from logits to context: ``q_i = packed[:r, Q_i] /
+    Head i reads column views of ``packed``, computes its logits into an
+    (r, n) scratch array that its thread reuses for every head it takes,
+    and writes its probabilities into its own (r, n) tile of ``probs``, so
+    both stay in cache from logits to context: ``q_i = packed[:r, Q_i] /
     sqrt(head_dim)``, ``logits = q_i k_iᵀ``, the masked softmax into the
     tile (``rowwise_masked_softmax``'s formula), then ``tile v_i`` into the
-    head's context columns.
+    head's context columns.  The calling thread and up to one helper per
+    further CPU take heads from a shared queue (``_each_thread``); a helper
+    is offered when one head's two products plus its softmax, counted at
+    ``_SOFTMAX_CELL_WORK`` per cell, reach ``_TASK_MIN_WORK``.
 
     The tape keeps only ``packed`` and ``mask``.  The pullback fills one
     fresh (n, 3D) gradient head by head.  It first rebuilds P_i with the
@@ -741,11 +852,11 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     dK_i = (q_iᵀ dS)ᵀ.  Each product is the BLAS call, in the same operand
     orientation, that the chain of ``scale``, ``matmul``,
     ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
-    bits; dK_i as dSᵀ q_i would be a different call.  The replaying thread
-    and up to one helper per further CPU take heads from a shared queue,
-    each with tiles of its own; each helper is a ``_Task`` sized by one
-    head's products, so ``_Task`` alone decides whether it is offered.  No
-    two heads write the same columns of the gradient.
+    bits; dK_i as dSᵀ q_i would be a different call.  The pullback's heads
+    are shared out as the forward's, each thread with tiles of its own, and
+    a helper is offered when one head's five products reach
+    ``_TASK_MIN_WORK``.  No two heads write the same columns of the
+    gradient.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -758,35 +869,51 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     s = 1.0 / math.sqrt(head_dim)
     columns = [(slice(lo, lo + head_dim), slice(d + lo, d + lo + head_dim),
                 slice(2 * d + lo, 2 * d + lo + head_dim)) for lo in range(0, d, head_dim)]
+    if not mask.all_ones:
+        mask.gate_bias()  # fill the mask's cache before threads read it
+    threads = min(_cpus(), heads)  # the calling one and its helpers
     probs = np.empty((heads, r, n))
     context = np.empty((r, d))
-    logits = np.empty((r, n))
-    for tile, (q, k, v) in zip(probs, columns):
-        np.matmul(data[:r, q] * s, data[:, k].T, out=logits)
-        _softmax_rows(logits, mask, tile)
-        np.matmul(tile, data[:, v], out=context[:, q])
+    scratch = list(zip(np.empty((threads, r, n)), np.empty((threads, r, head_dim))))
+    # work: one head's two products, plus its softmax counted per cell.
+    _each_thread(_attention_forward_heads, scratch, r * n * (2 * head_dim + _SOFTMAX_CELL_WORK),
+                 deque(zip(probs, columns)), data, mask, s, context)
     probs.flags.writeable = False
     kp = _key(packed)
 
     def pullback(g, store):
         grad = np.empty(data.shape)
         grad[r:, :d] = 0.0
-        if not mask.all_ones:
-            mask.gate_bias()  # fill the mask's cache before threads read it
-        todo = deque(columns)
         tiles = np.empty((min(_cpus(), heads), 3, r, n))
         # work: the multiply-adds of one head's five products.
-        tasks = [_Task(_attention_heads, data, g, mask, s, todo, own, grad,
-                       work=5 * r * n * head_dim) for own in tiles[1:]]
-        _attention_heads(data, g, mask, s, todo, tiles[0], grad)
-        for task in tasks:
-            task.wait()
+        _each_thread(_attention_heads, tiles, 5 * r * n * head_dim,
+                     deque(columns), data, g, mask, s, grad)
         _accumulate(store, kp, grad)
 
     return _finish(context, (kp,), pullback), probs
 
 
-def _attention_heads(data, g, mask, s, todo, tiles, grad):
+def _attention_forward_heads(scratch, todo, data, mask, s, context):
+    """Write the probabilities and context columns of heads taken from ``todo``.
+
+    The body of ``multi_head_attention``'s forward.  Each thread that runs
+    it takes (probability tile, columns) pairs from the shared deque until
+    none is left, with its own scratch: the (r, n) logits and the (r,
+    head_dim) scaled queries.
+    """
+    r = mask.rows
+    logits, q_scaled = scratch
+    while True:
+        try:
+            tile, (q, k, v) = todo.popleft()
+        except IndexError:  # every head is taken
+            return
+        np.matmul(np.multiply(data[:r, q], s, out=q_scaled), data[:, k].T, out=logits)
+        _softmax_rows(logits, mask, tile)
+        np.matmul(tile, data[:, v], out=context[:, q])
+
+
+def _attention_heads(tiles, todo, data, g, mask, s, grad):
     """Write the packed-gradient columns of heads taken from ``todo`` into ``grad``.
 
     The body of ``multi_head_attention``'s pullback.  Each thread that runs

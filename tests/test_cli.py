@@ -408,6 +408,27 @@ class TestManifest:
         assert (tmp_path / "a" / "manifest.txt").read_text().splitlines() == lines
         assert len(lines) > 100 and any(line.startswith("sweep/stdout ") for line in lines)
 
+    def test_blas_thread_settings_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # With one BLAS thread the helper threads may take work; with BLAS at
+        # its default thread count they take none.  Then, in this process,
+        # every call is offered and run on a helper where the sizes allow
+        # (row halves keep their size floor).  All three hash the same.
+        from cli_manifest import write_manifest
+        from test_threads import run_on_helpers
+
+        script = Path(__file__).with_name("cli_manifest.py")
+        base = {name: value for name, value in os.environ.items()
+                if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = str(Path(spt.cli.__file__).parents[1])
+        manifests = []
+        for name, env in (("pinned", {**base, "OPENBLAS_NUM_THREADS": "1"}), ("default", base)):
+            subprocess.run([sys.executable, str(script), str(tmp_path / name)], env=env,
+                           check=True, capture_output=True, timeout=120)
+            manifests.append((tmp_path / name / "manifest.txt").read_text().splitlines())
+        run_on_helpers(monkeypatch)
+        manifests.append(write_manifest(tmp_path / "helpers"))
+        assert manifests[0] == manifests[1] == manifests[2]
+
 
 class TestSplits:
     """Each command renders only the synthetic split it reads."""

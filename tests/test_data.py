@@ -241,6 +241,15 @@ class TestAnnotation:
         with pytest.raises(AnnotationError, match="head_size must be finite and > 0"):
             Annotation(np.zeros((4, 2)), np.ones(4, bool), head_size, "x")
 
+    def test_head_size_of_another_type(self):
+        with pytest.raises(AnnotationError, match="head_size must be a number, got '3'"):
+            Annotation(np.zeros((4, 2)), np.ones(4, bool), "3", "x")
+
+    @pytest.mark.parametrize("joints", [[["a", "b"]], [[1.0, None]], [[1.0, 2.0], [3.0]]])
+    def test_joints_that_are_not_numbers(self, joints):
+        with pytest.raises(AnnotationError, match="joints must be"):
+            Annotation(joints, np.ones(len(joints), bool), 1.0, "x")
+
     def test_nan_joint(self):
         joints = np.zeros((4, 2))
         joints[2, 1] = np.nan

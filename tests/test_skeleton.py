@@ -60,6 +60,15 @@ class TestValidate:
     def test_non_positive_joint_count(self):
         assert violations_of(0, (), (), ()) == ["joint_count must be positive, got 0"]
 
+    def test_joint_count_of_another_type(self):
+        assert violations_of("3", ("a", "b", "c"), ((0, 1),), ()) == [
+            "joint_count must be an integer, got '3'"]
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), 5, ("0", 1), (0, True)])
+    def test_edge_that_is_not_two_indices(self, edge):
+        assert violations_of(3, ("a", "b", "c"), ((0, 1), edge), ((1, 1),)) == [
+            f"edge {edge!r} is not two joint indices", "self-symmetric-pair at joint 1"]
+
     def test_duplicate_edge_in_either_order(self):
         assert violations_of(2, ("a", "b"), ((0, 1), (1, 0)), ()) == ["duplicate edge (0,1)"]
 

@@ -1,9 +1,13 @@
-"""Helper threads in backward and the Adam step: the bits and contracts of one thread."""
+"""Helper threads in the forward, backward and the Adam step: the bits and
+contracts of one thread."""
 
+import functools
+import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent import futures
 from pathlib import Path
 
@@ -14,9 +18,9 @@ import spt.attention
 import spt.model
 import spt.tensor as T
 from spt.masks import AttentionMask
-from spt.model import AdamState, PoseModelParams, train_step
+from spt.model import AdamState, ModelConfig, PoseModelParams, forward, train_step
 from spt.pruning import PruneSchedule
-from spt.skeleton import compile_joint_mask
+from spt.skeleton import compile_joint_mask, default_skeleton
 from spt.tensor import Tensor
 
 from test_model import chain_skeleton, tiny_config
@@ -27,27 +31,49 @@ def run_inline(monkeypatch):
     monkeypatch.setattr(T, "_cpus", lambda: 1)
 
 
+HEAD_BODIES = ("_attention_forward_heads", "_attention_heads")
+
+
 def run_on_helpers(monkeypatch, cpus=3):
     """``cpus - 1`` helpers, whichever CPUs there are, and every offered task
-    runs on one: the caller waits for it instead of taking it back.  The
-    calling thread also leaves every attention head to the helpers.
+    runs on one: the caller waits for it instead of taking it back, so the
+    second row half of each split forward product runs on a helper.  The
+    calling thread also leaves every attention head, in the forward and in
+    the pullback, to the helpers.  Row halves keep their size floor
+    (``_ROW_SPLIT_MIN``), below which a half may round differently.
 
-    Returns the scratch tiles each attention head group was handed.
+    Returns, for each head body, the scratch each of its threads was handed.
     """
     monkeypatch.setattr(T, "_cpus", lambda: cpus)
     monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
     monkeypatch.setattr(T._Task, "wait", lambda task: task.future.result(timeout=60))
-    heads, caller, scratch = T._attention_heads, threading.get_ident(), []
+    caller, scratch = threading.get_ident(), {name: [] for name in HEAD_BODIES}
 
-    def leave_heads(data, g, mask, s, todo, tiles, grad):
-        scratch.append(tiles)
-        if threading.get_ident() == caller:
-            deadline = time.monotonic() + 30.0
-            while todo and time.monotonic() < deadline:
-                time.sleep(1e-4)
-        heads(data, g, mask, s, todo, tiles, grad)
-    monkeypatch.setattr(T, "_attention_heads", leave_heads)
+    def leave_heads(name, body):
+        def run(own, todo, *args):
+            scratch[name].append(own)
+            if threading.get_ident() == caller:
+                deadline = time.monotonic() + 30.0
+                while todo and time.monotonic() < deadline:
+                    time.sleep(1e-4)
+            body(own, todo, *args)
+        return run
+    for name in HEAD_BODIES:
+        monkeypatch.setattr(T, name, leave_heads(name, getattr(T, name)))
     return scratch
+
+
+def record_row_halves(monkeypatch):
+    """The threads that ran each row half ``tensor._by_rows`` made, in a list."""
+    threads, by_rows = [], T._by_rows
+
+    def recorded(fn, row_work, *arrays):
+        def half(*rows):
+            threads.append(threading.get_ident())
+            fn(*rows)
+        by_rows(half, row_work, *arrays)
+    monkeypatch.setattr(T, "_by_rows", recorded)
+    return threads
 
 
 def batch(cfg, seed, size):
@@ -126,13 +152,17 @@ class TestThreadedEqualsInline:
         monkeypatch.undo()
         scratch = run_on_helpers(monkeypatch, cpus)
         assert packed_grad() == inline
-        assert len(scratch) == cpus  # the caller and each helper, with tiles of its own
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(scratch)
-                       for b in scratch[i + 1:])
+        for name in HEAD_BODIES:  # the caller and each helper, with scratch of its own
+            assert len(scratch[name]) == cpus, name
+        arrays = [a for own in scratch["_attention_forward_heads"] for a in own]
+        arrays += scratch["_attention_heads"]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
 
     def test_attention_heads_taken_by_more_helpers_than_cores(self, monkeypatch):
-        # Every head must be taken exactly once from the shared queue; a
-        # head no thread took leaves its gradient columns unwritten.
+        # Every head must be taken exactly once from the shared queues; a
+        # head no thread took leaves its context, probabilities or gradient
+        # columns unwritten.
         rng = np.random.default_rng(85)
         heads, n, r = 16, 24, 17
         packed = Tensor(rng.normal(size=(n, 3 * 4 * heads)), requires_grad=True)
@@ -142,9 +172,9 @@ class TestThreadedEqualsInline:
         def packed_grad():
             store = {}
             with T.ComputationTape() as tape:
-                T.multi_head_attention(packed, mask, heads)
+                context, probs = T.multi_head_attention(packed, mask, heads)
             tape._records[0][1](g, store)
-            return store[packed].tobytes()
+            return context.data.tobytes(), probs.tobytes(), store[packed].tobytes()
 
         cores = T._cpus()
         run_inline(monkeypatch)
@@ -162,6 +192,126 @@ class TestThreadedEqualsInline:
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
+
+
+def forward_config(shape, keep):
+    """The reference config, or a 3-layer one of 241 tokens (odd, so the row
+    halves differ by one), dense or pruned at ``keep``."""
+    updates = () if keep == 1.0 else (3, 6, 9) if shape == "reference" else (1, 2)
+    schedule = PruneSchedule(update_layers=updates, keep_ratio=keep)
+    if shape == "reference":
+        return ModelConfig(schedule=schedule)
+    return ModelConfig(image_h=240, image_w=240, encoder_layers=3, graph_layers=2,
+                       schedule=schedule)
+
+
+@functools.lru_cache(maxsize=1)
+def forward_params(shape):
+    return PoseModelParams.init(forward_config(shape, 1.0), seed=41)
+
+
+def forward_state(shape, keep):
+    """Heatmap, head-average record and stage-mask bytes of one forward."""
+    cfg = forward_config(shape, keep)
+    image = np.random.default_rng(42).uniform(size=(cfg.image_h, cfg.image_w))
+    heatmaps, diagnostics = forward(image, forward_params(shape), cfg,
+                                    compile_joint_mask(default_skeleton()), keep_records=True)
+    return (heatmaps.data.tobytes(), [r.tobytes() for r in diagnostics.records],
+            [m.bits.tobytes() for m in diagnostics.mask_state.masks])
+
+
+class TestForwardEqualsInline:
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    @pytest.mark.parametrize("shape", ["reference", "odd"])
+    def test_forward_bits(self, monkeypatch, shape, keep):
+        run_inline(monkeypatch)
+        inline = forward_state(shape, keep)
+        monkeypatch.undo()
+        scratch = run_on_helpers(monkeypatch)
+        halves = record_row_halves(monkeypatch)
+        assert forward_state(shape, keep) == inline
+        assert set(halves) - {threading.get_ident()}  # a helper ran row halves
+        encoder_layers = forward_config(shape, keep).encoder_layers
+        assert len(scratch["_attention_forward_heads"]) > 2 * encoder_layers
+
+    # At each shape the reference or the 241-token forward splits: QKV,
+    # output projection and the two MLP products.
+    @pytest.mark.parametrize("rows, inner, cols", [
+        (272, 192, 576), (272, 192, 192), (272, 576, 192),
+        (241, 192, 576), (241, 192, 192), (241, 576, 192)])
+    def test_row_halves_give_the_bytes_of_the_whole_product(self, rows, inner, cols):
+        # A property of the BLAS, not of floating point: pinned here because
+        # the forward's bits depend on it.
+        assert rows // 2 * inner * cols >= T._ROW_SPLIT_MIN  # the forward splits it
+        rng = np.random.default_rng(rows + inner + cols)
+        a, b = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+        h = rows - rows // 2  # the calling thread's half, as in _by_rows
+        halves = np.concatenate([a[:h] @ b, a[h:] @ b])
+        assert halves.tobytes() == (a @ b).tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(image_h=32, image_w=32, downsample=1, patch_h=8, patch_w=8, embed_dim=16,
+                    heads=2, encoder_layers=3, graph_layers=1, heatmap_h=8, heatmap_w=8,
+                    mlp_ratio=2, schedule=PruneSchedule(update_layers=(1, 2))),
+        ModelConfig(image_h=64, image_w=64, downsample=1, embed_dim=32, heads=4,
+                    encoder_layers=4, graph_layers=2, schedule=PruneSchedule(update_layers=(2,))),
+    ], ids=["cli-test", "64x64-d32"])
+    def test_small_configs_offer_nothing(self, monkeypatch, cfg):
+        offered = count_offers(monkeypatch)
+        forward(np.zeros((cfg.image_h, cfg.image_w)), PoseModelParams.init(cfg, seed=3), cfg,
+                compile_joint_mask(default_skeleton()))
+        assert offered == []
+
+    def test_the_reference_config_offers_halves_and_heads(self, monkeypatch):
+        offered = count_offers(monkeypatch)
+        forward_state("reference", 1.0)
+        assert {"rows", "_attention_forward_heads"} <= set(offered)
+
+
+def count_offers(monkeypatch):
+    """With a second CPU and the real size rule, the names of the calls offered."""
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    offered, init = [], T._Task.__init__
+
+    def recorded(task, fn, *args, work=None):
+        init(task, fn, *args, work=work)
+        if task.future is not None:
+            offered.append(fn.__name__)
+    monkeypatch.setattr(T._Task, "__init__", recorded)
+    return offered
+
+
+# The CPUs this process may run on, as tensor._cpus counts them.
+HOST_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+
+
+class TestBlasGate:
+    def test_helpers_only_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(T, "_blas_threads", lambda: 2)
+        assert T._cpus() == 1
+        monkeypatch.setattr(T, "_blas_threads", lambda: 1)
+        assert T._cpus() == HOST_CPUS
+
+    def test_without_the_symbol_nothing_is_offered(self, monkeypatch):
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda path: object())
+        assert T._blas_threads.__wrapped__() is None
+        monkeypatch.setattr(T, "_blas_threads", T._blas_threads.__wrapped__)
+        assert T._cpus() == 1
+        assert T._Task(lambda: None).future is None
+
+    @pytest.mark.skipif(HOST_CPUS < 2, reason="needs two CPUs")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reads_the_thread_count_openblas_runs(self, threads):
+        if T._blas_threads() is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(T.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", "import spt.tensor as T; print(T._blas_threads(), T._cpus())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        cpus = HOST_CPUS if threads == "1" else 1
+        assert done.stdout.split() == [threads, str(cpus)]
 
 
 class TestFailures:
@@ -182,9 +332,14 @@ class TestFailures:
         release, ran_on = threading.Event(), []
         try:
             blocker = pool.submit(release.wait)
-            task = T._Task(lambda: ran_on.append(threading.get_ident()))
+            out = np.zeros(3)
+            task = T._Task(lambda a: ran_on.append(threading.get_ident()), out)
             task.wait()
             assert ran_on == [threading.get_ident()]
+            # The cancelled submission still waits in the pool's queue, but
+            # no longer holds the task's arrays.
+            held, out = weakref.ref(out), None
+            assert held() is None
         finally:
             release.set()
             blocker.result(timeout=30)
@@ -266,15 +421,18 @@ sys.exit(os.waitstatus_to_exitcode(status))
 TRACED = [(T, name) for name in (
     "matmul", "add", "add_bias", "scale", "gelu", "layer_norm", "rowwise_masked_softmax",
     "reshape", "transpose", "narrow", "concat", "sub", "mul", "add_scalar", "sum_all",
-    "avg_pool2d", "backward", "_accumulate")] + [
+    "avg_pool2d", "mlp", "multi_head_attention", "backward", "_accumulate")] + [
     (spt.model, "forward"), (spt.model, "encoder_block"), (spt.model, "loss_mse"),
     (spt.model.AdamState, "step"), (spt.attention, "masked_self_attention")]
 
 
 @pytest.mark.parametrize("mode", ["as_scheduled", "on_helpers"])
 def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch, mode):
+    halves = []
     if mode == "on_helpers":
         run_on_helpers(monkeypatch)
+        monkeypatch.setattr(T, "_ROW_SPLIT_MIN", 0)  # split every product; bits not compared
+        halves = record_row_halves(monkeypatch)
     threads = {}
 
     def recorder(name, fn):
@@ -285,6 +443,12 @@ def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch,
     for owner, name in TRACED:
         monkeypatch.setattr(owner, name, recorder(name, getattr(owner, name)))
     cfg = tiny_config(embed_dim=16, heatmap_h=64, heatmap_w=64, **PRUNED)
-    trained_state(cfg, batch(cfg, 95, 2), steps=1)
-    assert {"backward", "_accumulate", "step", "masked_self_attention"} <= set(threads)
+    samples = batch(cfg, 95, 2)
+    trained_state(cfg, samples, steps=1)
+    spt.model.forward(samples[0][0], PoseModelParams.init(cfg, seed=5), cfg,
+                      compile_joint_mask(chain_skeleton(cfg.joint_count)))  # no tape
+    assert {"backward", "_accumulate", "step", "masked_self_attention", "mlp",
+            "multi_head_attention"} <= set(threads)
     assert all(seen == {threading.get_ident()} for seen in threads.values()), threads
+    if mode == "on_helpers":
+        assert set(halves) - {threading.get_ident()}
