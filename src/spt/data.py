@@ -118,8 +118,10 @@ class SyntheticSceneConfig:
             )
         if self.image_h < 8 or self.image_w < 8:
             raise ConfigError("synthetic images need at least 8x8 pixels")
-        if self.blob_sigma <= 0 or self.limb_thickness <= 0 or self.jitter < 0:
-            raise ConfigError("blob_sigma/limb_thickness must be > 0 and jitter >= 0")
+        if not (0 < self.blob_sigma < math.inf and 0 < self.limb_thickness < math.inf
+                and 0 <= self.jitter < math.inf):
+            raise ConfigError(
+                "blob_sigma/limb_thickness must be finite and > 0, jitter finite and >= 0")
 
 
 def _template_in_pixels(h: int, w: int) -> np.ndarray:

@@ -401,9 +401,9 @@ class AdamState:
         ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, with b1, b2 and eps the
         ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
         a fresh array and ``p.grad`` is cleared.  A parameter of at least
-        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the second
-        offered to a helper thread; every operation is elementwise, so the
-        bits stay.
+        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, shared out
+        with a helper thread (``tensor._each_thread``); every operation is
+        elementwise, so the bits stay.
 
         No rollback: ``step_count`` rises first, and a step that raises
         part-way leaves the parameters before it updated.
@@ -424,9 +424,9 @@ class AdamState:
                 _adam_update(*arrays, self.lr, bc1, bc2)
             else:
                 half = p.shape[0] // 2
-                task = T._Task(_adam_update, *(a[half:] for a in arrays), self.lr, bc1, bc2)
-                _adam_update(*(a[:half] for a in arrays), self.lr, bc1, bc2)
-                task.wait()
+                T._each_thread(T._row_piece, (None, None), None,
+                               (slice(0, half), slice(half, None)),
+                               _adam_update, arrays, self.lr, bc1, bc2)
             p.data = arrays[-1]
             p.grad = None
 

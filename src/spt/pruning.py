@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError
 from .masks import AttentionMask
+from .skeleton import _is_index
 
 K_MODES = ("support", "total")
 
@@ -41,8 +42,8 @@ class PruneSchedule:
 
     def __post_init__(self):
         layers = self.update_layers
-        if any(b <= a for a, b in zip(layers, layers[1:])) or (layers and layers[0] < 1):
-            raise ConfigError(f"update layers must be strictly increasing and >= 1: {layers}")
+        if not all(map(_is_index, layers)) or any(b <= a for a, b in zip((0, *layers), layers)):
+            raise ConfigError(f"update layers must be strictly increasing integers >= 1: {layers}")
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ConfigError(f"keep ratio must be in (0, 1], got {self.keep_ratio}")
         if self.k_mode not in K_MODES:

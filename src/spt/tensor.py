@@ -6,11 +6,10 @@ each; the node is a small identity object for the op's output, the
 pullback closure keeps only what it reads (keys and shapes, plus the
 arrays its adjoint formula needs), so no record holds a forward output the
 backward pass never reads, and ``leaves`` lists the ``requires_grad``
-leaves the op read.  ``backward`` replays the tape in reverse, popping
-each record as it goes, and hands every leaf its adjoint as soon as the
-last record that reads the leaf has been replayed.  Tensors are treated as
-immutable once produced by an operation; parameter updates happen between
-tapes.
+leaves no earlier record read.  ``backward`` replays the tape in reverse,
+popping each record as it goes, and hands every leaf its adjoint once the
+first record that read it is replayed.  Tensors are treated as immutable
+once produced by an operation; parameter updates happen between tapes.
 
 Every adjoint has one owner.  A pullback owns the gradient ``g`` that
 ``backward`` pops for it: it may hand ``g``, or a view of it, to one input,
@@ -35,27 +34,27 @@ recomputes its GELU output in the pullback instead of keeping it on the
 tape.  Both give the bits of the chains they replace.
 
 On a machine with more than one CPU, the large calls offer part of their
-work to helper threads (``_Task``), each part large enough to pay for the
-hand-over.  The forward arrays are computed this way whether or not a tape
-is active: a 2-D ``matmul`` and ``mlp`` run their token rows as two halves
-(``_by_rows``), and ``multi_head_attention`` takes its heads from a shared
-queue, each thread with its own logits tile.  ``backward`` offers work that
-the replaying thread's next call does not read: the second product of a
-``matmul`` pullback, the two weight products of the ``mlp`` pullback, and
-the heads of the ``multi_head_attention`` pullback, taken one at a time as
-in the forward; ``model.AdamState.step`` offers half of each large
-parameter's update.  A helper makes plain numpy calls into arrays the
-calling thread allocated, and the calling thread waits for them before it
-reads them, or makes the call itself if no helper has started it yet.  A
-helper never calls a taped op or touches a tape, a ``.grad`` or the
-gradient store: the calling thread makes every ``_accumulate`` call, in the
-serial order.  Every task makes the serial numpy call on the same operands,
-or on a row half whose product has the whole product's bits in the blocked
-BLAS kernel (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU
-count.  A helper reads only ``g`` and forward arrays, and ``g`` shares
-memory with no entry of the store, so no in-place sum the replaying thread
-makes meanwhile writes memory a helper reads.  Helpers are offered work
-only while BLAS runs one thread of its own (``_cpus``), as under
+work to helper threads, each part large enough to pay for the hand-over.
+``_each_thread`` splits one job into like pieces that the calling thread
+and its helpers take from one queue, each thread with scratch of its own:
+the token-row halves of a 2-D ``matmul`` and of ``mlp`` (``_by_rows``),
+the heads of ``multi_head_attention`` and of its pullback, and the halves
+of a large parameter's update in ``model.AdamState.step``.  ``_Task``
+overlaps two different calls: the ``matmul`` and ``mlp`` pullbacks run a
+weight product on a helper while the replaying thread computes the
+product its next call reads.  The forward arrays are computed this way
+whether or not a tape is active.  A helper makes plain numpy calls into
+arrays the calling thread allocated, which waits for them before it reads
+them, or makes the call itself if no helper has started it yet; it never
+calls a taped op or touches a tape, a ``.grad`` or the gradient store, so
+the calling thread makes every ``_accumulate`` call, in the serial order.
+Every piece makes the serial numpy call on the same operands, or on a row
+half whose product has the whole product's bits in the blocked BLAS kernel
+(``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  A
+helper reads only ``g`` and forward arrays, and ``g`` shares memory with
+no entry of the store, so no in-place sum the replaying thread makes
+meanwhile writes memory a helper reads.  Helpers are offered work only
+while BLAS runs one thread of its own (``_cpus``), as under
 ``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference forward
 then took 0.64 to 0.70 of its inline time with the second vCPU idle, and
 0.96 to 1.20 while another process kept it busy.
@@ -194,39 +193,52 @@ class _Task:
             self.fn = self.args = None
 
 
+def _each_thread(body, scratch, work, pieces, *args) -> None:
+    """``body(own, piece, *args)`` for each of ``pieces``, on the calling thread
+    and one helper per further entry of ``scratch``, each thread with its own
+    entry ``own``.
+
+    Every thread takes pieces from one queue until none is left, so a helper
+    that starts late takes only what is left.  Each helper is a ``_Task`` of
+    ``work``, one piece's multiply-adds.
+    """
+    todo = deque(pieces)
+
+    def drain(own):
+        while True:
+            try:
+                piece = todo.popleft()
+            except IndexError:  # every piece is taken
+                return
+            body(own, piece, *args)
+
+    tasks = [_Task(drain, own, work=work) for own in scratch[1:]]
+    drain(scratch[0])
+    for task in tasks:
+        task.wait()
+
+
+def _row_piece(_, rows, fn, arrays, *args) -> None:
+    """An ``_each_thread`` piece without scratch: ``fn(*arrays[rows], *args)``."""
+    fn(*(a[rows] for a in arrays), *args)
+
+
 def _by_rows(fn, row_products, *arrays) -> None:
-    """``fn(*arrays)`` as two row halves at once, the second offered to a helper.
+    """``fn(*arrays)`` as two row halves shared out by ``_each_thread``.
 
     Every array's first axis is the same rows, and ``fn`` writes each row
     of its outputs from the same row of its inputs.  ``row_products`` lists
     one row's multiply-adds in each product ``fn`` makes.  The call stays
-    whole when the offered half has fewer than 2 rows, or fewer than
-    ``_ROW_SPLIT_MIN`` multiply-adds in one of its products, or when
-    ``_Task`` does not offer it.
+    whole on one CPU, or when the second half has fewer than 2 rows, or
+    fewer than ``_ROW_SPLIT_MIN`` multiply-adds in one of its products.
     """
     n = len(arrays[0])
     half = n // 2
-    if half >= 2 and half * min(row_products) >= _ROW_SPLIT_MIN:
-        task = _Task(fn, *(a[n - half:] for a in arrays), work=half * sum(row_products))
-        if task.future is not None:
-            fn(*(a[:n - half] for a in arrays))
-            task.wait()
-            return
-    fn(*arrays)
-
-
-def _each_thread(body, scratch, work: int, *args) -> None:
-    """``body(own, *args)`` on the calling thread and on one helper per further
-    entry of ``scratch``, each thread with its own entry ``own``.
-
-    ``body`` takes its pieces of work from a queue among ``args`` until none
-    is left, so a helper that starts late takes only what is left.  Each
-    helper is a ``_Task`` of ``work``, one piece's multiply-adds.
-    """
-    tasks = [_Task(body, own, *args, work=work) for own in scratch[1:]]
-    body(scratch[0], *args)
-    for task in tasks:
-        task.wait()
+    if half < 2 or half * min(row_products) < _ROW_SPLIT_MIN or _cpus() < 2:
+        fn(*arrays)
+        return
+    _each_thread(_row_piece, (None, None), half * sum(row_products),
+                 (slice(0, n - half), slice(n - half, n)), fn, arrays)
 
 
 def _forget_pool() -> None:
@@ -283,17 +295,17 @@ class ComputationTape:
 
     A record is ``(node, pullback, leaves)``: the output's identity, a
     closure over only the arrays its adjoint reads, and the ``requires_grad``
-    leaves the op read, once per read.  ``backward`` consumes the tape,
-    popping each record as it replays it; ``len`` stays the number of ops
-    recorded.  A tape is confined to one logical thread of execution;
-    concurrent forwards use independent tapes or run grad-free (no tape
-    active).  The helper threads that ops and pullbacks start never see a
-    tape: they compute into arrays the calling thread hands them.
+    leaves the op is the first on this tape to read, each once.  ``backward``
+    consumes the tape, popping each record as it replays it; ``len`` stays
+    the number of ops recorded.  A tape is confined to one logical thread of
+    execution; concurrent forwards use independent tapes or run grad-free.
+    The helper threads that ops and pullbacks start never see a tape: they
+    compute into arrays the calling thread hands them.
     """
 
     def __init__(self):
         self._records = []  # (node, pullback, leaves), popped by backward
-        self._readers = {}  # leaf -> records that read it, counted down by backward
+        self._read = set()  # leaves some record has read
         self._recorded = 0
 
     def __enter__(self):
@@ -319,8 +331,8 @@ def _key(t: Tensor):
 def _finish(out_data, keys, pullback):
     """Wrap an op result; record on the active tape when gradients can flow.
 
-    The record lists the ``requires_grad`` leaves among ``keys``, once per
-    read, and the tape counts the records that read each leaf.
+    The record lists the ``requires_grad`` leaves among ``keys`` that no
+    earlier record of the tape read, each once.
     """
     if _tls.finite_checks and not np.isfinite(out_data).all():
         raise NonFiniteValueError("operation produced non-finite values")
@@ -330,10 +342,9 @@ def _finish(out_data, keys, pullback):
         tape = stack[-1]
         out.requires_grad = True
         out._node = _Node()
-        leaves = tuple(k for k in keys if isinstance(k, Tensor))
-        readers = tape._readers
-        for leaf in leaves:
-            readers[leaf] = readers.get(leaf, 0) + 1
+        read = tape._read
+        leaves = tuple(dict.fromkeys(k for k in keys if isinstance(k, Tensor) and k not in read))
+        read.update(leaves)
         tape._records.append((out._node, pullback, leaves))
         tape._recorded += 1
     return out
@@ -376,7 +387,7 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     earlier ``.grad`` summed into it: no two leaves share a gradient array,
     and an earlier ``.grad`` array is never written.
 
-    A leaf receives its ``.grad`` as soon as the last record that reads it
+    A leaf receives its ``.grad`` as soon as the first record that read it
     has been replayed (or skipped, when off the loss's path), and its
     adjoint then leaves the working store; a leaf no record reads (the
     loss itself) receives it at the end.  If a pullback raises, the leaves
@@ -387,19 +398,15 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     key = _key(loss)
     store = {} if key is None else {key: np.ones((), dtype=np.float64)}
-    records, readers = tape._records, tape._readers
-    while records:
-        node, pullback, leaves = records.pop()
+    while tape._records:
+        node, pullback, first_read = tape._records.pop()
         g = store.pop(node, None)
         if g is not None:  # else not on a path to the loss
             pullback(g, store)
-        for leaf in leaves:
-            readers[leaf] -= 1
-            if not readers[leaf]:
-                del readers[leaf]
-                grad = store.pop(leaf, None)
-                if grad is not None:
-                    _give(leaf, grad)
+        for leaf in first_read:  # no record left on the tape reads it
+            grad = store.pop(leaf, None)
+            if grad is not None:
+                _give(leaf, grad)
     for key, grad in store.items():
         if isinstance(key, Tensor):  # else an intermediate of another tape
             _give(key, grad)
@@ -837,10 +844,10 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     both stay in cache from logits to context: ``q_i = packed[:r, Q_i] /
     sqrt(head_dim)``, ``logits = q_i k_iᵀ``, the masked softmax into the
     tile (``rowwise_masked_softmax``'s formula), then ``tile v_i`` into the
-    head's context columns.  The calling thread and up to one helper per
-    further CPU take heads from a shared queue (``_each_thread``); a helper
-    is offered when one head's two products plus its softmax, counted at
-    ``_SOFTMAX_CELL_WORK`` per cell, reach ``_TASK_MIN_WORK``.
+    head's context columns.  The heads are the pieces of an ``_each_thread``
+    job, on the calling thread and up to one helper per further CPU; a
+    helper is offered when one head's two products plus its softmax,
+    counted at ``_SOFTMAX_CELL_WORK`` per cell, reach ``_TASK_MIN_WORK``.
 
     The tape keeps only ``packed`` and ``mask``.  The pullback fills one
     fresh (n, 3D) gradient head by head.  It first rebuilds P_i with the
@@ -872,12 +879,11 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     if not mask.all_ones:
         mask.gate_bias()  # fill the mask's cache before threads read it
     threads = min(_cpus(), heads)  # the calling one and its helpers
-    probs = np.empty((heads, r, n))
-    context = np.empty((r, d))
+    probs, context = np.empty((heads, r, n)), np.empty((r, d))
     scratch = list(zip(np.empty((threads, r, n)), np.empty((threads, r, head_dim))))
     # work: one head's two products, plus its softmax counted per cell.
-    _each_thread(_attention_forward_heads, scratch, r * n * (2 * head_dim + _SOFTMAX_CELL_WORK),
-                 deque(zip(probs, columns)), data, mask, s, context)
+    _each_thread(_attention_forward_head, scratch, r * n * (2 * head_dim + _SOFTMAX_CELL_WORK),
+                 zip(probs, columns), data, mask, s, context)
     probs.flags.writeable = False
     kp = _key(packed)
 
@@ -886,54 +892,43 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
         grad[r:, :d] = 0.0
         tiles = np.empty((min(_cpus(), heads), 3, r, n))
         # work: the multiply-adds of one head's five products.
-        _each_thread(_attention_heads, tiles, 5 * r * n * head_dim,
-                     deque(columns), data, g, mask, s, grad)
+        _each_thread(_attention_head_grad, tiles, 5 * r * n * head_dim,
+                     columns, data, g, mask, s, grad)
         _accumulate(store, kp, grad)
 
     return _finish(context, (kp,), pullback), probs
 
 
-def _attention_forward_heads(scratch, todo, data, mask, s, context):
-    """Write the probabilities and context columns of heads taken from ``todo``.
+def _attention_forward_head(scratch, head, data, mask, s, context):
+    """Write one head's probability tile and context columns.
 
-    The body of ``multi_head_attention``'s forward.  Each thread that runs
-    it takes (probability tile, columns) pairs from the shared deque until
-    none is left, with its own scratch: the (r, n) logits and the (r,
-    head_dim) scaled queries.
+    A piece of ``multi_head_attention``'s forward: ``head`` is the head's
+    (probability tile, columns) pair, and ``scratch`` the running thread's
+    (r, n) logits and (r, head_dim) scaled queries.
     """
     r = mask.rows
-    logits, q_scaled = scratch
-    while True:
-        try:
-            tile, (q, k, v) = todo.popleft()
-        except IndexError:  # every head is taken
-            return
-        np.matmul(np.multiply(data[:r, q], s, out=q_scaled), data[:, k].T, out=logits)
-        _softmax_rows(logits, mask, tile)
-        np.matmul(tile, data[:, v], out=context[:, q])
+    (logits, q_scaled), (tile, (q, k, v)) = scratch, head
+    np.matmul(np.multiply(data[:r, q], s, out=q_scaled), data[:, k].T, out=logits)
+    _softmax_rows(logits, mask, tile)
+    np.matmul(tile, data[:, v], out=context[:, q])
 
 
-def _attention_heads(tiles, todo, data, g, mask, s, grad):
-    """Write the packed-gradient columns of heads taken from ``todo`` into ``grad``.
+def _attention_head_grad(tiles, columns, data, g, mask, s, grad):
+    """Write one head's packed-gradient columns into ``grad``.
 
-    The body of ``multi_head_attention``'s pullback.  Each thread that runs
-    it takes heads from the shared deque until none is left, with its own
-    (3, r, n) scratch ``tiles``.
+    A piece of ``multi_head_attention``'s pullback: ``columns`` are the
+    head's query, key and value slices, and ``tiles`` the running thread's
+    (3, r, n) scratch.
     """
     r = mask.rows
-    tile, dp, ds = tiles
-    while True:
-        try:
-            q, k, v = todo.popleft()
-        except IndexError:  # every head is taken
-            return
-        q_i = data[:r, q] * s
-        np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
-        _softmax_rows(ds, mask, tile)
-        g_i = g[:, q]
-        np.matmul(tile.T, g_i, out=grad[:, v])
-        np.matmul(g_i, data[:, v].T, out=dp)
-        _softmax_pullback(dp, tile, out=ds)
-        np.matmul(ds, data[:, k], out=grad[:r, q])
-        grad[:r, q] *= s
-        grad[:, k] = np.matmul(q_i.T, ds).T
+    (tile, dp, ds), (q, k, v) = tiles, columns
+    q_i = data[:r, q] * s
+    np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
+    _softmax_rows(ds, mask, tile)
+    g_i = g[:, q]
+    np.matmul(tile.T, g_i, out=grad[:, v])
+    np.matmul(g_i, data[:, v].T, out=dp)
+    _softmax_pullback(dp, tile, out=ds)
+    np.matmul(ds, data[:, k], out=grad[:r, q])
+    grad[:r, q] *= s
+    grad[:, k] = np.matmul(q_i.T, ds).T

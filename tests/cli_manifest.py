@@ -26,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -87,9 +88,13 @@ def write_manifest(out) -> list:
     _write_file_inputs(out)
     entries = {}
     for name, argv in _commands(out):
-        stdout = io.StringIO()
-        with contextlib.chdir(out), contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", str(out / name)])
+        stdout, cwd = io.StringIO(), os.getcwd()
+        os.chdir(out)  # not contextlib.chdir, which needs Python 3.11
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--out", str(out / name)])
+        finally:
+            os.chdir(cwd)
         if code != 0:
             raise SystemExit(f"spt {' '.join(argv)} exited {code}")
         entries[f"{name}/stdout"] = stdout.getvalue().replace(str(out), "OUT").encode()

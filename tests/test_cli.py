@@ -737,6 +737,9 @@ MALFORMED = [
     ("synthetic_not_object", run_value("data.synthetic", 5), 2),
     ("unknown_synthetic_key", run_value("data.synthetic.blur", 1), 2),
     ("synthetic_value_string", run_value("data.synthetic.jitter", "3"), 2),
+    ("synthetic_jitter_nan", run_value("data.synthetic.jitter", math.nan), 2),
+    ("synthetic_blob_sigma_infinite", run_value("data.synthetic.blob_sigma", math.inf), 2),
+    ("synthetic_limb_thickness_nan", run_value("data.synthetic.limb_thickness", math.nan), 2),
     ("negative_training_steps", run_value("training.steps", -1), 2),
     ("learning_rate_nan", run_value("training.learning_rate", math.nan), 2),
     ("learning_rate_infinite", run_value("training.learning_rate", math.inf), 2),

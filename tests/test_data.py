@@ -73,6 +73,15 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             generate_synthetic(scene(joint_count=5), 1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("jitter", float("nan")), ("jitter", float("inf")), ("jitter", -1.0),
+        ("blob_sigma", float("nan")), ("blob_sigma", float("inf")), ("blob_sigma", 0.0),
+        ("limb_thickness", float("nan")), ("limb_thickness", float("inf")),
+        ("limb_thickness", -0.5)])
+    def test_non_finite_or_out_of_range_shape_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            scene(**{field: value})
+
 
 def sha256_f8(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()

@@ -182,6 +182,14 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             PruneSchedule(k_mode="bogus")
 
+    @pytest.mark.parametrize("layers", [(1.5,), (1, 2.0), (True,), (1, "2")])
+    def test_update_layers_must_be_integers(self, layers):
+        with pytest.raises(ConfigError, match="integers"):
+            PruneSchedule(update_layers=layers)
+
+    def test_numpy_integer_update_layers_accepted(self):
+        assert PruneSchedule(update_layers=(np.int64(1), 2)).update_layers == (1, 2)
+
     def test_single_update_row_support(self):
         rng = np.random.default_rng(5)
         state = MaskState.dense(10)

@@ -517,11 +517,12 @@ class TestLeafFlush:
         with ComputationTape() as tape:
             early = _probe(a, lambda: seen.append(_grad_copy(w)))
             loss = T.sum_all(T.mul(T.add(w, w), early))
-        assert tape._readers[w] == 2
+        # Each record lists the leaves it is the first to read, each once.
+        assert [record[2] for record in tape._records] == [(a,), (w,), (), ()]
         backward(loss, tape)
         assert np.array_equal(seen[0], 2.0 * a.data)
         assert np.array_equal(w.grad, 2.0 * a.data) and np.array_equal(a.grad, 2.0 * w.data)
-        assert tape._readers == {}
+        assert tape._records == []
 
     def test_output_of_another_tape_is_still_dropped(self):
         w = Tensor([1.0, 2.0], requires_grad=True)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from concurrent import futures
 from pathlib import Path
@@ -31,49 +30,44 @@ def run_inline(monkeypatch):
     monkeypatch.setattr(T, "_cpus", lambda: 1)
 
 
-HEAD_BODIES = ("_attention_forward_heads", "_attention_heads")
-
-
 def run_on_helpers(monkeypatch, cpus=3):
-    """``cpus - 1`` helpers, whichever CPUs there are, and every offered task
-    runs on one: the caller waits for it instead of taking it back, so the
-    second row half of each split forward product runs on a helper.  The
-    calling thread also leaves every attention head, in the forward and in
-    the pullback, to the helpers.  Row halves keep their size floor
-    (``_ROW_SPLIT_MIN``), below which a half may round differently.
+    """``cpus - 1`` helpers, whichever CPUs there are, and every piece of work
+    split by ``tensor._each_thread`` runs on one: each offered task is waited
+    for instead of taken back, and a piece the calling thread takes from the
+    queue is handed to a helper, with the caller's scratch.  Row halves keep
+    their size floor (``_ROW_SPLIT_MIN``), below which a half may round
+    differently.
 
-    Returns, for each head body, the scratch each of its threads was handed.
+    Returns the split jobs in call order, each as ``(body name, scratch,
+    threads)``: the scratch handed to ``_each_thread`` and the threads that
+    ran its pieces, one per piece.
     """
     monkeypatch.setattr(T, "_cpus", lambda: cpus)
     monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
     monkeypatch.setattr(T._Task, "wait", lambda task: task.future.result(timeout=60))
-    caller, scratch = threading.get_ident(), {name: [] for name in HEAD_BODIES}
+    caller, each_thread, jobs = threading.get_ident(), T._each_thread, []
 
-    def leave_heads(name, body):
-        def run(own, todo, *args):
-            scratch[name].append(own)
+    def on_helpers(body, scratch, work, pieces, *args):
+        threads = []
+        jobs.append((body.__name__, scratch, threads))
+
+        def run(own, piece, *args):
             if threading.get_ident() == caller:
-                deadline = time.monotonic() + 30.0
-                while todo and time.monotonic() < deadline:
-                    time.sleep(1e-4)
-            body(own, todo, *args)
-        return run
-    for name in HEAD_BODIES:
-        monkeypatch.setattr(T, name, leave_heads(name, getattr(T, name)))
-    return scratch
-
-
-def record_row_halves(monkeypatch):
-    """The threads that ran each row half ``tensor._by_rows`` made, in a list."""
-    threads, by_rows = [], T._by_rows
-
-    def recorded(fn, row_work, *arrays):
-        def half(*rows):
+                T._Task(run, own, piece, *args).wait()
+                return
             threads.append(threading.get_ident())
-            fn(*rows)
-        by_rows(half, row_work, *arrays)
-    monkeypatch.setattr(T, "_by_rows", recorded)
-    return threads
+            body(own, piece, *args)
+        each_thread(run, scratch, work, pieces, *args)
+    monkeypatch.setattr(T, "_each_thread", on_helpers)
+    return jobs
+
+
+def ran_on_helpers(jobs, name):
+    """The jobs of body ``name``; each ran every piece, all on helpers."""
+    named = [(scratch, threads) for body, scratch, threads in jobs if body == name]
+    assert named, name
+    assert all(threads and threading.get_ident() not in threads for _, threads in named), name
+    return named
 
 
 def batch(cfg, seed, size):
@@ -150,12 +144,13 @@ class TestThreadedEqualsInline:
         run_inline(monkeypatch)
         inline = packed_grad()
         monkeypatch.undo()
-        scratch = run_on_helpers(monkeypatch, cpus)
+        jobs = run_on_helpers(monkeypatch, cpus)
         assert packed_grad() == inline
-        for name in HEAD_BODIES:  # the caller and each helper, with scratch of its own
-            assert len(scratch[name]) == cpus, name
-        arrays = [a for own in scratch["_attention_forward_heads"] for a in own]
-        arrays += scratch["_attention_heads"]
+        (forward_scratch, _), = ran_on_helpers(jobs, "_attention_forward_head")
+        (pullback_scratch, _), = ran_on_helpers(jobs, "_attention_head_grad")
+        # The caller and each helper, with scratch of its own.
+        assert len(forward_scratch) == len(pullback_scratch) == cpus
+        arrays = [a for own in forward_scratch for a in own] + list(pullback_scratch)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
                        for b in arrays[i + 1:])
 
@@ -227,12 +222,11 @@ class TestForwardEqualsInline:
         run_inline(monkeypatch)
         inline = forward_state(shape, keep)
         monkeypatch.undo()
-        scratch = run_on_helpers(monkeypatch)
-        halves = record_row_halves(monkeypatch)
+        jobs = run_on_helpers(monkeypatch)
         assert forward_state(shape, keep) == inline
-        assert set(halves) - {threading.get_ident()}  # a helper ran row halves
-        encoder_layers = forward_config(shape, keep).encoder_layers
-        assert len(scratch["_attention_forward_heads"]) > 2 * encoder_layers
+        layers = forward_config(shape, keep).encoder_layers
+        assert len(ran_on_helpers(jobs, "_row_piece")) >= 3 * layers  # QKV, output, MLP
+        assert len(ran_on_helpers(jobs, "_attention_forward_head")) >= layers
 
     # At each shape the reference or the 241-token forward splits: QKV,
     # output projection and the two MLP products.
@@ -265,19 +259,27 @@ class TestForwardEqualsInline:
     def test_the_reference_config_offers_halves_and_heads(self, monkeypatch):
         offered = count_offers(monkeypatch)
         forward_state("reference", 1.0)
-        assert {"rows", "_attention_forward_heads"} <= set(offered)
+        assert {"_row_piece", "_attention_forward_head"} <= set(offered)
 
 
 def count_offers(monkeypatch):
-    """With a second CPU and the real size rule, the names of the calls offered."""
+    """With a second CPU and the real size rule, the names of the calls offered
+    to a helper: a ``_Task``'s function, or the body of an ``_each_thread`` job."""
     monkeypatch.setattr(T, "_cpus", lambda: 2)
-    offered, init = [], T._Task.__init__
+    offered, init, each_thread = [], T._Task.__init__, T._each_thread
 
     def recorded(task, fn, *args, work=None):
         init(task, fn, *args, work=work)
         if task.future is not None:
             offered.append(fn.__name__)
+
+    def job(body, *args):
+        start = len(offered)
+        each_thread(body, *args)
+        if len(offered) > start:  # the job's queue, offered to its helpers
+            offered[start:] = [body.__name__]
     monkeypatch.setattr(T._Task, "__init__", recorded)
+    monkeypatch.setattr(T, "_each_thread", job)
     return offered
 
 
@@ -345,6 +347,21 @@ class TestFailures:
             blocker.result(timeout=30)
             pool.shutdown()
 
+    def test_pieces_no_helper_started_run_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpus", lambda: 2)
+        pool = futures.ThreadPoolExecutor(1)
+        monkeypatch.setattr(T, "_pool", pool)
+        release, ran = threading.Event(), []
+        try:
+            blocker = pool.submit(release.wait)
+            T._each_thread(lambda own, piece: ran.append((own, piece, threading.get_ident())),
+                           ("caller's", "helper's"), None, range(4))
+            assert ran == [("caller's", piece, threading.get_ident()) for piece in range(4)]
+        finally:
+            release.set()
+            blocker.result(timeout=30)
+            pool.shutdown()
+
     def test_helper_error_in_train_step_rolls_back(self, monkeypatch):
         cfg = tiny_config()
         params = PoseModelParams.init(cfg, seed=33)
@@ -358,16 +375,11 @@ class TestFailures:
         data = {name: p.data.copy() for name, p in params.named_parameters()}
         moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in opt.m}
 
-        monkeypatch.setattr(T, "_cpus", lambda: 2)
-        monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
-        monkeypatch.setattr(T._Task, "wait", lambda task: task.future.result(timeout=60))
-        heads, caller = T._attention_heads, threading.get_ident()
+        run_on_helpers(monkeypatch, cpus=2)
 
-        def fail_on_helpers(*args):
-            if threading.get_ident() != caller:
-                raise MemoryError("helper out of memory")
-            heads(*args)
-        monkeypatch.setattr(T, "_attention_heads", fail_on_helpers)
+        def fail(*args):
+            raise MemoryError("helper out of memory")
+        monkeypatch.setattr(T, "_attention_head_grad", fail)  # runs on helpers only
         with pytest.raises(MemoryError, match="helper out of memory"):
             train_step(samples, params, cfg, mask, opt)
         for name, p in params.named_parameters():
@@ -428,11 +440,10 @@ TRACED = [(T, name) for name in (
 
 @pytest.mark.parametrize("mode", ["as_scheduled", "on_helpers"])
 def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch, mode):
-    halves = []
+    jobs = []
     if mode == "on_helpers":
-        run_on_helpers(monkeypatch)
+        jobs = run_on_helpers(monkeypatch)
         monkeypatch.setattr(T, "_ROW_SPLIT_MIN", 0)  # split every product; bits not compared
-        halves = record_row_halves(monkeypatch)
     threads = {}
 
     def recorder(name, fn):
@@ -451,4 +462,4 @@ def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch,
             "multi_head_attention"} <= set(threads)
     assert all(seen == {threading.get_ident()} for seen in threads.values()), threads
     if mode == "on_helpers":
-        assert set(halves) - {threading.get_ident()}
+        ran_on_helpers(jobs, "_row_piece")
