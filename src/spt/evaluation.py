@@ -136,7 +136,7 @@ def ablation_sweep(keep_ratios, base_config, skeleton_mask, train_samples, test_
 
     Mirrors the keep-ratio ablation protocol: same data, same budget, same
     seed; only the prune schedule's keep ratio changes.  Every ratio's
-    config is built, and so checked, before any model trains.
+    config is built, and so checked, and no ratio may repeat, before any model trains.
     ``train_model`` reads all of ``training``: steps, batch_size,
     learning_rate, seed and target_sigma.  Returns one
     ``(keep_ratio, PckhReport)`` pair per ratio, scored at the default
@@ -144,6 +144,9 @@ def ablation_sweep(keep_ratios, base_config, skeleton_mask, train_samples, test_
     ``sparsity_report(base_config.with_keep_ratio(ratio))``.
     """
     configs = [(ratio, base_config.with_keep_ratio(ratio)) for ratio in map(float, keep_ratios)]
+    ratios = tuple(ratio for ratio, _ in configs)
+    if len(set(ratios)) != len(ratios):
+        raise ConfigError(f"keep ratios must be distinct: {ratios}")
     rows = []
     for keep_ratio, config in configs:
         params, _ = train_model(train_samples, config, skeleton_mask, training)

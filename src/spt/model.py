@@ -401,12 +401,13 @@ class AdamState:
         ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, with b1, b2 and eps the
         ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
         a fresh array and ``p.grad`` is cleared.  A parameter of at least
-        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, shared out
-        with a helper thread (``tensor._each_thread``); every operation is
+        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the two
+        pieces of a ``tensor._each_thread`` job; every operation is
         elementwise, so the bits stay.
 
         No rollback: ``step_count`` rises first, and a step that raises
-        part-way leaves the parameters before it updated.
+        part-way leaves the parameters before it updated.  It raises only
+        once no helper is still writing a half's moments.
         """
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
@@ -424,9 +425,9 @@ class AdamState:
                 _adam_update(*arrays, self.lr, bc1, bc2)
             else:
                 half = p.shape[0] // 2
-                T._each_thread(T._row_piece, (None, None), None,
-                               (slice(0, half), slice(half, None)),
-                               _adam_update, arrays, self.lr, bc1, bc2)
+                T._each_thread(T._call, (None, None), None,
+                               [(_adam_update, *(a[rows] for a in arrays), self.lr, bc1, bc2)
+                                for rows in (slice(0, half), slice(half, None))])
             p.data = arrays[-1]
             p.grad = None
 

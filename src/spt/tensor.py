@@ -35,19 +35,18 @@ tape.  Both give the bits of the chains they replace.
 
 On a machine with more than one CPU, the large calls offer part of their
 work to helper threads, each part large enough to pay for the hand-over.
-``_each_thread`` splits one job into like pieces that the calling thread
-and its helpers take from one queue, each thread with scratch of its own:
+``_each_thread`` is the one way onto them: it splits a job into pieces
+that the calling thread and its helpers take from one queue.  The jobs are
 the token-row halves of a 2-D ``matmul`` and of ``mlp`` (``_by_rows``),
-the heads of ``multi_head_attention`` and of its pullback, and the halves
-of a large parameter's update in ``model.AdamState.step``.  ``_Task``
-overlaps two different calls: the ``matmul`` and ``mlp`` pullbacks run a
-weight product on a helper while the replaying thread computes the
-product its next call reads.  The forward arrays are computed this way
-whether or not a tape is active.  A helper makes plain numpy calls into
-arrays the calling thread allocated, which waits for them before it reads
-them, or makes the call itself if no helper has started it yet; it never
-calls a taped op or touches a tape, a ``.grad`` or the gradient store, so
-the calling thread makes every ``_accumulate`` call, in the serial order.
+the heads of ``multi_head_attention`` and of its pullback, the halves of
+a large parameter's update in ``model.AdamState.step``, and the pairs of
+the ``matmul`` and ``mlp`` pullbacks, where a helper makes a weight
+product while the replaying thread computes the product its next call
+reads.  The forward arrays are computed this way whether or not a tape is
+active.  A helper makes plain numpy calls into arrays the calling thread
+allocated, which reads them once the job has returned; it never calls a
+taped op or touches a tape, a ``.grad`` or the gradient store, so the
+calling thread makes every ``_accumulate`` call, in the serial order.
 Every piece makes the serial numpy call on the same operands, or on a row
 half whose product has the whole product's bits in the blocked BLAS kernel
 (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  A
@@ -155,72 +154,69 @@ _SOFTMAX_CELL_WORK = 32
 _ROW_SPLIT_MIN = 2 ** 22
 
 
-class _Task:
-    """``fn(*args)`` offered to a helper thread; ``fn`` writes into an array among ``args``.
+def _each_thread(body, scratch, work, pieces, *args) -> None:
+    """``body(own, piece, *args)`` for each of ``pieces``, on the calling thread
+    and one helper per further entry of ``scratch`` (at most one per piece
+    beyond the first), each thread with its own entry ``own``.
 
-    ``wait()`` returns once it has run: on a helper if one has started it,
-    else here and now, so a helper that wakes late costs the caller no more
-    than the serial call.  No helper is asked on one CPU, or when ``work``,
-    the call's multiply-adds if given, is below ``_TASK_MIN_WORK``.  A
-    helper's exception re-raises from ``wait()``.  A task never waits on
-    another, so threads that train at once can share the helpers.
+    Every thread takes pieces from one queue until none is left, and a
+    helper that has not started by then is taken back, so the calling
+    thread never waits on a piece no helper started: threads that train at
+    once can share the helpers.  Helpers are offered on more than one CPU
+    when ``work``, one piece's multiply-adds if given, reaches
+    ``_TASK_MIN_WORK``.  A raise in any piece empties the queue.  This
+    returns or raises once every started helper has returned, and raises a
+    helper's exception with the calling thread's, if any, as its context.
     """
-
-    __slots__ = ("fn", "args", "future")
-
-    def __init__(self, fn, *args, work=None):
-        global _pool
-        self.fn, self.args, self.future = fn, args, None
-        if _cpus() < 2 or (work is not None and work < _TASK_MIN_WORK):
-            return
+    global _pool
+    todo = deque(pieces)
+    # One helper's (queue, body, own, args) each, taken as the helper starts.
+    tickets = deque((todo, body, own, args) for own in scratch[1:len(todo)])
+    helpers = []
+    if tickets and (work is None or work >= _TASK_MIN_WORK) and _cpus() > 1:
         with _pool_lock:
             if _pool is None:
                 _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="spt-helper")
-            self.future = _pool.submit(self._run)
-
-    def _run(self) -> None:
-        self.fn(*self.args)
-
-    def wait(self) -> None:
+            helpers = [_pool.submit(lambda: _drain(*tickets.popleft()))
+                       for _ in range(len(tickets))]
+    try:
+        _drain(todo, body, scratch[0], args)
+    finally:
         try:
-            if self.future is None or self.future.cancel():  # no helper has started it
-                self._run()
-            else:
-                self.future.result()
+            _wait_all([helper for helper in helpers if not helper.cancel()])  # the started ones
         finally:
             # A cancelled submission stays in the pool's queue until a helper
-            # wakes; it must not keep the call's arrays alive meanwhile.
-            self.fn = self.args = None
+            # wakes; it must not keep the job's arrays alive meanwhile.
+            tickets.clear()
 
 
-def _each_thread(body, scratch, work, pieces, *args) -> None:
-    """``body(own, piece, *args)`` for each of ``pieces``, on the calling thread
-    and one helper per further entry of ``scratch``, each thread with its own
-    entry ``own``.
-
-    Every thread takes pieces from one queue until none is left, so a helper
-    that starts late takes only what is left.  Each helper is a ``_Task`` of
-    ``work``, one piece's multiply-adds.
-    """
-    todo = deque(pieces)
-
-    def drain(own):
-        while True:
-            try:
-                piece = todo.popleft()
-            except IndexError:  # every piece is taken
-                return
+def _drain(todo, body, own, args) -> None:
+    """``body(own, piece, *args)`` for pieces taken from ``todo`` until none is left."""
+    while True:
+        try:
+            piece = todo.popleft()
+        except IndexError:  # every piece is taken
+            return
+        try:
             body(own, piece, *args)
-
-    tasks = [_Task(drain, own, work=work) for own in scratch[1:]]
-    drain(scratch[0])
-    for task in tasks:
-        task.wait()
+        except BaseException:
+            todo.clear()  # no thread starts another piece
+            raise
 
 
-def _row_piece(_, rows, fn, arrays, *args) -> None:
-    """An ``_each_thread`` piece without scratch: ``fn(*arrays[rows], *args)``."""
-    fn(*(a[rows] for a in arrays), *args)
+def _wait_all(futures) -> None:
+    """Wait for every future; each exception raised has the one before as context."""
+    if futures:
+        try:
+            futures[0].result()
+        finally:
+            _wait_all(futures[1:])
+
+
+def _call(_, call) -> None:
+    """The ``_each_thread`` body of pieces without scratch: ``call`` is ``(fn, *args)``."""
+    fn, *args = call
+    fn(*args)
 
 
 def _by_rows(fn, row_products, *arrays) -> None:
@@ -237,8 +233,9 @@ def _by_rows(fn, row_products, *arrays) -> None:
     if half < 2 or half * min(row_products) < _ROW_SPLIT_MIN or _cpus() < 2:
         fn(*arrays)
         return
-    _each_thread(_row_piece, (None, None), half * sum(row_products),
-                 (slice(0, n - half), slice(n - half, n)), fn, arrays)
+    halves = (slice(0, n - half), slice(n - half, n))
+    _each_thread(_call, (None, None), half * sum(row_products),
+                 [(fn, *(a[rows] for a in arrays)) for rows in halves])
 
 
 def _forget_pool() -> None:
@@ -422,14 +419,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     A 2-D product runs as two row halves at once (``_by_rows``).  Each
     side's gradient is computed, and the other operand's array kept, only
-    when that side needs a gradient.  When both do, the pullback runs
-    ``a_t @ g`` on a helper thread while it computes ``g @ b_t``.
+    when that side needs a gradient.  When both do, the pullback computes
+    ``g @ b_t`` beside ``a_t @ g`` on a helper, one ``_each_thread`` job.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul needs equal-rank >=2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    ka, kb, b_shape = _key(a), _key(b), b.shape
+    ka, kb, a_shape, b_shape = _key(a), _key(b), a.shape, b.shape
     a_t = a.data.swapaxes(-1, -2) if kb is not None else None
     b_t = b.data.swapaxes(-1, -2) if ka is not None else None
 
@@ -439,10 +436,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         elif kb is None:
             _accumulate(store, ka, g @ b_t)
         else:
-            gb = np.empty(b_shape)
-            task = _Task(np.matmul, a_t, g, gb, work=gb.size * g.shape[-2])
-            _accumulate(store, ka, g @ b_t)
-            task.wait()
+            ga, gb = np.empty(a_shape), np.empty(b_shape)
+            _each_thread(_call, (None, None), gb.size * g.shape[-2],
+                         [(np.matmul, g, b_t, ga), (np.matmul, a_t, g, gb)])
+            _accumulate(store, ka, ga)
             _accumulate(store, kb, gb)
 
     if a.data.ndim > 2:
@@ -609,13 +606,13 @@ def _gelu_out(x: np.ndarray, t: np.ndarray, out=None, scratch=None) -> np.ndarra
     return out
 
 
-def _gelu_pullback(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Input adjoint of GELU at ``x`` (tanh ``t``) for the output adjoint ``g``."""
+def _gelu_pullback(g: np.ndarray, x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """Input adjoint of GELU at ``x`` (tanh ``t``) for output adjoint ``g``, into ``out``."""
     du = x * x
     du *= 3.0 * _GELU_A
     du += 1.0
     du *= _GELU_C
-    grad = t * t
+    grad = np.multiply(t, t, out=out)
     np.subtract(1.0, grad, out=grad)
     grad *= 0.5 * x
     grad *= du
@@ -651,9 +648,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     ``add_bias`` makes, in the same operand orientation, so both give the
     same bits.  All five input adjoints are arrays the pullback computes.
     The forward runs as two row halves at once (``_by_rows``), into arrays
-    the calling thread allocates.  The pullback runs the ``w2`` product on
-    a helper thread while it computes the pre-activation adjoint, and the
-    ``w1`` product while it computes the ``x`` adjoint.
+    the calling thread allocates.  The pullback is two ``_each_thread``
+    jobs: a helper makes the ``w2`` product beside the pre-activation
+    adjoint, then the ``w1`` product beside the ``x`` adjoint.
     """
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
@@ -679,31 +676,29 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     x_t = x.data.T if kw1 is not None else None
     w1_t = w1.data.T if kx is not None else None
     w2_t = w2.data.T if needs_dpre else None
-    w1_shape, w2_shape = w1.shape, w2.shape
+    x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
 
     def pullback(g, store):
         if kb2 is not None:
             _accumulate(store, kb2, g.sum(axis=0))
+        # Two jobs: a helper makes each weight product beside an input adjoint.
+        dpre, gw2 = np.empty(pre.shape), np.empty(w2_shape)
+        pieces = [(lambda: _gelu_pullback(g @ w2_t, pre, t, dpre),)] if needs_dpre else []
         if kw2 is not None:
-            gw2 = np.empty(w2_shape)
-            task = _Task(np.matmul, _gelu_out(pre, t).T, g, gw2, work=gw2.size * len(g))
-        if needs_dpre:
-            dpre = _gelu_pullback(g @ w2_t, pre, t)
-        if kw2 is not None:
-            task.wait()
-            _accumulate(store, kw2, gw2)
+            pieces.append((np.matmul, _gelu_out(pre, t).T, g, gw2))
+        _each_thread(_call, (None, None), gw2.size * len(g), pieces)
+        _accumulate(store, kw2, gw2)
         if not needs_dpre:
             return
         if kb1 is not None:
             _accumulate(store, kb1, dpre.sum(axis=0))
+        dx, gw1 = np.empty(x_shape), np.empty(w1_shape)
+        pieces = [(np.matmul, dpre, w1_t, dx)] if kx is not None else []
         if kw1 is not None:
-            gw1 = np.empty(w1_shape)
-            task = _Task(np.matmul, x_t, dpre, gw1, work=gw1.size * len(dpre))
-        if kx is not None:
-            _accumulate(store, kx, dpre @ w1_t)
-        if kw1 is not None:
-            task.wait()
-            _accumulate(store, kw1, gw1)
+            pieces.append((np.matmul, x_t, dpre, gw1))
+        _each_thread(_call, (None, None), gw1.size * len(dpre), pieces)
+        _accumulate(store, kx, dx)
+        _accumulate(store, kw1, gw1)
 
     return _finish(out_data, keys, pullback)
 

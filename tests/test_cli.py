@@ -870,3 +870,13 @@ class TestErrors:
         assert main(["sweep", "--config", str(write_run_config(tmp_path)),
                      "--akr", "0.6", "0"]) == 2
         assert trainings == []
+
+    def test_sweep_refuses_a_repeated_keep_ratio_before_training(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # Both runs would train the same model and write the same row twice.
+        trainings = spy(monkeypatch, "train_model", owner=spt.evaluation)
+        assert main(["sweep", "--config", str(write_run_config(tmp_path)),
+                     "--akr", "0.6", "0.60"]) == 2
+        assert trainings == []
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == "error: keep ratios must be distinct: (0.6, 0.6)\n"

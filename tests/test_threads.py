@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from concurrent import futures
 from pathlib import Path
@@ -31,35 +32,44 @@ def run_inline(monkeypatch):
 
 
 def run_on_helpers(monkeypatch, cpus=3):
-    """``cpus - 1`` helpers, whichever CPUs there are, and every piece of work
-    split by ``tensor._each_thread`` runs on one: each offered task is waited
-    for instead of taken back, and a piece the calling thread takes from the
-    queue is handed to a helper, with the caller's scratch.  Row halves keep
-    their size floor (``_ROW_SPLIT_MIN``), below which a half may round
-    differently.
+    """``cpus - 1`` helpers, whichever CPUs there are, and every job split by
+    ``tensor._each_thread`` runs off the calling thread: the job is called
+    from a thread of its own, which takes pieces beside the helpers.  Row
+    halves keep their size floor (``_ROW_SPLIT_MIN``), below which a half
+    may round differently.
 
-    Returns the split jobs in call order, each as ``(body name, scratch,
-    threads)``: the scratch handed to ``_each_thread`` and the threads that
-    ran its pieces, one per piece.
+    Returns the split jobs in call order, each as ``(job name, scratch,
+    threads)``: the ``job_name``, the scratch handed to ``_each_thread`` and
+    the threads that ran its pieces, one per piece.
     """
     monkeypatch.setattr(T, "_cpus", lambda: cpus)
     monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
-    monkeypatch.setattr(T._Task, "wait", lambda task: task.future.result(timeout=60))
-    caller, each_thread, jobs = threading.get_ident(), T._each_thread, []
+    each_thread, jobs = T._each_thread, []
 
-    def on_helpers(body, scratch, work, pieces, *args):
+    def off_the_caller(body, scratch, work, pieces, *args):
         threads = []
-        jobs.append((body.__name__, scratch, threads))
+        jobs.append((job_name(sys._getframe(1), body), scratch, threads))
 
         def run(own, piece, *args):
-            if threading.get_ident() == caller:
-                T._Task(run, own, piece, *args).wait()
-                return
             threads.append(threading.get_ident())
             body(own, piece, *args)
-        each_thread(run, scratch, work, pieces, *args)
-    monkeypatch.setattr(T, "_each_thread", on_helpers)
+        with futures.ThreadPoolExecutor(1) as caller:
+            caller.submit(each_thread, run, scratch, work, pieces, *args).result()
+    monkeypatch.setattr(T, "_each_thread", off_the_caller)
     return jobs
+
+
+def job_name(frame, body):
+    """The name of an ``_each_thread`` job: its body's, or for a job of calls
+    (``tensor._call``) the name of the function that made it in ``frame``,
+    a pullback as ``<op>.pullback``."""
+    if body is not T._call:
+        return body.__name__
+    code = frame.f_code
+    for name, op in vars(T).items():
+        if code in getattr(getattr(op, "__code__", None), "co_consts", ()):
+            return f"{name}.{code.co_name}"
+    return code.co_name
 
 
 def ran_on_helpers(jobs, name):
@@ -188,6 +198,33 @@ class TestThreadedEqualsInline:
             sys.setswitchinterval(interval)
             pool.shutdown()
 
+    def test_two_calling_threads_share_one_helper(self, monkeypatch):
+        # A calling thread never waits on a piece no helper started, so two
+        # that train at once cannot wait on each other through the helper.
+        cfg = tiny_config(**PRUNED)
+        runs = [batch(cfg, 100 + i, 2) for i in range(2)]
+        run_inline(monkeypatch)
+        serial = [trained_state(cfg, samples, steps=2) for samples in runs]
+        monkeypatch.undo()
+        monkeypatch.setattr(T, "_cpus", lambda: 2)
+        monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
+        pool = futures.ThreadPoolExecutor(1)
+        monkeypatch.setattr(T, "_pool", pool)
+        results = [None, None]
+
+        def train(i):
+            results[i] = trained_state(cfg, runs[i], steps=2)
+        threads = [threading.Thread(target=train, args=(i,), daemon=True) for i in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            pool.shutdown(wait=False)
+        assert results == serial
+
 
 def forward_config(shape, keep):
     """The reference config, or a 3-layer one of 241 tokens (odd, so the row
@@ -215,6 +252,18 @@ def forward_state(shape, keep):
             [m.bits.tobytes() for m in diagnostics.mask_state.masks])
 
 
+# Configs too small for any helper to pay: the CLI tests' and a 64x64 one.
+SMALL_CONFIGS = {
+    "cli-test": ModelConfig(image_h=32, image_w=32, downsample=1, patch_h=8, patch_w=8,
+                            embed_dim=16, heads=2, encoder_layers=3, graph_layers=1,
+                            heatmap_h=8, heatmap_w=8, mlp_ratio=2,
+                            schedule=PruneSchedule(update_layers=(1, 2))),
+    "64x64-d32": ModelConfig(image_h=64, image_w=64, downsample=1, embed_dim=32, heads=4,
+                             encoder_layers=4, graph_layers=2,
+                             schedule=PruneSchedule(update_layers=(2,))),
+}
+
+
 class TestForwardEqualsInline:
     @pytest.mark.parametrize("keep", [1.0, 0.6])
     @pytest.mark.parametrize("shape", ["reference", "odd"])
@@ -225,7 +274,7 @@ class TestForwardEqualsInline:
         jobs = run_on_helpers(monkeypatch)
         assert forward_state(shape, keep) == inline
         layers = forward_config(shape, keep).encoder_layers
-        assert len(ran_on_helpers(jobs, "_row_piece")) >= 3 * layers  # QKV, output, MLP
+        assert len(ran_on_helpers(jobs, "_by_rows")) >= 3 * layers  # QKV, output, MLP
         assert len(ran_on_helpers(jobs, "_attention_forward_head")) >= layers
 
     # At each shape the reference or the 241-token forward splits: QKV,
@@ -243,13 +292,7 @@ class TestForwardEqualsInline:
         halves = np.concatenate([a[:h] @ b, a[h:] @ b])
         assert halves.tobytes() == (a @ b).tobytes()
 
-    @pytest.mark.parametrize("cfg", [
-        ModelConfig(image_h=32, image_w=32, downsample=1, patch_h=8, patch_w=8, embed_dim=16,
-                    heads=2, encoder_layers=3, graph_layers=1, heatmap_h=8, heatmap_w=8,
-                    mlp_ratio=2, schedule=PruneSchedule(update_layers=(1, 2))),
-        ModelConfig(image_h=64, image_w=64, downsample=1, embed_dim=32, heads=4,
-                    encoder_layers=4, graph_layers=2, schedule=PruneSchedule(update_layers=(2,))),
-    ], ids=["cli-test", "64x64-d32"])
+    @pytest.mark.parametrize("cfg", SMALL_CONFIGS.values(), ids=SMALL_CONFIGS.keys())
     def test_small_configs_offer_nothing(self, monkeypatch, cfg):
         offered = count_offers(monkeypatch)
         forward(np.zeros((cfg.image_h, cfg.image_w)), PoseModelParams.init(cfg, seed=3), cfg,
@@ -259,26 +302,50 @@ class TestForwardEqualsInline:
     def test_the_reference_config_offers_halves_and_heads(self, monkeypatch):
         offered = count_offers(monkeypatch)
         forward_state("reference", 1.0)
-        assert {"_row_piece", "_attention_forward_head"} <= set(offered)
+        assert {"_by_rows", "_attention_forward_head"} <= set(offered)
+
+
+# The jobs a backward makes.
+PULLBACK_JOBS = {"matmul.pullback", "mlp.pullback", "_attention_head_grad"}
+
+
+@pytest.mark.parametrize("cfg, offers", [
+    (ModelConfig(), PULLBACK_JOBS), *((cfg, set()) for cfg in SMALL_CONFIGS.values())],
+    ids=["reference", *SMALL_CONFIGS])
+def test_only_the_reference_backward_offers_its_pullback_jobs(monkeypatch, cfg, offers):
+    # The matmul and mlp pairs, run overlapped, save about 100 ms of a
+    # reference train step at batch 2.
+    offered = count_offers(monkeypatch)
+    train_step(batch(cfg, 97, 1), PoseModelParams.init(cfg, seed=3), cfg,
+               compile_joint_mask(default_skeleton()), AdamState())
+    assert PULLBACK_JOBS & set(offered) == offers
+
+
+class RecordingPool(futures.ThreadPoolExecutor):
+    """A one-helper pool that counts what is submitted to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 def count_offers(monkeypatch):
-    """With a second CPU and the real size rule, the names of the calls offered
-    to a helper: a ``_Task``'s function, or the body of an ``_each_thread`` job."""
+    """With a second CPU and the real size rule, the names (``job_name``) of
+    the ``_each_thread`` jobs that offered work to a helper."""
     monkeypatch.setattr(T, "_cpus", lambda: 2)
-    offered, init, each_thread = [], T._Task.__init__, T._each_thread
-
-    def recorded(task, fn, *args, work=None):
-        init(task, fn, *args, work=work)
-        if task.future is not None:
-            offered.append(fn.__name__)
+    pool = RecordingPool()
+    monkeypatch.setattr(T, "_pool", pool)
+    offered, each_thread = [], T._each_thread
 
     def job(body, *args):
-        start = len(offered)
+        submitted = pool.submitted
         each_thread(body, *args)
-        if len(offered) > start:  # the job's queue, offered to its helpers
-            offered[start:] = [body.__name__]
-    monkeypatch.setattr(T._Task, "__init__", recorded)
+        if pool.submitted > submitted:
+            offered.append(job_name(sys._getframe(1), body))
     monkeypatch.setattr(T, "_each_thread", job)
     return offered
 
@@ -300,7 +367,9 @@ class TestBlasGate:
         assert T._blas_threads.__wrapped__() is None
         monkeypatch.setattr(T, "_blas_threads", T._blas_threads.__wrapped__)
         assert T._cpus() == 1
-        assert T._Task(lambda: None).future is None
+        monkeypatch.setattr(T, "_pool", None)  # a job that offers work starts the pool
+        T._each_thread(lambda own, piece: None, (None, None), None, range(2))
+        assert T._pool is None
 
     @pytest.mark.skipif(HOST_CPUS < 2, reason="needs two CPUs")
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -316,32 +385,78 @@ class TestBlasGate:
         assert done.stdout.split() == [threads, str(cpus)]
 
 
+def once_helped(helped, caller_error=None, helper_error=None):
+    """An ``_each_thread`` body: the calling thread waits until a helper has
+    started a piece, then raises ``caller_error`` if given; a helper appends
+    its piece to ``helped``, runs on until 50 ms after the calling thread's
+    piece is over, appends ``("done", piece)`` and raises ``helper_error``
+    if given."""
+    caller, helping, helped_on = threading.get_ident(), threading.Event(), threading.Event()
+
+    def body(_, piece):
+        if threading.get_ident() == caller:
+            assert helping.wait(timeout=30)
+            helped_on.set()
+            if caller_error is not None:
+                raise caller_error
+            return
+        helped.append(piece)
+        helping.set()
+        assert helped_on.wait(timeout=30)
+        time.sleep(0.05)  # the calling thread is done with its piece meanwhile
+        helped.append(("done", piece))
+        if helper_error is not None:
+            raise helper_error
+    return body
+
+
 class TestFailures:
     def test_waiting_re_raises_a_helper_exception(self, monkeypatch):
         monkeypatch.setattr(T, "_cpus", lambda: 2)
-
-        def fail():
-            raise ValueError("in a helper")
-        task = T._Task(fail)
-        assert futures.wait([task.future], timeout=30).done
+        helped = []
         with pytest.raises(ValueError, match="in a helper"):
-            task.wait()
+            T._each_thread(once_helped(helped, helper_error=ValueError("in a helper")),
+                           (None, None), None, range(2))
+        assert len(helped) == 2
+
+    def test_no_piece_starts_after_each_thread_raises(self, monkeypatch):
+        # Six pieces, the calling thread's raising while the helper runs one.
+        monkeypatch.setattr(T, "_cpus", lambda: 2)
+        helped = []
+        with pytest.raises(RuntimeError, match="on the caller"):
+            T._each_thread(once_helped(helped, caller_error=RuntimeError("on the caller")),
+                           (None, None), None, range(6))
+        # The helper's piece finished before the raise, and it started no other.
+        (piece, done), seen = helped, list(helped)
+        assert done == ("done", piece)
+        time.sleep(0.2)
+        assert helped == seen
+
+    def test_a_helper_exception_is_never_dropped(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpus", lambda: 2)
+        body = once_helped([], ValueError("on the caller"), RuntimeError("in a helper"))
+        with pytest.raises((ValueError, RuntimeError)) as raised:
+            T._each_thread(body, (None, None), None, range(2))
+        assert {type(raised.value), type(raised.value.__context__)} == {ValueError, RuntimeError}
 
     def test_a_task_no_helper_started_runs_on_the_caller(self, monkeypatch):
+        # A two-piece job whose helper is busy elsewhere: the calling thread
+        # runs both pieces.
         monkeypatch.setattr(T, "_cpus", lambda: 2)
         pool = futures.ThreadPoolExecutor(1)
         monkeypatch.setattr(T, "_pool", pool)
         release, ran_on = threading.Event(), []
         try:
             blocker = pool.submit(release.wait)
-            out = np.zeros(3)
-            task = T._Task(lambda a: ran_on.append(threading.get_ident()), out)
-            task.wait()
-            assert ran_on == [threading.get_ident()]
+            helper_scratch, out = np.zeros(3), np.zeros(3)
+            T._each_thread(lambda own, piece, a: ran_on.append(threading.get_ident()),
+                           (None, helper_scratch), None, range(2), out)
+            assert ran_on == [threading.get_ident()] * 2
             # The cancelled submission still waits in the pool's queue, but
-            # no longer holds the task's arrays.
-            held, out = weakref.ref(out), None
-            assert held() is None
+            # no longer holds the job's arrays.
+            held = [weakref.ref(helper_scratch), weakref.ref(out)]
+            helper_scratch = out = None
+            assert [ref() for ref in held] == [None, None]
         finally:
             release.set()
             blocker.result(timeout=30)
@@ -393,13 +508,13 @@ class TestFailures:
         # In a subprocess, so that the warning some Pythons give on fork in a
         # threaded process does not meet this suite's filterwarnings = error.
         script = """
-import os, sys, threading
+import os, sys
 sys.path[:0] = sys.argv[1:]
 import spt.tensor as T
 from spt.model import AdamState, PoseModelParams, train_step
 from spt.skeleton import compile_joint_mask
 from test_model import chain_skeleton, tiny_config
-from test_threads import batch
+from test_threads import batch, once_helped
 
 T._cpus = lambda: 2
 T._TASK_MIN_WORK = 0
@@ -408,14 +523,12 @@ mask = compile_joint_mask(chain_skeleton(4))
 samples = batch(cfg, 90, 2)
 params = PoseModelParams.init(cfg, seed=91)
 train_step(samples, params, cfg, mask, AdamState())
-ran_on = []
-T._Task(lambda: ran_on.append(threading.get_ident())).future.result(timeout=30)
-assert ran_on and ran_on != [threading.get_ident()]
+T._each_thread(once_helped([]), (None, None), None, range(2))  # a helper took a piece
 pid = os.fork()
 if pid == 0:
     try:
         train_step(samples, params, cfg, mask, AdamState())
-        T._Task(lambda: ran_on.append(threading.get_ident())).future.result(timeout=30)
+        T._each_thread(once_helped([]), (None, None), None, range(2))
         os._exit(0)
     except BaseException:
         os._exit(1)
@@ -462,4 +575,4 @@ def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch,
             "multi_head_attention"} <= set(threads)
     assert all(seen == {threading.get_ident()} for seen in threads.values()), threads
     if mode == "on_helpers":
-        ran_on_helpers(jobs, "_row_piece")
+        ran_on_helpers(jobs, "_by_rows")
