@@ -136,17 +136,16 @@ def ablation_sweep(keep_ratios, base_config, skeleton_mask, train_samples, test_
 
     Mirrors the keep-ratio ablation protocol: same data, same budget, same
     seed; only the prune schedule's keep ratio changes.  Every ratio's
-    config is built, and so checked, and no ratio may repeat, before any model trains.
-    ``train_model`` reads all of ``training``: steps, batch_size,
-    learning_rate, seed and target_sigma.  Returns one
+    config is built, and so checked, and no ratio may repeat, before any
+    model trains.  ``train_model`` reads all of ``training``: steps,
+    batch_size, learning_rate, seed and target_sigma.  Returns one
     ``(keep_ratio, PckhReport)`` pair per ratio, scored at the default
     thresholds; a ratio's sparsity is
     ``sparsity_report(base_config.with_keep_ratio(ratio))``.
     """
     configs = [(ratio, base_config.with_keep_ratio(ratio)) for ratio in map(float, keep_ratios)]
-    ratios = tuple(ratio for ratio, _ in configs)
-    if len(set(ratios)) != len(ratios):
-        raise ConfigError(f"keep ratios must be distinct: {ratios}")
+    if len({ratio for ratio, _ in configs}) != len(configs):
+        raise ConfigError(f"keep ratios must be distinct: {tuple(ratio for ratio, _ in configs)}")
     rows = []
     for keep_ratio, config in configs:
         params, _ = train_model(train_samples, config, skeleton_mask, training)

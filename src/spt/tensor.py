@@ -40,23 +40,19 @@ that the calling thread and its helpers take from one queue.  The jobs are
 the token-row halves of a 2-D ``matmul`` and of ``mlp`` (``_by_rows``),
 the heads of ``multi_head_attention`` and of its pullback, the halves of
 a large parameter's update in ``model.AdamState.step``, and the pairs of
-the ``matmul`` and ``mlp`` pullbacks, where a helper makes a weight
-product while the replaying thread computes the product its next call
-reads.  The forward arrays are computed this way whether or not a tape is
-active.  A helper makes plain numpy calls into arrays the calling thread
-allocated, which reads them once the job has returned; it never calls a
-taped op or touches a tape, a ``.grad`` or the gradient store, so the
-calling thread makes every ``_accumulate`` call, in the serial order.
-Every piece makes the serial numpy call on the same operands, or on a row
-half whose product has the whole product's bits in the blocked BLAS kernel
-(``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  A
-helper reads only ``g`` and forward arrays, and ``g`` shares memory with
-no entry of the store, so no in-place sum the replaying thread makes
-meanwhile writes memory a helper reads.  Helpers are offered work only
-while BLAS runs one thread of its own (``_cpus``), as under
-``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference forward
-then took 0.64 to 0.70 of its inline time with the second vCPU idle, and
-0.96 to 1.20 while another process kept it busy.
+the ``matmul`` and ``mlp`` pullbacks: a weight product beside the product
+the next pullback reads.  The forward splits whether or not a tape is
+active.  A piece makes plain numpy calls into arrays the calling thread
+allocated and reads once the job has returned; it never calls a taped op
+or touches a tape, a ``.grad`` or the gradient store, so the calling
+thread makes every ``_accumulate`` call, in the serial order.  Every piece
+makes the serial numpy call on the same operands, or on a row half whose
+product has the whole product's bits in the blocked BLAS kernel
+(``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  Helpers
+are offered work only while BLAS runs one thread of its own (``_cpus``),
+as under ``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference
+forward then took 0.64 to 0.70 of its inline time with the second vCPU
+idle, and 0.96 to 1.20 while another process kept it busy.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -164,9 +160,9 @@ def _each_thread(body, scratch, work, pieces, *args) -> None:
     thread never waits on a piece no helper started: threads that train at
     once can share the helpers.  Helpers are offered on more than one CPU
     when ``work``, one piece's multiply-adds if given, reaches
-    ``_TASK_MIN_WORK``.  A raise in any piece empties the queue.  This
-    returns or raises once every started helper has returned, and raises a
-    helper's exception with the calling thread's, if any, as its context.
+    ``_TASK_MIN_WORK``.  A raise in any piece empties the queue; once every
+    started helper has returned, the calling thread's exception is raised,
+    with a helper's as its cause, or else a helper's.
     """
     global _pool
     todo = deque(pieces)
@@ -181,13 +177,25 @@ def _each_thread(body, scratch, work, pieces, *args) -> None:
                        for _ in range(len(tickets))]
     try:
         _drain(todo, body, scratch[0], args)
-    finally:
+    except BaseException as error:
         try:
-            _wait_all([helper for helper in helpers if not helper.cancel()])  # the started ones
-        finally:
-            # A cancelled submission stays in the pool's queue until a helper
-            # wakes; it must not keep the job's arrays alive meanwhile.
-            tickets.clear()
+            _join(helpers, tickets)
+        except BaseException as helper_error:
+            raise error from helper_error
+        raise
+    _join(helpers, tickets)
+
+
+def _join(helpers, tickets) -> None:
+    """Take back the helpers that have not started, wait for the others, then
+    release the tickets: a cancelled submission stays in the pool's queue
+    until a helper wakes, and must not keep the job's arrays alive.  Each
+    exception raised has the one before as context."""
+    with ExitStack() as waits:
+        waits.callback(tickets.clear)
+        for helper in helpers:
+            if not helper.cancel():  # it has started
+                waits.callback(helper.result)
 
 
 def _drain(todo, body, own, args) -> None:
@@ -202,15 +210,6 @@ def _drain(todo, body, own, args) -> None:
         except BaseException:
             todo.clear()  # no thread starts another piece
             raise
-
-
-def _wait_all(futures) -> None:
-    """Wait for every future; each exception raised has the one before as context."""
-    if futures:
-        try:
-            futures[0].result()
-        finally:
-            _wait_all(futures[1:])
 
 
 def _call(_, call) -> None:
@@ -348,7 +347,7 @@ def _finish(out_data, keys, pullback):
 
 
 def _accumulate(store, key, grad):
-    """Sum ``grad`` into ``key``'s adjoint; ``grad`` becomes the entry if it is the first."""
+    """Sum ``grad`` into ``key``'s adjoint, the first one as the entry; a None key drops it."""
     if key is None:
         return
     if key in store:
@@ -682,21 +681,23 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if kb2 is not None:
             _accumulate(store, kb2, g.sum(axis=0))
         # Two jobs: a helper makes each weight product beside an input adjoint.
-        dpre, gw2 = np.empty(pre.shape), np.empty(w2_shape)
+        dpre = np.empty(pre.shape) if needs_dpre else None
+        gw2 = np.empty(w2_shape) if kw2 is not None else None
         pieces = [(lambda: _gelu_pullback(g @ w2_t, pre, t, dpre),)] if needs_dpre else []
         if kw2 is not None:
             pieces.append((np.matmul, _gelu_out(pre, t).T, g, gw2))
-        _each_thread(_call, (None, None), gw2.size * len(g), pieces)
+        _each_thread(_call, (None, None), w2_data.size * len(g), pieces)
         _accumulate(store, kw2, gw2)
         if not needs_dpre:
             return
         if kb1 is not None:
             _accumulate(store, kb1, dpre.sum(axis=0))
-        dx, gw1 = np.empty(x_shape), np.empty(w1_shape)
+        dx = np.empty(x_shape) if kx is not None else None
+        gw1 = np.empty(w1_shape) if kw1 is not None else None
         pieces = [(np.matmul, dpre, w1_t, dx)] if kx is not None else []
         if kw1 is not None:
             pieces.append((np.matmul, x_t, dpre, gw1))
-        _each_thread(_call, (None, None), gw1.size * len(dpre), pieces)
+        _each_thread(_call, (None, None), w1_data.size * len(dpre), pieces)
         _accumulate(store, kx, dx)
         _accumulate(store, kw1, gw1)
 

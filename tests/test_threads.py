@@ -31,31 +31,57 @@ def run_inline(monkeypatch):
     monkeypatch.setattr(T, "_cpus", lambda: 1)
 
 
+class WaitingPool(futures.ThreadPoolExecutor):
+    """A helper pool that takes nothing back: ``cancel`` fails, so
+    ``_each_thread`` waits for every helper it offered."""
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        future.cancel = lambda: False
+        return future
+
+
+def on_a_helper():
+    return threading.current_thread().name.startswith("spt-helper")
+
+
 def run_on_helpers(monkeypatch, cpus=3):
-    """``cpus - 1`` helpers, whichever CPUs there are, and every job split by
-    ``tensor._each_thread`` runs off the calling thread: the job is called
-    from a thread of its own, which takes pieces beside the helpers.  Row
-    halves keep their size floor (``_ROW_SPLIT_MIN``), below which a half
-    may round differently.
+    """``cpus - 1`` helpers, whichever CPUs there are, and every piece of work
+    split by ``tensor._each_thread`` runs on one: every offered helper runs
+    (``WaitingPool``), and a piece the calling thread takes from the queue
+    is handed to a helper, with the caller's scratch, once a helper of the
+    job has started a piece with scratch of its own.  Row halves keep their
+    size floor (``_ROW_SPLIT_MIN``), below which a half may round
+    differently.
 
     Returns the split jobs in call order, each as ``(job name, scratch,
-    threads)``: the ``job_name``, the scratch handed to ``_each_thread`` and
-    the threads that ran its pieces, one per piece.
+    runs)``: the ``job_name``, the scratch handed to ``_each_thread`` and,
+    one per piece, the index in ``scratch`` and the name of the thread it
+    ran with.
     """
     monkeypatch.setattr(T, "_cpus", lambda: cpus)
     monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
+    pool = WaitingPool(cpus - 1, thread_name_prefix="spt-helper")
+    monkeypatch.setattr(T, "_pool", pool)
     each_thread, jobs = T._each_thread, []
 
-    def off_the_caller(body, scratch, work, pieces, *args):
-        threads = []
-        jobs.append((job_name(sys._getframe(1), body), scratch, threads))
+    def on_helpers(body, scratch, work, pieces, *args):
+        pieces, runs, helping = list(pieces), [], threading.Event()
+        jobs.append((job_name(sys._getframe(1), body), scratch, runs))
+        helped = len(scratch) > 1 and len(pieces) > 1  # the job has a helper
 
-        def run(own, piece, *args):
-            threads.append(threading.get_ident())
+        def run(ticket, piece, *args):
+            if not on_a_helper():
+                assert not helped or helping.wait(timeout=30)
+                pool.submit(run, ticket, piece, *args).result(timeout=60)
+                return
+            index, own = ticket
+            if index:
+                helping.set()
+            runs.append((index, threading.current_thread().name))
             body(own, piece, *args)
-        with futures.ThreadPoolExecutor(1) as caller:
-            caller.submit(each_thread, run, scratch, work, pieces, *args).result()
-    monkeypatch.setattr(T, "_each_thread", off_the_caller)
+        each_thread(run, list(enumerate(scratch)), work, pieces, *args)
+    monkeypatch.setattr(T, "_each_thread", on_helpers)
     return jobs
 
 
@@ -73,10 +99,13 @@ def job_name(frame, body):
 
 
 def ran_on_helpers(jobs, name):
-    """The jobs of body ``name``; each ran every piece, all on helpers."""
-    named = [(scratch, threads) for body, scratch, threads in jobs if body == name]
+    """The jobs named ``name``: each ran every piece on a pool helper, and if
+    it had a helper, that helper ran a piece with scratch of its own."""
+    named = [(scratch, runs) for job, scratch, runs in jobs if job == name]
     assert named, name
-    assert all(threads and threading.get_ident() not in threads for _, threads in named), name
+    for scratch, runs in named:
+        assert runs and all(thread.startswith("spt-helper") for _, thread in runs), name
+        assert len(runs) < 2 or len(scratch) < 2 or any(index for index, _ in runs), name
     return named
 
 
@@ -110,8 +139,10 @@ class TestThreadedEqualsInline:
         run_inline(monkeypatch)
         inline = trained_state(cfg, samples)
         monkeypatch.undo()
-        run_on_helpers(monkeypatch)
+        jobs = run_on_helpers(monkeypatch)
         assert trained_state(cfg, samples) == inline
+        for name in ("_attention_forward_head", *PULLBACK_JOBS):
+            ran_on_helpers(jobs, name)
 
     def test_split_adam_update_bits(self, monkeypatch):
         cfg = tiny_config(embed_dim=16, heatmap_h=64, heatmap_w=64, **PRUNED)
@@ -122,15 +153,9 @@ class TestThreadedEqualsInline:
         monkeypatch.setattr(spt.model, "_ADAM_SPLIT_MIN", max(sizes) + 1)  # no halves
         inline = trained_state(cfg, samples)
         monkeypatch.undo()
-        run_on_helpers(monkeypatch)
-        threads, update = set(), spt.model._adam_update
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            update(*args)
-        monkeypatch.setattr(spt.model, "_adam_update", recorded)
+        jobs = run_on_helpers(monkeypatch)
         assert trained_state(cfg, samples) == inline
-        assert threads - {threading.get_ident()}  # a helper updated a half
+        ran_on_helpers(jobs, "step")  # AdamState.step's halves
 
     @pytest.mark.parametrize("heads", [3, 5])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -433,11 +458,14 @@ class TestFailures:
         assert helped == seen
 
     def test_a_helper_exception_is_never_dropped(self, monkeypatch):
+        # The calling thread's exception is raised, as a caller that catches
+        # its type expects, with the helper's as its cause.
         monkeypatch.setattr(T, "_cpus", lambda: 2)
         body = once_helped([], ValueError("on the caller"), RuntimeError("in a helper"))
-        with pytest.raises((ValueError, RuntimeError)) as raised:
+        with pytest.raises(ValueError, match="on the caller") as raised:
             T._each_thread(body, (None, None), None, range(2))
-        assert {type(raised.value), type(raised.value.__context__)} == {ValueError, RuntimeError}
+        assert isinstance(raised.value.__cause__, RuntimeError)
+        assert str(raised.value.__cause__) == "in a helper"
 
     def test_a_task_no_helper_started_runs_on_the_caller(self, monkeypatch):
         # A two-piece job whose helper is busy elsewhere: the calling thread
