@@ -74,9 +74,11 @@ class PckhReport:
 
 
 def _checked_thresholds(alphas) -> tuple:
-    """``alphas`` as a tuple of floats; ConfigError unless each is finite and
-    > 0 and no two are equal."""
+    """``alphas`` as a tuple of floats; ConfigError unless there is at least
+    one, each is finite and > 0, and no two are equal."""
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ConfigError("at least one threshold is needed")
     if not all(0 < a < math.inf for a in alphas):
         raise ConfigError(f"thresholds must be finite and > 0: {alphas}")
     if len(set(alphas)) != len(alphas):

@@ -140,9 +140,9 @@ def save_pgm(path, image, comment: str | None = None) -> None:
 
 
 def load_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM back to floats in [0, 1]."""
+    """Read a binary 8-bit PGM, no sample above its maxval, to floats in [0, 1]."""
     blob = Path(path).read_bytes()
-    if not blob.startswith(b"P5"):
+    if blob[:2] != b"P5" or not blob[2:3].isspace():
         raise FormatError(f"{path}: not a binary PGM")
     fields, pos = [], 2
     while len(fields) < 3:
@@ -166,4 +166,6 @@ def load_pgm(path) -> np.ndarray:
     if len(blob) < pos + w * h:
         raise FormatError(f"{path}: truncated PGM body ({w}x{h} needs {w * h} bytes)")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
+    if (data > maxval).any():
+        raise FormatError(f"{path}: PGM sample {data.max()} exceeds maxval {maxval}")
     return data.reshape(h, w).astype(np.float64) / float(maxval)

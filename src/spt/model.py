@@ -402,8 +402,8 @@ class AdamState:
         ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
         a fresh array and ``p.grad`` is cleared.  A parameter of at least
         ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the two
-        pieces of a ``tensor._each_thread`` job; every operation is
-        elementwise, so the bits stay.
+        calls of a ``tensor._each_thread`` queue, always offered to a helper;
+        every operation is elementwise, so the bits stay.
 
         No rollback: ``step_count`` rises first, and a step that raises
         part-way leaves the parameters before it updated.  It raises only
@@ -425,7 +425,7 @@ class AdamState:
                 _adam_update(*arrays, self.lr, bc1, bc2)
             else:
                 half = p.shape[0] // 2
-                T._each_thread(T._call, (None, None), None,
+                T._each_thread(T._TASK_MIN_WORK,
                                [(_adam_update, *(a[rows] for a in arrays), self.lr, bc1, bc2)
                                 for rows in (slice(0, half), slice(half, None))])
             p.data = arrays[-1]

@@ -35,19 +35,19 @@ tape.  Both give the bits of the chains they replace.
 
 On a machine with more than one CPU, the large calls offer part of their
 work to helper threads, each part large enough to pay for the hand-over.
-``_each_thread`` is the one way onto them: it splits a job into pieces
-that the calling thread and its helpers take from one queue.  The jobs are
-the token-row halves of a 2-D ``matmul`` and of ``mlp`` (``_by_rows``),
-the heads of ``multi_head_attention`` and of its pullback, the halves of
-a large parameter's update in ``model.AdamState.step``, and the pairs of
-the ``matmul`` and ``mlp`` pullbacks: a weight product beside the product
-the next pullback reads.  The forward splits whether or not a tape is
-active.  A piece makes plain numpy calls into arrays the calling thread
-allocated and reads once the job has returned; it never calls a taped op
-or touches a tape, a ``.grad`` or the gradient store, so the calling
-thread makes every ``_accumulate`` call, in the serial order.  Every piece
-makes the serial numpy call on the same operands, or on a row half whose
-product has the whole product's bits in the blocked BLAS kernel
+``_each_thread`` is the one way onto them: a job is a queue of calls
+``(fn, *args)`` that the calling thread and its helpers take from.  The
+jobs are the token-row halves of a 2-D ``matmul`` and of ``mlp``
+(``_by_rows``), the heads of ``multi_head_attention`` and of its pullback,
+the halves of a large parameter's update in ``model.AdamState.step``, and
+the pairs of the ``matmul`` and ``mlp`` pullbacks: a weight product beside
+the product the next pullback reads.  The forward splits whether or not a
+tape is active.  A call writes arrays the calling thread reads once the
+job has returned, and allocates its own temporaries; it never calls a
+taped op or touches a tape, a ``.grad`` or the gradient store, so the
+calling thread makes every ``_accumulate`` call, in the serial order.
+Every call makes the serial numpy calls on the same operands, or on a row
+half whose product has the whole product's bits in the blocked BLAS kernel
 (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  Helpers
 are offered work only while BLAS runs one thread of its own (``_cpus``),
 as under ``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference
@@ -150,33 +150,33 @@ _SOFTMAX_CELL_WORK = 32
 _ROW_SPLIT_MIN = 2 ** 22
 
 
-def _each_thread(body, scratch, work, pieces, *args) -> None:
-    """``body(own, piece, *args)`` for each of ``pieces``, on the calling thread
-    and one helper per further entry of ``scratch`` (at most one per piece
-    beyond the first), each thread with its own entry ``own``.
+def _each_thread(work, calls) -> None:
+    """``fn(*args)`` for each ``(fn, *args)`` of ``calls``, on the calling
+    thread and up to one helper per further CPU and further call.
 
-    Every thread takes pieces from one queue until none is left, and a
-    helper that has not started by then is taken back, so the calling
-    thread never waits on a piece no helper started: threads that train at
-    once can share the helpers.  Helpers are offered on more than one CPU
-    when ``work``, one piece's multiply-adds if given, reaches
-    ``_TASK_MIN_WORK``.  A raise in any piece empties the queue; once every
-    started helper has returned, the calling thread's exception is raised,
-    with a helper's as its cause, or else a helper's.
+    Every thread takes calls from one queue until none is left, and a helper
+    that has not started by then is taken back, so the calling thread never
+    waits on a call no helper started: threads that train at once can share
+    the helpers.  Helpers are offered on more than one CPU when ``work``, one
+    call's multiply-adds, reaches ``_TASK_MIN_WORK``.  A raise in any call
+    empties the queue; once every started helper has returned, the calling
+    thread's exception is raised, with a helper's as its cause, or else a
+    helper's.
     """
     global _pool
-    todo = deque(pieces)
-    # One helper's (queue, body, own, args) each, taken as the helper starts.
-    tickets = deque((todo, body, own, args) for own in scratch[1:len(todo)])
+    todo = deque(calls)
+    cpus = _cpus()
+    # One helper's queue each, taken as the helper starts.
+    tickets = deque([todo] * (min(cpus, len(todo)) - 1))
     helpers = []
-    if tickets and (work is None or work >= _TASK_MIN_WORK) and _cpus() > 1:
+    if tickets and work >= _TASK_MIN_WORK:
         with _pool_lock:
             if _pool is None:
-                _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="spt-helper")
-            helpers = [_pool.submit(lambda: _drain(*tickets.popleft()))
+                _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="spt-helper")
+            helpers = [_pool.submit(lambda: _drain(tickets.popleft()))
                        for _ in range(len(tickets))]
     try:
-        _drain(todo, body, scratch[0], args)
+        _drain(todo)
     except BaseException as error:
         try:
             _join(helpers, tickets)
@@ -198,28 +198,22 @@ def _join(helpers, tickets) -> None:
                 waits.callback(helper.result)
 
 
-def _drain(todo, body, own, args) -> None:
-    """``body(own, piece, *args)`` for pieces taken from ``todo`` until none is left."""
+def _drain(todo) -> None:
+    """``fn(*args)`` for calls ``(fn, *args)`` taken from ``todo`` until none is left."""
     while True:
         try:
-            piece = todo.popleft()
-        except IndexError:  # every piece is taken
+            fn, *args = todo.popleft()
+        except IndexError:  # every call is taken
             return
         try:
-            body(own, piece, *args)
+            fn(*args)
         except BaseException:
-            todo.clear()  # no thread starts another piece
+            todo.clear()  # no thread starts another call
             raise
 
 
-def _call(_, call) -> None:
-    """The ``_each_thread`` body of pieces without scratch: ``call`` is ``(fn, *args)``."""
-    fn, *args = call
-    fn(*args)
-
-
 def _by_rows(fn, row_products, *arrays) -> None:
-    """``fn(*arrays)`` as two row halves shared out by ``_each_thread``.
+    """``fn(*arrays)`` as two row halves, the two calls of an ``_each_thread`` job.
 
     Every array's first axis is the same rows, and ``fn`` writes each row
     of its outputs from the same row of its inputs.  ``row_products`` lists
@@ -233,8 +227,7 @@ def _by_rows(fn, row_products, *arrays) -> None:
         fn(*arrays)
         return
     halves = (slice(0, n - half), slice(n - half, n))
-    _each_thread(_call, (None, None), half * sum(row_products),
-                 [(fn, *(a[rows] for a in arrays)) for rows in halves])
+    _each_thread(half * sum(row_products), [(fn, *(a[rows] for a in arrays)) for rows in halves])
 
 
 def _forget_pool() -> None:
@@ -418,8 +411,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     A 2-D product runs as two row halves at once (``_by_rows``).  Each
     side's gradient is computed, and the other operand's array kept, only
-    when that side needs a gradient.  When both do, the pullback computes
-    ``g @ b_t`` beside ``a_t @ g`` on a helper, one ``_each_thread`` job.
+    when that side needs a gradient.  When both do, ``g @ b_t`` and
+    ``a_t @ g`` are the two calls of one ``_each_thread`` job.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul needs equal-rank >=2 operands, got {a.shape} @ {b.shape}")
@@ -436,8 +429,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(store, ka, g @ b_t)
         else:
             ga, gb = np.empty(a_shape), np.empty(b_shape)
-            _each_thread(_call, (None, None), gb.size * g.shape[-2],
-                         [(np.matmul, g, b_t, ga), (np.matmul, a_t, g, gb)])
+            _each_thread(gb.size * g.shape[-2], [(np.matmul, g, b_t, ga), (np.matmul, a_t, g, gb)])
             _accumulate(store, ka, ga)
             _accumulate(store, kb, gb)
 
@@ -597,11 +589,10 @@ def _gelu_tanh(x: np.ndarray, out=None) -> np.ndarray:
     return t
 
 
-def _gelu_out(x: np.ndarray, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """GELU at ``x`` from its tanh ``t``: ``0.5 x (1 + t)``, into ``out``;
-    ``scratch`` takes ``1 + t``."""
-    out = np.multiply(0.5, x, out=out)
-    out *= np.add(1.0, t, out=scratch)
+def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU at ``x`` from its tanh ``t``: ``0.5 x (1 + t)``."""
+    out = 0.5 * x
+    out *= 1.0 + t
     return out
 
 
@@ -646,10 +637,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
     same bits.  All five input adjoints are arrays the pullback computes.
-    The forward runs as two row halves at once (``_by_rows``), into arrays
-    the calling thread allocates.  The pullback is two ``_each_thread``
-    jobs: a helper makes the ``w2`` product beside the pre-activation
-    adjoint, then the ``w1`` product beside the ``x`` adjoint.
+    The forward runs as two row halves at once (``_by_rows``), each with
+    GELU temporaries of its own.  The pullback is two ``_each_thread`` jobs
+    of two calls: the ``w2`` product beside the pre-activation adjoint, then
+    the ``w1`` product beside the ``x`` adjoint.
     """
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
@@ -659,18 +650,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     kx, kw1, kb1, kw2, kb2 = keys = tuple(_key(a) for a in (x, w1, b1, w2, b2))
     w1_data, b1_data, w2_data, b2_data = w1.data, b1.data, w2.data, b2.data
 
-    def rows(x_rows, pre, t, act, scratch, out):
+    def rows(x_rows, pre, t, out):
         np.matmul(x_rows, w1_data, out=pre)
         pre += b1_data
         _gelu_tanh(pre, out=t)
-        np.matmul(_gelu_out(pre, t, act, scratch), w2_data, out=out)
+        np.matmul(_gelu_out(pre, t), w2_data, out=out)
         out += b2_data
 
     n, hidden = len(x.data), w1.shape[1]
     pre, t = np.empty((n, hidden)), np.empty((n, hidden))
     out_data = np.empty((n, w2.shape[1]))
-    _by_rows(rows, (w1_data.size, w2_data.size), x.data, pre, t, np.empty((n, hidden)),
-             np.empty((n, hidden)), out_data)
+    _by_rows(rows, (w1_data.size, w2_data.size), x.data, pre, t, out_data)
     needs_dpre = kx is not None or kw1 is not None or kb1 is not None
     x_t = x.data.T if kw1 is not None else None
     w1_t = w1.data.T if kx is not None else None
@@ -683,10 +673,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         # Two jobs: a helper makes each weight product beside an input adjoint.
         dpre = np.empty(pre.shape) if needs_dpre else None
         gw2 = np.empty(w2_shape) if kw2 is not None else None
-        pieces = [(lambda: _gelu_pullback(g @ w2_t, pre, t, dpre),)] if needs_dpre else []
+        calls = [(lambda: _gelu_pullback(g @ w2_t, pre, t, dpre),)] if needs_dpre else []
         if kw2 is not None:
-            pieces.append((np.matmul, _gelu_out(pre, t).T, g, gw2))
-        _each_thread(_call, (None, None), w2_data.size * len(g), pieces)
+            calls.append((np.matmul, _gelu_out(pre, t).T, g, gw2))
+        _each_thread(w2_data.size * len(g), calls)
         _accumulate(store, kw2, gw2)
         if not needs_dpre:
             return
@@ -694,10 +684,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             _accumulate(store, kb1, dpre.sum(axis=0))
         dx = np.empty(x_shape) if kx is not None else None
         gw1 = np.empty(w1_shape) if kw1 is not None else None
-        pieces = [(np.matmul, dpre, w1_t, dx)] if kx is not None else []
+        calls = [(np.matmul, dpre, w1_t, dx)] if kx is not None else []
         if kw1 is not None:
-            pieces.append((np.matmul, x_t, dpre, gw1))
-        _each_thread(_call, (None, None), w1_data.size * len(dpre), pieces)
+            calls.append((np.matmul, x_t, dpre, gw1))
+        _each_thread(w1_data.size * len(dpre), calls)
         _accumulate(store, kx, dx)
         _accumulate(store, kw1, gw1)
 
@@ -835,31 +825,28 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
     plain read-only array the tape does not keep.
 
     Head i reads column views of ``packed``, computes its logits into an
-    (r, n) scratch array that its thread reuses for every head it takes,
-    and writes its probabilities into its own (r, n) tile of ``probs``, so
-    both stay in cache from logits to context: ``q_i = packed[:r, Q_i] /
-    sqrt(head_dim)``, ``logits = q_i k_iᵀ``, the masked softmax into the
-    tile (``rowwise_masked_softmax``'s formula), then ``tile v_i`` into the
-    head's context columns.  The heads are the pieces of an ``_each_thread``
-    job, on the calling thread and up to one helper per further CPU; a
-    helper is offered when one head's two products plus its softmax,
-    counted at ``_SOFTMAX_CELL_WORK`` per cell, reach ``_TASK_MIN_WORK``.
+    (r, n) array of its own and writes its probabilities into its (r, n)
+    tile of ``probs``, so both stay in cache from logits to context:
+    ``q_i = packed[:r, Q_i] / sqrt(head_dim)``, ``logits = q_i k_iᵀ``, the
+    masked softmax into the tile (``rowwise_masked_softmax``'s formula),
+    then ``tile v_i`` into the head's context columns.  Each head is one
+    call of an ``_each_thread`` job; a helper is offered when one head's two
+    products plus its softmax, counted at ``_SOFTMAX_CELL_WORK`` per cell,
+    reach ``_TASK_MIN_WORK``.
 
     The tape keeps only ``packed`` and ``mask``.  The pullback fills one
-    fresh (n, 3D) gradient head by head.  It first rebuilds P_i with the
-    forward's own calls, ``q_i k_iᵀ`` and the masked softmax (shifted
-    redo included), into an (r, n) tile it reuses for the next head, so P_i
-    has the forward's bits.  Then dV_i = P_iᵀ g_i, dS is the softmax
+    fresh (n, 3D) gradient head by head, each head in a (3, r, n) stack of
+    its own.  It first rebuilds P_i through the forward's ``_head_probs``,
+    so P_i has the forward's bits.  Then dV_i = P_iᵀ g_i, dS is the softmax
     pullback of dP = g_i v_iᵀ, dQ_i = (dS k_i) / sqrt(head_dim) on the
     first r rows (the rest are zeroed, the only cells no head writes),
     dK_i = (q_iᵀ dS)ᵀ.  Each product is the BLAS call, in the same operand
     orientation, that the chain of ``scale``, ``matmul``,
     ``rowwise_masked_softmax`` and ``matmul`` makes, so both give the same
     bits; dK_i as dSᵀ q_i would be a different call.  The pullback's heads
-    are shared out as the forward's, each thread with tiles of its own, and
-    a helper is offered when one head's five products reach
-    ``_TASK_MIN_WORK``.  No two heads write the same columns of the
-    gradient.
+    are the calls of one job, as the forward's, and a helper is offered
+    when one head's five products reach ``_TASK_MIN_WORK``.  No two heads
+    write the same columns of the gradient.
     """
     data = packed.data
     if data.ndim != 2 or heads < 1 or data.shape[1] % (3 * heads):
@@ -874,53 +861,56 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
                 slice(2 * d + lo, 2 * d + lo + head_dim)) for lo in range(0, d, head_dim)]
     if not mask.all_ones:
         mask.gate_bias()  # fill the mask's cache before threads read it
-    threads = min(_cpus(), heads)  # the calling one and its helpers
     probs, context = np.empty((heads, r, n)), np.empty((r, d))
-    scratch = list(zip(np.empty((threads, r, n)), np.empty((threads, r, head_dim))))
     # work: one head's two products, plus its softmax counted per cell.
-    _each_thread(_attention_forward_head, scratch, r * n * (2 * head_dim + _SOFTMAX_CELL_WORK),
-                 zip(probs, columns), data, mask, s, context)
+    _each_thread(r * n * (2 * head_dim + _SOFTMAX_CELL_WORK),
+                 [(_attention_forward_head, tile, head, data, mask, s, context)
+                  for tile, head in zip(probs, columns)])
     probs.flags.writeable = False
     kp = _key(packed)
 
     def pullback(g, store):
         grad = np.empty(data.shape)
         grad[r:, :d] = 0.0
-        tiles = np.empty((min(_cpus(), heads), 3, r, n))
         # work: the multiply-adds of one head's five products.
-        _each_thread(_attention_head_grad, tiles, 5 * r * n * head_dim,
-                     columns, data, g, mask, s, grad)
+        _each_thread(5 * r * n * head_dim,
+                     [(_attention_head_grad, head, data, g, mask, s, grad) for head in columns])
         _accumulate(store, kp, grad)
 
     return _finish(context, (kp,), pullback), probs
 
 
-def _attention_forward_head(scratch, head, data, mask, s, context):
+def _head_probs(tile, head, data, mask, s, logits):
+    """Write one head's probabilities into ``tile``, its logits ``q_i k_iᵀ``
+    computed in the (r, n) array ``logits``, and return its scaled queries
+    ``q_i``; ``head`` is the head's query, key and value columns."""
+    q, k, _ = head
+    q_i = data[:mask.rows, q] * s
+    np.matmul(q_i, data[:, k].T, out=logits)
+    _softmax_rows(logits, mask, tile)
+    return q_i
+
+
+def _attention_forward_head(tile, head, data, mask, s, context):
     """Write one head's probability tile and context columns.
 
-    A piece of ``multi_head_attention``'s forward: ``head`` is the head's
-    (probability tile, columns) pair, and ``scratch`` the running thread's
-    (r, n) logits and (r, head_dim) scaled queries.
+    A call of ``multi_head_attention``'s forward job: ``tile`` is the head's
+    (r, n) slice of the probabilities, ``head`` its columns.
     """
-    r = mask.rows
-    (logits, q_scaled), (tile, (q, k, v)) = scratch, head
-    np.matmul(np.multiply(data[:r, q], s, out=q_scaled), data[:, k].T, out=logits)
-    _softmax_rows(logits, mask, tile)
+    q, _, v = head
+    _head_probs(tile, head, data, mask, s, np.empty(tile.shape))
     np.matmul(tile, data[:, v], out=context[:, q])
 
 
-def _attention_head_grad(tiles, columns, data, g, mask, s, grad):
+def _attention_head_grad(head, data, g, mask, s, grad):
     """Write one head's packed-gradient columns into ``grad``.
 
-    A piece of ``multi_head_attention``'s pullback: ``columns`` are the
-    head's query, key and value slices, and ``tiles`` the running thread's
-    (3, r, n) scratch.
+    A call of ``multi_head_attention``'s pullback job: ``head`` is the
+    head's query, key and value columns.
     """
-    r = mask.rows
-    (tile, dp, ds), (q, k, v) = tiles, columns
-    q_i = data[:r, q] * s
-    np.matmul(q_i, data[:, k].T, out=ds)  # ds holds the logits until dS
-    _softmax_rows(ds, mask, tile)
+    r, (q, k, v) = mask.rows, head
+    tile, dp, ds = np.empty((3, r, len(data)))
+    q_i = _head_probs(tile, head, data, mask, s, ds)  # ds holds the logits until dS
     g_i = g[:, q]
     np.matmul(tile.T, g_i, out=grad[:, v])
     np.matmul(g_i, data[:, v].T, out=dp)

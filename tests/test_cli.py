@@ -683,14 +683,14 @@ def edited_run_config(edit):
     return setup
 
 
-def image_file(keep=None, shape=(32, 32)):
-    """A masks run on a ``shape`` PGM cut to its first ``keep`` bytes."""
+def image_file(edit=lambda blob: blob, shape=(32, 32)):
+    """A masks run on a ``shape`` PGM, its bytes put through ``edit``."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
         image = tmp_path / "cut.pgm"
         save_pgm(image, np.full(shape, 0.5))
-        image.write_bytes(image.read_bytes()[:keep])
+        image.write_bytes(edit(image.read_bytes()))
         return ["masks", "--checkpoint", str(tmp_path / "out" / "checkpoint"),
                 "--config", str(cfg), "--image", str(image), "--out", str(tmp_path / "m")]
     return setup
@@ -714,9 +714,10 @@ MALFORMED = [
     ("manifest_names_outside_file", edited_manifest(replaced("params.head_b1", "../run.json")), 6),
     ("training_steps_string", run_value("training.steps", "3"), 2),
     ("training_seed_bool", run_value("training.seed", True), 2),
-    ("pgm_truncated_header", image_file(keep=6), 3),
-    ("pgm_truncated_body", image_file(keep=100), 3),
+    ("pgm_truncated_header", image_file(lambda blob: blob[:6]), 3),
+    ("pgm_truncated_body", image_file(lambda blob: blob[:100]), 3),
     ("pgm_wrong_size", image_file(shape=(32, 12)), 3),
+    ("pgm_sample_above_maxval", image_file(lambda blob: blob.replace(b"\n255\n", b"\n15\n")), 3),
     ("model_value_string", run_value("model.embed_dim", "16"), 2),
     ("model_float_for_int", run_value("model.heads", 2.0), 2),
     ("model_heads_zero", run_value("model.heads", 0), 2),

@@ -247,6 +247,12 @@ class TestPckh:
         with pytest.raises(ConfigError, match="distinct"):
             pckh([np.array([[0.0, 0.0]])], [ann], alphas=(0.5, 0.5))
 
+    def test_no_threshold_rejected(self):
+        # An empty report would leave pckh_table a bare IndexError.
+        ann = make_ann([[0.0, 0.0]])
+        with pytest.raises(ConfigError, match="at least one threshold"):
+            pckh([np.array([[0.0, 0.0]])], [ann], alphas=())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_non_positive_threshold_rejected(self, bad):
         # NaN would head a Mean@nan column and write bare NaN into
@@ -371,6 +377,16 @@ class TestEvaluateModel:
         assert not calls
         evaluate_model(params, cfg, joint_mask, samples, workers=1)
         assert len(calls) == 2
+
+    def test_no_threshold_refused_before_any_forward(self, monkeypatch):
+        cfg = sweep_fixture_config()
+        params = PoseModelParams.init(cfg, seed=4)
+        samples = generate_synthetic(SyntheticSceneConfig(seed=5, image_h=32, image_w=32), 2)
+        calls = []
+        monkeypatch.setattr(spt.evaluation, "forward", lambda *args, **kw: calls.append(1))
+        with pytest.raises(ConfigError, match="at least one threshold"):
+            evaluate_model(params, cfg, JOINT_MASK, samples, alphas=[])
+        assert not calls
 
     def test_decode_heatmaps_stacks(self):
         cfg = sweep_fixture_config()

@@ -202,6 +202,21 @@ class TestPnm:
             with pytest.raises(FormatError):
                 load_pgm(path)
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"P56 4 255\n" + bytes(24), "not a binary PGM"),  # no whitespace after the magic
+        (b"P5 2 2 15\n" + bytes([0, 15, 200, 3]), "sample 200 exceeds maxval 15"),
+    ], ids=["magic_run_into_width", "sample_above_maxval"])
+    def test_malformed_pgm_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            load_pgm(path)
+
+    def test_samples_up_to_maxval_load(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))
+        assert np.array_equal(load_pgm(path), [[0.0, 1.0]])
+
     def test_pbm_bits(self, tmp_path):
         path = tmp_path / "m.pbm"
         save_pbm(path, np.array([[1, 0], [0, 1]], dtype=np.uint8))

@@ -1,6 +1,7 @@
 """Helper threads in the forward, backward and the Adam step: the bits and
 contracts of one thread."""
 
+import ast
 import functools
 import os
 import subprocess
@@ -46,18 +47,17 @@ def on_a_helper():
 
 
 def run_on_helpers(monkeypatch, cpus=3):
-    """``cpus - 1`` helpers, whichever CPUs there are, and every piece of work
+    """``cpus - 1`` helpers, whichever CPUs there are, and every call of a job
     split by ``tensor._each_thread`` runs on one: every offered helper runs
-    (``WaitingPool``), and a piece the calling thread takes from the queue
-    is handed to a helper, with the caller's scratch, once a helper of the
-    job has started a piece with scratch of its own.  Row halves keep their
-    size floor (``_ROW_SPLIT_MIN``), below which a half may round
-    differently.
+    (``WaitingPool``), and a call the calling thread takes from the queue is
+    handed to a pool helper once a helper of the job has started a call.
+    Row halves keep their size floor (``_ROW_SPLIT_MIN``), below which a half
+    may round differently.
 
-    Returns the split jobs in call order, each as ``(job name, scratch,
-    runs)``: the ``job_name``, the scratch handed to ``_each_thread`` and,
-    one per piece, the index in ``scratch`` and the name of the thread it
-    ran with.
+    Returns the split jobs in call order, each as ``(job name, helped,
+    runs)``: the ``job_name``, whether the job had a helper of its own and,
+    one per call, whether the calling thread handed it over and the name of
+    the thread it ran on.
     """
     monkeypatch.setattr(T, "_cpus", lambda: cpus)
     monkeypatch.setattr(T, "_TASK_MIN_WORK", 0)
@@ -65,47 +65,39 @@ def run_on_helpers(monkeypatch, cpus=3):
     monkeypatch.setattr(T, "_pool", pool)
     each_thread, jobs = T._each_thread, []
 
-    def on_helpers(body, scratch, work, pieces, *args):
-        pieces, runs, helping = list(pieces), [], threading.Event()
-        jobs.append((job_name(sys._getframe(1), body), scratch, runs))
-        helped = len(scratch) > 1 and len(pieces) > 1  # the job has a helper
+    def on_helpers(work, calls):
+        calls, runs, helping = list(calls), [], threading.Event()
+        helped = min(cpus, len(calls)) > 1  # the job has a helper
+        jobs.append((job_name(sys._getframe(1)), helped, runs))
 
-        def run(ticket, piece, *args):
+        def run(handed, fn, *args):
             if not on_a_helper():
                 assert not helped or helping.wait(timeout=30)
-                pool.submit(run, ticket, piece, *args).result(timeout=60)
+                pool.submit(run, True, fn, *args).result(timeout=60)
                 return
-            index, own = ticket
-            if index:
+            if not handed:
                 helping.set()
-            runs.append((index, threading.current_thread().name))
-            body(own, piece, *args)
-        each_thread(run, list(enumerate(scratch)), work, pieces, *args)
+            runs.append((handed, threading.current_thread().name))
+            fn(*args)
+        each_thread(work, [(run, False, *call) for call in calls])
     monkeypatch.setattr(T, "_each_thread", on_helpers)
     return jobs
 
 
-def job_name(frame, body):
-    """The name of an ``_each_thread`` job: its body's, or for a job of calls
-    (``tensor._call``) the name of the function that made it in ``frame``,
-    a pullback as ``<op>.pullback``."""
-    if body is not T._call:
-        return body.__name__
-    code = frame.f_code
-    for name, op in vars(T).items():
-        if code in getattr(getattr(op, "__code__", None), "co_consts", ()):
-            return f"{name}.{code.co_name}"
-    return code.co_name
+def job_name(frame):
+    """The name of an ``_each_thread`` job: the qualified name of the function
+    that made it in ``frame``, a pullback as ``<op>.pullback``."""
+    return frame.f_code.co_qualname.replace(".<locals>", "")
 
 
 def ran_on_helpers(jobs, name):
-    """The jobs named ``name``: each ran every piece on a pool helper, and if
-    it had a helper, that helper ran a piece with scratch of its own."""
-    named = [(scratch, runs) for job, scratch, runs in jobs if job == name]
+    """The jobs named ``name``: each ran every call on a pool helper, and if
+    it had a helper, that helper ran a call it took from the queue itself."""
+    named = [(helped, runs) for job, helped, runs in jobs if job == name]
     assert named, name
-    for scratch, runs in named:
+    for helped, runs in named:
         assert runs and all(thread.startswith("spt-helper") for _, thread in runs), name
-        assert len(runs) < 2 or len(scratch) < 2 or any(index for index, _ in runs), name
+        assert not helped or not all(handed for handed, _ in runs), name
     return named
 
 
@@ -141,7 +133,7 @@ class TestThreadedEqualsInline:
         monkeypatch.undo()
         jobs = run_on_helpers(monkeypatch)
         assert trained_state(cfg, samples) == inline
-        for name in ("_attention_forward_head", *PULLBACK_JOBS):
+        for name in ("multi_head_attention", *PULLBACK_JOBS):
             ran_on_helpers(jobs, name)
 
     def test_split_adam_update_bits(self, monkeypatch):
@@ -155,7 +147,7 @@ class TestThreadedEqualsInline:
         monkeypatch.undo()
         jobs = run_on_helpers(monkeypatch)
         assert trained_state(cfg, samples) == inline
-        ran_on_helpers(jobs, "step")  # AdamState.step's halves
+        ran_on_helpers(jobs, "AdamState.step")
 
     @pytest.mark.parametrize("heads", [3, 5])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -181,13 +173,8 @@ class TestThreadedEqualsInline:
         monkeypatch.undo()
         jobs = run_on_helpers(monkeypatch, cpus)
         assert packed_grad() == inline
-        (forward_scratch, _), = ran_on_helpers(jobs, "_attention_forward_head")
-        (pullback_scratch, _), = ran_on_helpers(jobs, "_attention_head_grad")
-        # The caller and each helper, with scratch of its own.
-        assert len(forward_scratch) == len(pullback_scratch) == cpus
-        arrays = [a for own in forward_scratch for a in own] + list(pullback_scratch)
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
-                       for b in arrays[i + 1:])
+        ran_on_helpers(jobs, "multi_head_attention")
+        ran_on_helpers(jobs, "multi_head_attention.pullback")
 
     def test_attention_heads_taken_by_more_helpers_than_cores(self, monkeypatch):
         # Every head must be taken exactly once from the shared queues; a
@@ -300,7 +287,7 @@ class TestForwardEqualsInline:
         assert forward_state(shape, keep) == inline
         layers = forward_config(shape, keep).encoder_layers
         assert len(ran_on_helpers(jobs, "_by_rows")) >= 3 * layers  # QKV, output, MLP
-        assert len(ran_on_helpers(jobs, "_attention_forward_head")) >= layers
+        assert len(ran_on_helpers(jobs, "multi_head_attention")) >= layers
 
     # At each shape the reference or the 241-token forward splits: QKV,
     # output projection and the two MLP products.
@@ -327,11 +314,11 @@ class TestForwardEqualsInline:
     def test_the_reference_config_offers_halves_and_heads(self, monkeypatch):
         offered = count_offers(monkeypatch)
         forward_state("reference", 1.0)
-        assert {"_by_rows", "_attention_forward_head"} <= set(offered)
+        assert {"_by_rows", "multi_head_attention"} <= set(offered)
 
 
 # The jobs a backward makes.
-PULLBACK_JOBS = {"matmul.pullback", "mlp.pullback", "_attention_head_grad"}
+PULLBACK_JOBS = {"matmul.pullback", "mlp.pullback", "multi_head_attention.pullback"}
 
 
 @pytest.mark.parametrize("cfg, offers", [
@@ -366,11 +353,11 @@ def count_offers(monkeypatch):
     monkeypatch.setattr(T, "_pool", pool)
     offered, each_thread = [], T._each_thread
 
-    def job(body, *args):
+    def job(work, calls):
         submitted = pool.submitted
-        each_thread(body, *args)
+        each_thread(work, calls)
         if pool.submitted > submitted:
-            offered.append(job_name(sys._getframe(1), body))
+            offered.append(job_name(sys._getframe(1)))
     monkeypatch.setattr(T, "_each_thread", job)
     return offered
 
@@ -393,7 +380,7 @@ class TestBlasGate:
         monkeypatch.setattr(T, "_blas_threads", T._blas_threads.__wrapped__)
         assert T._cpus() == 1
         monkeypatch.setattr(T, "_pool", None)  # a job that offers work starts the pool
-        T._each_thread(lambda own, piece: None, (None, None), None, range(2))
+        T._each_thread(T._TASK_MIN_WORK, [(lambda: None,)] * 2)
         assert T._pool is None
 
     @pytest.mark.skipif(HOST_CPUS < 2, reason="needs two CPUs")
@@ -410,15 +397,15 @@ class TestBlasGate:
         assert done.stdout.split() == [threads, str(cpus)]
 
 
-def once_helped(helped, caller_error=None, helper_error=None):
-    """An ``_each_thread`` body: the calling thread waits until a helper has
-    started a piece, then raises ``caller_error`` if given; a helper appends
-    its piece to ``helped``, runs on until 50 ms after the calling thread's
-    piece is over, appends ``("done", piece)`` and raises ``helper_error``
-    if given."""
+def once_helped(pieces, helped, caller_error=None, helper_error=None):
+    """``pieces`` calls of an ``_each_thread`` job: the calling thread waits
+    until a helper has started a call, then raises ``caller_error`` if given;
+    a helper appends its piece to ``helped``, runs on until 50 ms after the
+    calling thread's call is over, appends ``("done", piece)`` and raises
+    ``helper_error`` if given."""
     caller, helping, helped_on = threading.get_ident(), threading.Event(), threading.Event()
 
-    def body(_, piece):
+    def body(piece):
         if threading.get_ident() == caller:
             assert helping.wait(timeout=30)
             helped_on.set()
@@ -432,7 +419,7 @@ def once_helped(helped, caller_error=None, helper_error=None):
         helped.append(("done", piece))
         if helper_error is not None:
             raise helper_error
-    return body
+    return [(body, piece) for piece in range(pieces)]
 
 
 class TestFailures:
@@ -440,8 +427,8 @@ class TestFailures:
         monkeypatch.setattr(T, "_cpus", lambda: 2)
         helped = []
         with pytest.raises(ValueError, match="in a helper"):
-            T._each_thread(once_helped(helped, helper_error=ValueError("in a helper")),
-                           (None, None), None, range(2))
+            T._each_thread(T._TASK_MIN_WORK,
+                           once_helped(2, helped, helper_error=ValueError("in a helper")))
         assert len(helped) == 2
 
     def test_no_piece_starts_after_each_thread_raises(self, monkeypatch):
@@ -449,8 +436,8 @@ class TestFailures:
         monkeypatch.setattr(T, "_cpus", lambda: 2)
         helped = []
         with pytest.raises(RuntimeError, match="on the caller"):
-            T._each_thread(once_helped(helped, caller_error=RuntimeError("on the caller")),
-                           (None, None), None, range(6))
+            T._each_thread(T._TASK_MIN_WORK,
+                           once_helped(6, helped, caller_error=RuntimeError("on the caller")))
         # The helper's piece finished before the raise, and it started no other.
         (piece, done), seen = helped, list(helped)
         assert done == ("done", piece)
@@ -461,9 +448,9 @@ class TestFailures:
         # The calling thread's exception is raised, as a caller that catches
         # its type expects, with the helper's as its cause.
         monkeypatch.setattr(T, "_cpus", lambda: 2)
-        body = once_helped([], ValueError("on the caller"), RuntimeError("in a helper"))
+        calls = once_helped(2, [], ValueError("on the caller"), RuntimeError("in a helper"))
         with pytest.raises(ValueError, match="on the caller") as raised:
-            T._each_thread(body, (None, None), None, range(2))
+            T._each_thread(T._TASK_MIN_WORK, calls)
         assert isinstance(raised.value.__cause__, RuntimeError)
         assert str(raised.value.__cause__) == "in a helper"
 
@@ -476,15 +463,15 @@ class TestFailures:
         release, ran_on = threading.Event(), []
         try:
             blocker = pool.submit(release.wait)
-            helper_scratch, out = np.zeros(3), np.zeros(3)
-            T._each_thread(lambda own, piece, a: ran_on.append(threading.get_ident()),
-                           (None, helper_scratch), None, range(2), out)
+            out = np.zeros(3)
+            T._each_thread(T._TASK_MIN_WORK,
+                           [(lambda a: ran_on.append(threading.get_ident()), out)] * 2)
             assert ran_on == [threading.get_ident()] * 2
             # The cancelled submission still waits in the pool's queue, but
             # no longer holds the job's arrays.
-            held = [weakref.ref(helper_scratch), weakref.ref(out)]
-            helper_scratch = out = None
-            assert [ref() for ref in held] == [None, None]
+            held = weakref.ref(out)
+            out = None
+            assert held() is None
         finally:
             release.set()
             blocker.result(timeout=30)
@@ -497,9 +484,10 @@ class TestFailures:
         release, ran = threading.Event(), []
         try:
             blocker = pool.submit(release.wait)
-            T._each_thread(lambda own, piece: ran.append((own, piece, threading.get_ident())),
-                           ("caller's", "helper's"), None, range(4))
-            assert ran == [("caller's", piece, threading.get_ident()) for piece in range(4)]
+            T._each_thread(T._TASK_MIN_WORK,
+                           [(lambda piece: ran.append((piece, threading.get_ident())), piece)
+                            for piece in range(4)])
+            assert ran == [(piece, threading.get_ident()) for piece in range(4)]
         finally:
             release.set()
             blocker.result(timeout=30)
@@ -551,12 +539,12 @@ mask = compile_joint_mask(chain_skeleton(4))
 samples = batch(cfg, 90, 2)
 params = PoseModelParams.init(cfg, seed=91)
 train_step(samples, params, cfg, mask, AdamState())
-T._each_thread(once_helped([]), (None, None), None, range(2))  # a helper took a piece
+T._each_thread(0, once_helped(2, []))  # a helper took a call
 pid = os.fork()
 if pid == 0:
     try:
         train_step(samples, params, cfg, mask, AdamState())
-        T._each_thread(once_helped([]), (None, None), None, range(2))
+        T._each_thread(0, once_helped(2, []))
         os._exit(0)
     except BaseException:
         os._exit(1)
@@ -604,3 +592,26 @@ def test_traced_names_and_gradient_store_stay_on_the_calling_thread(monkeypatch,
     assert all(seen == {threading.get_ident()} for seen in threads.values()), threads
     if mode == "on_helpers":
         ran_on_helpers(jobs, "_by_rows")
+
+
+def mentions(name):
+    """``(module, top-level definition)`` of each use of ``name`` in ``src/spt``,
+    as a bare name, an attribute or an import, in source order."""
+    found = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                      if name in (getattr(node, "id", None), getattr(node, "attr", None))
+                      or isinstance(node, ast.alias) and node.name == name]
+    return found
+
+
+class TestOneWayOntoTheHelpers:
+    def test_only_each_thread_submits_to_the_pool(self):
+        assert mentions("submit") == [("tensor", "_each_thread")]
+
+    def test_only_the_dispatcher_reads_the_cpu_count(self):
+        assert set(mentions("_cpus")) == {("tensor", "_each_thread"), ("tensor", "_by_rows")}
+
+    def test_only_tensor_and_model_name_each_thread(self):
+        assert {module for module, _ in mentions("_each_thread")} == {"tensor", "model"}
