@@ -22,6 +22,7 @@ machinery under study is the whole model.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shutil
@@ -361,7 +362,7 @@ def loss_mse(pred: Tensor, target, visibility) -> Tensor:
 ADAM_BETA1 = 0.9  # decay of the first-moment average
 ADAM_BETA2 = 0.999  # decay of the second-moment average
 ADAM_EPS = 1e-8  # added to the root of the second moment
-_ADAM_SPLIT_MIN = 2 ** 16  # a parameter this large updates in two halves at once
+_ADAM_ELEMENT_WORK = 2 ** 7  # one element's update, counted in multiply-adds
 
 
 def _adam_update(grad, p, m, v, buf, out, lr: float, bc1: float, bc2: float) -> None:
@@ -400,10 +401,12 @@ class AdamState:
         ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p - lr (m / bc1) / (sqrt(v / bc2) + eps)``, with b1, b2 and eps the
         ``ADAM_*`` constants, so they get the same bits.  ``p.data`` becomes
-        a fresh array and ``p.grad`` is cleared.  A parameter of at least
-        ``_ADAM_SPLIT_MIN`` elements is updated as two row halves, the two
-        calls of a ``tensor._each_thread`` queue, always offered to a helper;
-        every operation is elementwise, so the bits stay.
+        a fresh array and ``p.grad`` is cleared.  Each update is a
+        ``tensor._by_rows`` call that counts an element at
+        ``_ADAM_ELEMENT_WORK`` multiply-adds, so it runs as two row halves
+        at once when half the rows hold at least 2**15 elements: in the
+        model, the parameters of at least 2**16.  Every operation is
+        elementwise, so the bits stay.
 
         No rollback: ``step_count`` rises first, and a step that raises
         part-way leaves the parameters before it updated.  It raises only
@@ -420,15 +423,11 @@ class AdamState:
                 v = self.v[name] = np.zeros(p.shape)
             else:
                 v = self.v[name]
-            arrays = (grad, p.data, m, v, np.empty(p.shape), np.empty(p.shape))
-            if p.data.size < _ADAM_SPLIT_MIN:
-                _adam_update(*arrays, self.lr, bc1, bc2)
-            else:
-                half = p.shape[0] // 2
-                T._each_thread(T._TASK_MIN_WORK,
-                               [(_adam_update, *(a[rows] for a in arrays), self.lr, bc1, bc2)
-                                for rows in (slice(0, half), slice(half, None))])
-            p.data = arrays[-1]
+            out = np.empty(p.shape)
+            T._by_rows(functools.partial(_adam_update, lr=self.lr, bc1=bc1, bc2=bc2),
+                       (p.data[0].size * _ADAM_ELEMENT_WORK,),
+                       grad, p.data, m, v, np.empty(p.shape), out)
+            p.data = out
             p.grad = None
 
 

@@ -36,18 +36,19 @@ tape.  Both give the bits of the chains they replace.
 On a machine with more than one CPU, the large calls offer part of their
 work to helper threads, each part large enough to pay for the hand-over.
 ``_each_thread`` is the one way onto them: a job is a queue of calls
-``(fn, *args)`` that the calling thread and its helpers take from.  The
-jobs are the token-row halves of a 2-D ``matmul`` and of ``mlp``
-(``_by_rows``), the heads of ``multi_head_attention`` and of its pullback,
-the halves of a large parameter's update in ``model.AdamState.step``, and
-the pairs of the ``matmul`` and ``mlp`` pullbacks: a weight product beside
-the product the next pullback reads.  The forward splits whether or not a
-tape is active.  A call writes arrays the calling thread reads once the
-job has returned, and allocates its own temporaries; it never calls a
-taped op or touches a tape, a ``.grad`` or the gradient store, so the
-calling thread makes every ``_accumulate`` call, in the serial order.
-Every call makes the serial numpy calls on the same operands, or on a row
-half whose product has the whole product's bits in the blocked BLAS kernel
+``(fn, *args)`` that the calling thread and its helpers take from.  Only
+this module makes jobs.  They are the row halves (``_by_rows``) of a 2-D
+``matmul``, of ``mlp`` and of a large parameter's update, which
+``model.AdamState.step`` hands to ``_by_rows``; the heads of
+``multi_head_attention`` and of its pullback; and the pairs of the
+``matmul`` and ``mlp`` pullbacks: a weight product beside the product the
+next pullback reads.  The forward splits whether or not a tape is active.
+A call writes arrays the calling thread reads once the job has returned,
+and allocates its own temporaries; it never calls a taped op or touches a
+tape, a ``.grad`` or the gradient store, so the calling thread makes every
+``_accumulate`` call, in the serial order.  Every call makes the serial
+numpy calls on the same operands, or on a row half that is elementwise or
+whose product has the whole product's bits in the blocked BLAS kernel
 (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  Helpers
 are offered work only while BLAS runs one thread of its own (``_cpus``),
 as under ``OPENBLAS_NUM_THREADS=1``.  On a 2-vCPU x86 host the reference
@@ -157,8 +158,11 @@ def _each_thread(work, calls) -> None:
     Every thread takes calls from one queue until none is left, and a helper
     that has not started by then is taken back, so the calling thread never
     waits on a call no helper started: threads that train at once can share
-    the helpers.  Helpers are offered on more than one CPU when ``work``, one
-    call's multiply-adds, reaches ``_TASK_MIN_WORK``.  A raise in any call
+    the helpers.  A helper is handed the queue itself, which is empty by the
+    time the calling thread returns, so a submission taken back holds no
+    array while it waits in the pool's queue.  Helpers are offered on more
+    than one CPU when ``work``, one call's multiply-adds, reaches
+    ``_TASK_MIN_WORK``.  A raise in any call
     empties the queue; once every started helper has returned, the calling
     thread's exception is raised, with a helper's as its cause, or else a
     helper's.
@@ -166,33 +170,28 @@ def _each_thread(work, calls) -> None:
     global _pool
     todo = deque(calls)
     cpus = _cpus()
-    # One helper's queue each, taken as the helper starts.
-    tickets = deque([todo] * (min(cpus, len(todo)) - 1))
+    offers = min(cpus, len(todo)) - 1
     helpers = []
-    if tickets and work >= _TASK_MIN_WORK:
+    if offers > 0 and work >= _TASK_MIN_WORK:
         with _pool_lock:
             if _pool is None:
                 _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="spt-helper")
-            helpers = [_pool.submit(lambda: _drain(tickets.popleft()))
-                       for _ in range(len(tickets))]
+            helpers = [_pool.submit(_drain, todo) for _ in range(offers)]
     try:
         _drain(todo)
     except BaseException as error:
         try:
-            _join(helpers, tickets)
+            _join(helpers)
         except BaseException as helper_error:
             raise error from helper_error
         raise
-    _join(helpers, tickets)
+    _join(helpers)
 
 
-def _join(helpers, tickets) -> None:
-    """Take back the helpers that have not started, wait for the others, then
-    release the tickets: a cancelled submission stays in the pool's queue
-    until a helper wakes, and must not keep the job's arrays alive.  Each
-    exception raised has the one before as context."""
+def _join(helpers) -> None:
+    """Take back the helpers that have not started and wait for the others.
+    Each exception raised has the one before as context."""
     with ExitStack() as waits:
-        waits.callback(tickets.clear)
         for helper in helpers:
             if not helper.cancel():  # it has started
                 waits.callback(helper.result)
@@ -217,9 +216,12 @@ def _by_rows(fn, row_products, *arrays) -> None:
 
     Every array's first axis is the same rows, and ``fn`` writes each row
     of its outputs from the same row of its inputs.  ``row_products`` lists
-    one row's multiply-adds in each product ``fn`` makes.  The call stays
-    whole on one CPU, or when the second half has fewer than 2 rows, or
-    fewer than ``_ROW_SPLIT_MIN`` multiply-adds in one of its products.
+    one row's multiply-adds in each product ``fn`` makes; an elementwise
+    pass counts a row's elements at a fixed weight each, as
+    ``_SOFTMAX_CELL_WORK`` counts softmax cells.  The call stays whole on
+    one CPU, or when the second half has fewer than 2 rows, or fewer than
+    ``_ROW_SPLIT_MIN`` multiply-adds in one of its products.  The first half
+    takes an odd row.
     """
     n = len(arrays[0])
     half = n // 2
@@ -636,11 +638,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     instead of keeping it.  Every product, bias sum and elementwise pass is
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
-    same bits.  All five input adjoints are arrays the pullback computes.
-    The forward runs as two row halves at once (``_by_rows``), each with
-    GELU temporaries of its own.  The pullback is two ``_each_thread`` jobs
-    of two calls: the ``w2`` product beside the pre-activation adjoint, then
-    the ``w1`` product beside the ``x`` adjoint.
+    same bits.  All five input adjoints are arrays the pullback computes,
+    whether or not an input needs one (``_accumulate`` drops the others):
+    every ``mlp`` of the model has all five needing one.  The forward runs
+    as two row halves at once (``_by_rows``), each with GELU temporaries of
+    its own.  The pullback is two ``_each_thread`` jobs of two calls: the
+    ``w2`` product beside the pre-activation adjoint, then the ``w1``
+    product beside the ``x`` adjoint.
     """
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
@@ -648,7 +652,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp shape mismatch: {x.shape} @ {w1.shape} + {b1.shape} "
                          f"@ {w2.shape} + {b2.shape}")
     kx, kw1, kb1, kw2, kb2 = keys = tuple(_key(a) for a in (x, w1, b1, w2, b2))
-    w1_data, b1_data, w2_data, b2_data = w1.data, b1.data, w2.data, b2.data
+    x_data, w1_data, b1_data, w2_data, b2_data = (a.data for a in (x, w1, b1, w2, b2))
 
     def rows(x_rows, pre, t, out):
         np.matmul(x_rows, w1_data, out=pre)
@@ -657,37 +661,23 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         np.matmul(_gelu_out(pre, t), w2_data, out=out)
         out += b2_data
 
-    n, hidden = len(x.data), w1.shape[1]
+    n, hidden = len(x_data), w1.shape[1]
     pre, t = np.empty((n, hidden)), np.empty((n, hidden))
     out_data = np.empty((n, w2.shape[1]))
-    _by_rows(rows, (w1_data.size, w2_data.size), x.data, pre, t, out_data)
-    needs_dpre = kx is not None or kw1 is not None or kb1 is not None
-    x_t = x.data.T if kw1 is not None else None
-    w1_t = w1.data.T if kx is not None else None
-    w2_t = w2.data.T if needs_dpre else None
-    x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
+    _by_rows(rows, (w1_data.size, w2_data.size), x_data, pre, t, out_data)
 
     def pullback(g, store):
-        if kb2 is not None:
-            _accumulate(store, kb2, g.sum(axis=0))
+        _accumulate(store, kb2, g.sum(axis=0))
         # Two jobs: a helper makes each weight product beside an input adjoint.
-        dpre = np.empty(pre.shape) if needs_dpre else None
-        gw2 = np.empty(w2_shape) if kw2 is not None else None
-        calls = [(lambda: _gelu_pullback(g @ w2_t, pre, t, dpre),)] if needs_dpre else []
-        if kw2 is not None:
-            calls.append((np.matmul, _gelu_out(pre, t).T, g, gw2))
-        _each_thread(w2_data.size * len(g), calls)
+        dpre, gw2 = np.empty(pre.shape), np.empty(w2_data.shape)
+        _each_thread(w2_data.size * len(g),
+                     [(lambda: _gelu_pullback(g @ w2_data.T, pre, t, dpre),),
+                      (np.matmul, _gelu_out(pre, t).T, g, gw2)])
         _accumulate(store, kw2, gw2)
-        if not needs_dpre:
-            return
-        if kb1 is not None:
-            _accumulate(store, kb1, dpre.sum(axis=0))
-        dx = np.empty(x_shape) if kx is not None else None
-        gw1 = np.empty(w1_shape) if kw1 is not None else None
-        calls = [(np.matmul, dpre, w1_t, dx)] if kx is not None else []
-        if kw1 is not None:
-            calls.append((np.matmul, x_t, dpre, gw1))
-        _each_thread(w1_data.size * len(dpre), calls)
+        _accumulate(store, kb1, dpre.sum(axis=0))
+        dx, gw1 = np.empty(x_data.shape), np.empty(w1_data.shape)
+        _each_thread(w1_data.size * len(dpre),
+                     [(np.matmul, dpre, w1_data.T, dx), (np.matmul, x_data.T, dpre, gw1)])
         _accumulate(store, kx, dx)
         _accumulate(store, kw1, gw1)
 

@@ -136,18 +136,22 @@ class TestThreadedEqualsInline:
         for name in ("multi_head_attention", *PULLBACK_JOBS):
             ran_on_helpers(jobs, name)
 
-    def test_split_adam_update_bits(self, monkeypatch):
-        cfg = tiny_config(embed_dim=16, heatmap_h=64, heatmap_w=64, **PRUNED)
-        sizes = [p.data.size for _, p in PoseModelParams.init(cfg, seed=31).named_parameters()]
-        assert max(sizes) >= spt.model._ADAM_SPLIT_MIN
+    # head_w2 of 16 or 17 rows by 4096 updates as two row halves; of 17,
+    # the calling thread's half has the odd row.
+    @pytest.mark.parametrize("embed_dim, heads", [(16, 2), (17, 1)],
+                             ids=["16-rows", "17-rows"])
+    def test_split_adam_update_bits(self, monkeypatch, embed_dim, heads):
+        cfg = tiny_config(embed_dim=embed_dim, heads=heads, heatmap_h=64, heatmap_w=64,
+                          **PRUNED)
         samples = batch(cfg, 70, 2)
-        run_inline(monkeypatch)
-        monkeypatch.setattr(spt.model, "_ADAM_SPLIT_MIN", max(sizes) + 1)  # no halves
+        run_inline(monkeypatch)  # no halves
         inline = trained_state(cfg, samples)
         monkeypatch.undo()
         jobs = run_on_helpers(monkeypatch)
         assert trained_state(cfg, samples) == inline
-        ran_on_helpers(jobs, "AdamState.step")
+        jobs.clear()
+        AdamState().step(PoseModelParams.init(cfg, seed=31))  # Adam's jobs alone
+        assert len(ran_on_helpers(jobs, "_by_rows")) == len(jobs) == 1
 
     @pytest.mark.parametrize("heads", [3, 5])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -331,6 +335,24 @@ def test_only_the_reference_backward_offers_its_pullback_jobs(monkeypatch, cfg, 
     train_step(batch(cfg, 97, 1), PoseModelParams.init(cfg, seed=3), cfg,
                compile_joint_mask(default_skeleton()), AdamState())
     assert PULLBACK_JOBS & set(offered) == offers
+
+
+def test_adam_splits_the_parameters_of_2_16_elements_or_more(monkeypatch):
+    params = PoseModelParams.init(ModelConfig(), seed=3)
+    offered, by_rows, split = count_offers(monkeypatch), T._by_rows, []
+
+    def update(*args):
+        offers = len(offered)
+        by_rows(*args)
+        split.append(len(offered) - offers)
+    monkeypatch.setattr(T, "_by_rows", update)
+    AdamState().step(params)
+    assert offered == ["_by_rows"] * 61  # 20 blocks' QKV and two MLP weights, and head_w2
+    names = [name for name, _ in params.named_parameters()]
+    assert dict(zip(names, split)) == {
+        name: int(p.data.size >= 2 ** 16) for name, p in params.named_parameters()}
+    for name in ("positional_encoding", "encoder.0.output_projection", "head_w1"):
+        assert split[names.index(name)] == 0, name
 
 
 class RecordingPool(futures.ThreadPoolExecutor):
@@ -613,5 +635,6 @@ class TestOneWayOntoTheHelpers:
     def test_only_the_dispatcher_reads_the_cpu_count(self):
         assert set(mentions("_cpus")) == {("tensor", "_each_thread"), ("tensor", "_by_rows")}
 
-    def test_only_tensor_and_model_name_each_thread(self):
-        assert {module for module, _ in mentions("_each_thread")} == {"tensor", "model"}
+    @pytest.mark.parametrize("name", ["_each_thread", "_TASK_MIN_WORK"])
+    def test_only_tensor_names_the_dispatcher(self, name):
+        assert {module for module, _ in mentions(name)} == {"tensor"}
