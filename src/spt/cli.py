@@ -320,7 +320,8 @@ _FLAGS = {
     "--steps": dict(type=int, help="override training steps"),
     "--akr": dict(type=float, help="override attention keep ratio"),
     "--k-mode": dict(choices=K_MODES, dest="k_mode",
-                     help="top-K basis: fraction of current row support, or of N"),
+                     help="top-K basis: fraction of current row support, or of N "
+                          "(prunes at the first update only)"),
     "--decoder": dict(choices=DECODERS, help="heatmap decoder variant"),
 }
 

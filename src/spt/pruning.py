@@ -5,9 +5,12 @@ each scheduled layer the head-averaged attention map elects, per row, the
 K strongest of the currently kept columns.  K (``PruneSchedule.row_k``)
 is a fraction of the row's *current* support, so successive updates keep
 cutting; the alternative fraction-of-N reading is available as
-``k_mode="total"`` for comparison.  K rounds half away from zero, because
-it is sensitive to rounding at small N.  A mask produced at layer u takes
-effect from layer u+1 onward; layer u itself runs under the previous mask.
+``k_mode="total"`` for comparison.  That mode prunes only once: K =
+round(keep_ratio * N) is the support the first update leaves, so every
+later update keeps the mask it is given.  K rounds half away from zero,
+because it is sensitive to rounding at small N.  A mask produced at layer
+u takes effect from layer u+1 onward; layer u itself runs under the
+previous mask.
 
 Every update keeps exactly K columns in every row, and K depends only on
 N and the schedule, so ``sparsity_report`` predicts the stats from them.
@@ -52,7 +55,9 @@ class PruneSchedule:
     def row_k(self, support, n: int):
         """K for a row that keeps ``support`` of ``n`` columns, elementwise:
         ``keep_ratio`` times the support (``"support"`` mode) or times N
-        (``"total"``), rounded half up and clamped to [1, support]."""
+        (``"total"``), rounded half up and clamped to [1, support].  Under
+        ``"total"`` only the first update prunes: it leaves each row K
+        columns, so a later update's K is the row's whole support."""
         basis = support if self.k_mode == "support" else n
         return np.minimum(support, np.maximum(1, round_half_up(self.keep_ratio * basis)))
 

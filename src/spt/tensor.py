@@ -1,24 +1,26 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 A Tensor wraps a row-major numpy float64 array.  Operations executed while
-a ComputationTape is active record one ``(node, pullback, leaves)`` entry
-each; the node is a small identity object for the op's output, the
-pullback closure keeps only what it reads (keys and shapes, plus the
-arrays its adjoint formula needs), so no record holds a forward output the
-backward pass never reads, and ``leaves`` lists the ``requires_grad``
-leaves no earlier record read.  ``backward`` replays the tape in reverse,
-popping each record as it goes, and hands every leaf its adjoint once the
-first record that read it is replayed.  Tensors are treated as immutable
-once produced by an operation; parameter updates happen between tapes.
+a ComputationTape is active record one ``(node, pullback, leaves, keys)``
+entry each: the node is a small identity object for the op's output, the
+pullback closure keeps only what it reads (shapes, plus the arrays its
+adjoint formula needs), so no record holds a forward output the backward
+pass never reads, ``leaves`` lists the ``requires_grad`` leaves no earlier
+record read, and ``keys`` holds each input's gradient key.  ``backward``
+replays the tape in reverse, popping each record as it goes, sums each
+adjoint into its key's entry of the gradient store, and hands every leaf
+its adjoint once the first record that read it is replayed.  Tensors are
+treated as immutable once produced by an operation; parameter updates
+happen between tapes.
 
-Every adjoint has one owner.  A pullback owns the gradient ``g`` that
-``backward`` pops for it: it may hand ``g``, or a view of it, to one input,
-and every other input gets memory of its own: an array the pullback
-computed, a copy (``add`` copies ``g`` for its first operand when both
-need a gradient), or a disjoint slice of ``g`` (``concat``).  So no two
-entries of the adjoint store share memory, ``_accumulate`` sums into an
-entry in place, and a leaf receives its adjoint as its ``.grad``, copied
-only if it is a view.
+``pullback(g)`` returns one adjoint per input, in input order, or None for
+an input that gets none; it never sees the gradient store.  It may return
+``g``, or a view of it, for one input, and every other adjoint is memory
+of its own: an array it computed, a copy (``add`` returns ``g.copy()`` for
+its first operand), or a disjoint slice of ``g`` (``concat``).  So no two
+entries of the store share memory, ``backward`` sums into an entry in
+place, and a leaf receives its adjoint as its ``.grad``, copied only if it
+is a view.
 
 Everything is 64-bit and broadcasting is restricted to scalar-with-tensor
 (plus the dedicated last-axis bias op), which keeps every adjoint auditable
@@ -45,8 +47,8 @@ this module makes jobs.  They are the row halves (``_by_rows``) of a 2-D
 next pullback reads.  The forward splits whether or not a tape is active.
 A call writes arrays the calling thread reads once the job has returned,
 and allocates its own temporaries; it never calls a taped op or touches a
-tape, a ``.grad`` or the gradient store, so the calling thread makes every
-``_accumulate`` call, in the serial order.  Every call makes the serial
+tape, a ``.grad`` or the gradient store, so ``backward`` sums every adjoint
+on the calling thread, in the serial order.  Every call makes the serial
 numpy calls on the same operands, or on a row half that is elementwise or
 whose product has the whole product's bits in the blocked BLAS kernel
 (``_ROW_SPLIT_MIN``), so the bits do not depend on the CPU count.  Helpers
@@ -284,18 +286,19 @@ class Tensor:
 class ComputationTape:
     """Ordered record of primitive ops, replayed in reverse by backward().
 
-    A record is ``(node, pullback, leaves)``: the output's identity, a
-    closure over only the arrays its adjoint reads, and the ``requires_grad``
-    leaves the op is the first on this tape to read, each once.  ``backward``
-    consumes the tape, popping each record as it replays it; ``len`` stays
-    the number of ops recorded.  A tape is confined to one logical thread of
+    A record is ``(node, pullback, leaves, keys)``: the output's identity,
+    a closure over only the arrays its adjoints read, the ``requires_grad``
+    leaves the op is the first on this tape to read, each once, and the
+    gradient key of each input, in the order of the pullback's adjoints.
+    ``backward`` consumes the tape, popping each record as it replays it;
+    ``len`` stays the number of ops recorded.  A tape is confined to one logical thread of
     execution; concurrent forwards use independent tapes or run grad-free.
     The helper threads that ops and pullbacks start never see a tape: they
     compute into arrays the calling thread hands them.
     """
 
     def __init__(self):
-        self._records = []  # (node, pullback, leaves), popped by backward
+        self._records = []  # (node, pullback, leaves, keys), popped by backward
         self._read = set()  # leaves some record has read
         self._recorded = 0
 
@@ -319,30 +322,34 @@ def _key(t: Tensor):
     return t if t.requires_grad else None
 
 
-def _finish(out_data, keys, pullback):
+def _finish(out_data, inputs, pullback):
     """Wrap an op result; record on the active tape when gradients can flow.
 
-    The record lists the ``requires_grad`` leaves among ``keys`` that no
-    earlier record of the tape read, each once.
+    ``inputs`` are the op's input tensors, in the order of the adjoints
+    ``pullback(g)`` returns.  The record keeps their gradient keys and lists
+    the ``requires_grad`` leaves among them that no earlier record of the
+    tape read, each once.
     """
     if _tls.finite_checks and not np.isfinite(out_data).all():
         raise NonFiniteValueError("operation produced non-finite values")
     out = Tensor(out_data)
     stack = _tls.stack
-    if stack and any(k is not None for k in keys):
+    keys = tuple(map(_key, inputs)) if stack else ()
+    if any(k is not None for k in keys):
         tape = stack[-1]
         out.requires_grad = True
         out._node = _Node()
         read = tape._read
         leaves = tuple(dict.fromkeys(k for k in keys if isinstance(k, Tensor) and k not in read))
         read.update(leaves)
-        tape._records.append((out._node, pullback, leaves))
+        tape._records.append((out._node, pullback, leaves, keys))
         tape._recorded += 1
     return out
 
 
 def _accumulate(store, key, grad):
-    """Sum ``grad`` into ``key``'s adjoint, the first one as the entry; a None key drops it."""
+    """Sum ``grad`` into ``key``'s entry of ``backward``'s store, the first
+    one as the entry; a None key (an input that needs no gradient) drops it."""
     if key is None:
         return
     if key in store:
@@ -372,6 +379,8 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
 
     The tape is consumed: each record is popped as it is replayed, so its
     closure and the arrays it keeps are freed before the next one runs.
+    Each adjoint a pullback returns is summed into its input's key, in
+    input order; ``backward`` drops the adjoints that no input needs.
     Only leaves receive ``.grad``.  An output of another tape counts as an
     intermediate here, not as a leaf: its gradient is dropped.  A leaf's
     new ``.grad`` is its adjoint (a copy if that is a view), with any
@@ -390,10 +399,11 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     key = _key(loss)
     store = {} if key is None else {key: np.ones((), dtype=np.float64)}
     while tape._records:
-        node, pullback, first_read = tape._records.pop()
+        node, pullback, first_read, keys = tape._records.pop()
         g = store.pop(node, None)
         if g is not None:  # else not on a path to the loss
-            pullback(g, store)
+            for key, grad in zip(keys, pullback(g), strict=True):
+                _accumulate(store, key, grad)
         for leaf in first_read:  # no record left on the tape reads it
             grad = store.pop(leaf, None)
             if grad is not None:
@@ -412,131 +422,95 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; equal-rank stacked batches share leading extents.
 
     A 2-D product runs as two row halves at once (``_by_rows``).  Each
-    side's gradient is computed, and the other operand's array kept, only
-    when that side needs a gradient.  When both do, ``g @ b_t`` and
-    ``a_t @ g`` are the two calls of one ``_each_thread`` job.
+    side's adjoint is computed, and the other operand's array kept, only
+    when that side needs a gradient; the pullback returns None for a side
+    that does not.  When both do, ``g @ b_t`` and ``a_t @ g`` are the two
+    calls of one ``_each_thread`` job.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul needs equal-rank >=2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    ka, kb, a_shape, b_shape = _key(a), _key(b), a.shape, b.shape
-    a_t = a.data.swapaxes(-1, -2) if kb is not None else None
-    b_t = b.data.swapaxes(-1, -2) if ka is not None else None
+    a_shape, b_shape = a.shape, b.shape
+    a_t = a.data.swapaxes(-1, -2) if b.requires_grad else None
+    b_t = b.data.swapaxes(-1, -2) if a.requires_grad else None
 
-    def pullback(g, store):
-        if ka is None:
-            _accumulate(store, kb, a_t @ g)
-        elif kb is None:
-            _accumulate(store, ka, g @ b_t)
-        else:
-            ga, gb = np.empty(a_shape), np.empty(b_shape)
-            _each_thread(gb.size * g.shape[-2], [(np.matmul, g, b_t, ga), (np.matmul, a_t, g, gb)])
-            _accumulate(store, ka, ga)
-            _accumulate(store, kb, gb)
+    def pullback(g):
+        if b_t is None:
+            return None, a_t @ g
+        if a_t is None:
+            return g @ b_t, None
+        ga, gb = np.empty(a_shape), np.empty(b_shape)
+        _each_thread(gb.size * g.shape[-2], [(np.matmul, g, b_t, ga), (np.matmul, a_t, g, gb)])
+        return ga, gb
 
     if a.data.ndim > 2:
-        return _finish(a.data @ b.data, (ka, kb), pullback)
+        return _finish(a.data @ b.data, (a, b), pullback)
     b_data = b.data
     out = np.empty((a.shape[0], b.shape[1]))
     _by_rows(lambda rows, out_rows: np.matmul(rows, b_data, out=out_rows), (b_data.size,),
              a.data, out)
-    return _finish(out, (ka, kb), pullback)
+    return _finish(out, (a, b), pullback)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    ka, kb = _key(a), _key(b)
-
-    def pullback(g, store):
-        _accumulate(store, ka, g if kb is None else g.copy())  # b takes g itself
-        _accumulate(store, kb, g)
-
-    return _finish(a.data + b.data, (ka, kb), pullback)
+    return _finish(a.data + b.data, (a, b), lambda g: (g.copy(), g))  # b takes g itself
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    ka, kb = _key(a), _key(b)
-
-    def pullback(g, store):
-        _accumulate(store, ka, g)
-        _accumulate(store, kb, -g)
-
-    return _finish(a.data - b.data, (ka, kb), pullback)
+    return _finish(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product; shapes must match exactly (no broadcasting)."""
+    """Hadamard product; shapes must match exactly (no broadcasting).
+
+    Each operand's array is kept, and the other side's adjoint computed,
+    only when that side needs a gradient; the pullback returns None for a
+    side that does not.
+    """
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    ka, kb = _key(a), _key(b)
-    a_data = a.data if kb is not None else None
-    b_data = b.data if ka is not None else None
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def pullback(g, store):
-        if ka is not None:
-            _accumulate(store, ka, g * b_data)
-        if kb is not None:
-            _accumulate(store, kb, g * a_data)
+    def pullback(g):
+        return (None if b_data is None else g * b_data,
+                None if a_data is None else g * a_data)
 
-    return _finish(a.data * b.data, (ka, kb), pullback)
+    return _finish(a.data * b.data, (a, b), pullback)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    ka = _key(a)
-
-    def pullback(g, store):
-        _accumulate(store, ka, g * s)
-
-    return _finish(a.data * s, (ka,), pullback)
+    return _finish(a.data * s, (a,), lambda g: (g * s,))
 
 
 def add_scalar(a: Tensor, s: float) -> Tensor:
-    ka = _key(a)
-
-    def pullback(g, store):
-        _accumulate(store, ka, g)
-
-    return _finish(a.data + float(s), (ka,), pullback)
+    return _finish(a.data + float(s), (a,), lambda g: (g,))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-D vector along the last axis of x."""
     if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
-    kx, kb = _key(x), _key(b)
-
-    def pullback(g, store):
-        _accumulate(store, kx, g)
-        # Summed over no axes (a 1-D x), g.sum is a copy of g.
-        _accumulate(store, kb, g.sum(axis=tuple(range(g.ndim - 1))))
-
-    return _finish(x.data + b.data, (kx, kb), pullback)
+    # Summed over no axes (a 1-D x), g.sum is a copy of g.
+    return _finish(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=tuple(range(g.ndim - 1)))))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    kx, x_shape = _key(x), x.shape
-
-    def pullback(g, store):
-        _accumulate(store, kx, g.reshape(x_shape))
-
-    return _finish(x.data.reshape(shape), (kx,), pullback)
+    x_shape = x.shape
+    return _finish(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(int(a) for a in axes)
     inverse = tuple(np.argsort(axes))
-    kx = _key(x)
-
-    def pullback(g, store):
-        _accumulate(store, kx, g.transpose(inverse))
-
-    return _finish(x.data.transpose(axes), (kx,), pullback)
+    return _finish(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -546,38 +520,27 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    kx, x_shape = _key(x), x.shape
+    x_shape = x.shape
 
-    def pullback(g, store):
+    def pullback(g):
         full = np.zeros(x_shape, dtype=np.float64)
         full[index] = g
-        _accumulate(store, kx, full)
+        return (full,)
 
-    return _finish(x.data[index].copy(), (kx,), pullback)
+    return _finish(x.data[index].copy(), (x,), pullback)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
-    keys = tuple(_key(t) for t in tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def pullback(g, store):
-        for key, lo, hi in zip(keys, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accumulate(store, key, g[tuple(index)])
-
-    return _finish(np.concatenate([t.data for t in tensors], axis=axis), keys, pullback)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _finish(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                   lambda g: np.split(g, bounds, axis=axis))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    kx, x_shape = _key(x), x.shape
-
-    def pullback(g, store):
-        _accumulate(store, kx, np.full(x_shape, float(g), dtype=np.float64))
-
-    return _finish(np.asarray(x.data.sum(), dtype=np.float64), (kx,), pullback)
+    x_shape = x.shape
+    return _finish(np.asarray(x.data.sum(), dtype=np.float64), (x,),
+                   lambda g: (np.full(x_shape, float(g), dtype=np.float64),))
 
 
 def _gelu_tanh(x: np.ndarray, out=None) -> np.ndarray:
@@ -622,12 +585,7 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = x.data
     t = _gelu_tanh(xd)
-    kx = _key(x)
-
-    def pullback(g, store):
-        _accumulate(store, kx, _gelu_pullback(g, xd, t))
-
-    return _finish(_gelu_out(xd, t), (kx,), pullback)
+    return _finish(_gelu_out(xd, t), (x,), lambda g: (_gelu_pullback(g, xd, t),))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -639,7 +597,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the one the chain ``matmul``, ``add_bias``, ``gelu``, ``matmul``,
     ``add_bias`` makes, in the same operand orientation, so both give the
     same bits.  All five input adjoints are arrays the pullback computes,
-    whether or not an input needs one (``_accumulate`` drops the others):
+    whether or not an input needs one (``backward`` drops the others):
     every ``mlp`` of the model has all five needing one.  The forward runs
     as two row halves at once (``_by_rows``), each with GELU temporaries of
     its own.  The pullback is two ``_each_thread`` jobs of two calls: the
@@ -651,7 +609,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)):
         raise ShapeError(f"mlp shape mismatch: {x.shape} @ {w1.shape} + {b1.shape} "
                          f"@ {w2.shape} + {b2.shape}")
-    kx, kw1, kb1, kw2, kb2 = keys = tuple(_key(a) for a in (x, w1, b1, w2, b2))
     x_data, w1_data, b1_data, w2_data, b2_data = (a.data for a in (x, w1, b1, w2, b2))
 
     def rows(x_rows, pre, t, out):
@@ -666,22 +623,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out_data = np.empty((n, w2.shape[1]))
     _by_rows(rows, (w1_data.size, w2_data.size), x_data, pre, t, out_data)
 
-    def pullback(g, store):
-        _accumulate(store, kb2, g.sum(axis=0))
+    def pullback(g):
         # Two jobs: a helper makes each weight product beside an input adjoint.
         dpre, gw2 = np.empty(pre.shape), np.empty(w2_data.shape)
         _each_thread(w2_data.size * len(g),
                      [(lambda: _gelu_pullback(g @ w2_data.T, pre, t, dpre),),
                       (np.matmul, _gelu_out(pre, t).T, g, gw2)])
-        _accumulate(store, kw2, gw2)
-        _accumulate(store, kb1, dpre.sum(axis=0))
         dx, gw1 = np.empty(x_data.shape), np.empty(w1_data.shape)
         _each_thread(w1_data.size * len(dpre),
                      [(np.matmul, dpre, w1_data.T, dx), (np.matmul, x_data.T, dpre, gw1)])
-        _accumulate(store, kx, dx)
-        _accumulate(store, kw1, gw1)
+        return dx, gw1, dpre.sum(axis=0), gw2, g.sum(axis=0)
 
-    return _finish(out_data, keys, pullback)
+    return _finish(out_data, (x, w1, b1, w2, b2), pullback)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -696,18 +649,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = centered * inv
     gain_data = gain.data
     out_data = xhat * gain_data + bias.data
-    kx, kg, kb = _key(x), _key(gain), _key(bias)
 
-    def pullback(g, store):
+    def pullback(g):
         axes = tuple(range(g.ndim - 1))
-        _accumulate(store, kg, (g * xhat).sum(axis=axes))
-        _accumulate(store, kb, g.sum(axis=axes))
         dxhat = g * gain_data
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(store, kx, inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat))
+        return (inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat),
+                (g * xhat).sum(axis=axes), g.sum(axis=axes))
 
-    return _finish(out_data, (kx, kg, kb), pullback)
+    return _finish(out_data, (x, gain, bias), pullback)
 
 
 def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
@@ -718,14 +669,13 @@ def avg_pool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     oh, ow = h // pool_h, w // pool_w
     blocks = x.data.reshape(c, oh, pool_h, ow, pool_w)
     out_data = blocks.mean(axis=(2, 4))
-    kx = _key(x)
 
-    def pullback(g, store):
+    def pullback(g):
         full = np.empty((c, h, w))
         full.reshape(c, oh, pool_h, ow, pool_w)[...] = g[:, :, None, :, None] / (pool_h * pool_w)
-        _accumulate(store, kx, full)
+        return (full,)
 
-    return _finish(out_data, (kx,), pullback)
+    return _finish(out_data, (x,), pullback)
 
 
 def _softmax_rows(logits: np.ndarray, mask: AttentionMask, out: np.ndarray) -> np.ndarray:
@@ -796,12 +746,7 @@ def rowwise_masked_softmax(logits: Tensor, mask: AttentionMask) -> Tensor:
     if logits.shape[-2:] != mask.bits.shape:
         raise ShapeError(f"mask shape {mask.bits.shape} does not match logits {logits.shape}")
     out_data = _softmax_rows(logits.data, mask, np.empty(logits.shape))
-    kl = _key(logits)
-
-    def pullback(g, store):
-        _accumulate(store, kl, _softmax_pullback(g, out_data))
-
-    return _finish(out_data, (kl,), pullback)
+    return _finish(out_data, (logits,), lambda g: (_softmax_pullback(g, out_data),))
 
 
 def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
@@ -857,17 +802,16 @@ def multi_head_attention(packed: Tensor, mask: AttentionMask, heads: int):
                  [(_attention_forward_head, tile, head, data, mask, s, context)
                   for tile, head in zip(probs, columns)])
     probs.flags.writeable = False
-    kp = _key(packed)
 
-    def pullback(g, store):
+    def pullback(g):
         grad = np.empty(data.shape)
         grad[r:, :d] = 0.0
         # work: the multiply-adds of one head's five products.
         _each_thread(5 * r * n * head_dim,
                      [(_attention_head_grad, head, data, g, mask, s, grad) for head in columns])
-        _accumulate(store, kp, grad)
+        return (grad,)
 
-    return _finish(context, (kp,), pullback), probs
+    return _finish(context, (packed,), pullback), probs
 
 
 def _head_probs(tile, head, data, mask, s, logits):

@@ -16,8 +16,8 @@ from spt.formats import save_tensor
 from spt.masks import AttentionMask
 from spt.model import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ModelConfig,
                        PoseModelParams, TrainingConfig, forward, full_token_mask,
-                       load_checkpoint, loss_mse, patchify_embed, save_checkpoint,
-                       train_step)
+                       load_checkpoint, loss_mse, parameter_layout, patchify_embed,
+                       save_checkpoint, train_step)
 from spt.pruning import PruneSchedule
 from spt.rng import SplitMix64
 from spt.schema import from_json
@@ -533,6 +533,15 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             train_step([], params, cfg, compile_joint_mask(chain_skeleton(4)),
                        AdamState())
+
+
+@pytest.mark.parametrize("pos_encoding", ["learned", "sinusoidal"])
+def test_named_parameters_follow_the_layout(pos_encoding):
+    # Initial draws and checkpoints rely on the two listing the same tensors
+    # in the same order.
+    cfg = tiny_config(pos_encoding=pos_encoding)
+    named = [(name, t.shape) for name, t in PoseModelParams.init(cfg, seed=3).named_parameters()]
+    assert named == [(name, shape) for name, shape, _ in parameter_layout(cfg)]
 
 
 class TestCheckpoint:

@@ -274,14 +274,58 @@ class TestKernelsLeaveInputsAlone:
         assert np.array_equal(x.data, x_before)
         g = rng.normal(size=out.shape)
         g_before = g.copy()
-        store = {}
-        pullback(g, store)
+        (grad,) = pullback(g)
         assert np.array_equal(g, g_before)
         assert np.array_equal(x.data, x_before)
         assert np.array_equal(out.data, out_before)
-        grad = store[x]
         for array in (g, x.data, out.data):
             assert not np.shares_memory(grad, array)
+
+
+def _attention_context(packed):
+    mask = AttentionMask(np.tril(np.ones((4, 6), dtype=np.uint8), k=2))
+    context, _ = T.multi_head_attention(packed, mask, heads=2)
+    return context
+
+
+# op and input shapes of each taped op, every input needing a gradient.
+TAPED_OPS = {
+    "matmul": (T.matmul, [(3, 4), (4, 5)]),
+    "matmul_batched": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "add": (T.add, [(3, 4), (3, 4)]),
+    "sub": (T.sub, [(3, 4), (3, 4)]),
+    "mul": (T.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda x: T.scale(x, -1.5), [(3, 4)]),
+    "add_scalar": (lambda x: T.add_scalar(x, 0.25), [(3, 4)]),
+    "add_bias": (T.add_bias, [(2, 3, 4), (4,)]),
+    "reshape": (lambda x: T.reshape(x, (4, 6)), [(2, 3, 4)]),
+    "transpose": (lambda x: T.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
+    "narrow": (lambda x: T.narrow(x, 1, 1, 2), [(3, 4)]),
+    "concat": (lambda *xs: T.concat(xs, axis=-1), [(3, 2), (3, 4), (3, 1)]),
+    "sum_all": (T.sum_all, [(3, 4)]),
+    "gelu": (T.gelu, [(3, 4)]),
+    "mlp": (T.mlp, [(5, 4), (4, 6), (6,), (6, 3), (3,)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "avg_pool2d": (lambda x: T.avg_pool2d(x, 2, 3), [(2, 4, 6)]),
+    "rowwise_masked_softmax": (lambda x: T.rowwise_masked_softmax(
+        x, AttentionMask(np.tril(np.ones((5, 5), dtype=np.uint8)))), [(2, 5, 5)]),
+    "multi_head_attention": (_attention_context, [(6, 12)]),
+}
+
+
+@pytest.mark.parametrize("op, shapes", TAPED_OPS.values(), ids=TAPED_OPS)
+def test_pullback_returns_one_adjoint_of_its_own_per_input(op, shapes):
+    rng = np.random.default_rng(29)
+    inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    with ComputationTape() as tape:
+        out = op(*inputs)
+    (record,) = tape._records
+    adjoints = list(record[1](np.asarray(rng.normal(size=out.shape))))
+    assert all(isinstance(adjoint, np.ndarray) for adjoint in adjoints)
+    assert [adjoint.shape for adjoint in adjoints] == [t.shape for t in inputs]
+    for i, adjoint in enumerate(adjoints):
+        for other in adjoints[i + 1:] + [t.data for t in inputs] + [out.data]:
+            assert not np.shares_memory(adjoint, other)
 
 
 class TestLayerNorm:
@@ -467,13 +511,11 @@ class TestBackward:
 
 def _probe(x, check):
     """Identity op whose pullback calls ``check()`` before passing ``g`` on."""
-    kx = T._key(x)
-
-    def pullback(g, store):
+    def pullback(g):
         check()
-        T._accumulate(store, kx, g)
+        return (g,)
 
-    return T._finish(x.data.copy(), (kx,), pullback)
+    return T._finish(x.data.copy(), (x,), pullback)
 
 
 def _grad_copy(t):
@@ -579,9 +621,9 @@ class TestTapeMemory:
         constant = Tensor(rng.normal(size=(4, 6)))
         w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         out, pullback = _forward_and_pullback(lambda x: T.matmul(constant, x), w)
-        store = {}
-        pullback(np.ones(out.shape), store)
-        assert list(store) == [w]
+        constant_grad, w_grad = pullback(np.ones(out.shape))
+        assert constant_grad is None
+        assert isinstance(w_grad, np.ndarray) and w_grad.shape == w.shape
         with ComputationTape():
             hidden = T.scale(w, 2.0)
             T.matmul(constant, hidden)

@@ -191,11 +191,10 @@ class TestThreadedEqualsInline:
         g = rng.normal(size=(r, 4 * heads))
 
         def packed_grad():
-            store = {}
             with T.ComputationTape() as tape:
                 context, probs = T.multi_head_attention(packed, mask, heads)
-            tape._records[0][1](g, store)
-            return context.data.tobytes(), probs.tobytes(), store[packed].tobytes()
+            (grad,) = tape._records[0][1](g)
+            return context.data.tobytes(), probs.tobytes(), grad.tobytes()
 
         cores = T._cpus()
         run_inline(monkeypatch)
@@ -638,3 +637,41 @@ class TestOneWayOntoTheHelpers:
     @pytest.mark.parametrize("name", ["_each_thread", "_TASK_MIN_WORK"])
     def test_only_tensor_names_the_dispatcher(self, name):
         assert {module for module, _ in mentions(name)} == {"tensor"}
+
+
+
+def pullbacks():
+    """``(module, line, parameter names)`` of every pullback in ``src/spt``: each
+    function named ``pullback`` and each lambda handed to ``_finish``, with the
+    pullback arguments of ``_finish`` calls that are neither."""
+    found, other = [], []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            fn = None
+            if isinstance(node, ast.FunctionDef) and node.name == "pullback":
+                fn = node
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_finish":
+                if isinstance(node.args[2], ast.Lambda):
+                    fn = node.args[2]
+                elif getattr(node.args[2], "id", None) != "pullback":
+                    other.append((path.stem, node.lineno))
+            if fn is not None:
+                a = fn.args
+                names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                         if p is not None]
+                found.append((path.stem, fn.lineno, names))
+    return found, other
+
+
+class TestOneRouterOfGradients:
+    """``backward`` alone routes adjoints: a pullback gets the output's adjoint
+    and returns its inputs' adjoints, and never sees the gradient store."""
+
+    def test_only_backward_sums_adjoints(self):
+        assert mentions("_accumulate") == [("tensor", "backward")]
+
+    def test_every_pullback_takes_only_its_output_adjoint(self):
+        found, other = pullbacks()
+        assert other == []
+        assert len(found) >= 18
+        assert [f for f in found if len(f[2]) != 1] == []
