@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Annotation, SyntheticSceneConfig, generate_sample, load_annotations,
-                   save_annotations)
+from .data import (TEMPLATE_POSE, Annotation, SyntheticSceneConfig, generate_sample,
+                   load_annotations, save_annotations)
 from .errors import (AnnotationError, CheckpointError, ConfigError, FormatError,
                      NonFiniteLossError, NonFiniteValueError, SkeletonError, SptError)
 from .evaluation import DEFAULT_ALPHAS, ablation_sweep, evaluate_model, pckh_table
@@ -114,9 +114,13 @@ def load_run_config(path) -> RunConfig:
 
 
 def _scene_config(run: RunConfig) -> SyntheticSceneConfig:
-    """The synthetic scene; extents and joint count default to the model's."""
+    """The synthetic scene, its extents defaulting to the model's.  A model whose joint
+    count is not the template pose's is refused with ``ConfigError``."""
+    if run.model.joint_count != len(TEMPLATE_POSE):
+        raise ConfigError(f"synthetic scenes have {len(TEMPLATE_POSE)} joints, "
+                          f"but model.joint_count is {run.model.joint_count}")
     scene = {"image_h": run.model.image_h, "image_w": run.model.image_w,
-             "joint_count": run.model.joint_count, **run.data.get("synthetic", {})}
+             **run.data.get("synthetic", {})}
     return from_json(SyntheticSceneConfig, scene, "data.synthetic")
 
 

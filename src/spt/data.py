@@ -1,15 +1,16 @@
 """Desk-scale data: synthetic stick figures, heatmap targets, annotation IO.
 
-The generator draws a 16-joint articulated figure: a template pose scaled
-into the image, per-joint uniform jitter, limbs rendered as dim segments
-and joints as Gaussian blobs whose peak brightness encodes the joint index
-(so joints are visually distinguishable at toy resolutions).  Every sample
-is a pure function of (seed, index) through the SplitMix64 stream on one
-host, but not across hosts: blobs and target heatmaps are float64 ``exp``,
-whose AVX-512 kernel in numpy and libm's differ by 1 ULP, so the scene and
-target digests in ``tests/test_data.py`` hold on the x86 AVX-512 host that
-recorded them.  Joint coordinates in annotations are exact floats, not
-pixel-quantized.
+The generator draws a figure on ``skeleton.default_skeleton()``, the 16-joint
+MPII skeleton whose joint mask the model's keypoint stage uses: a template
+pose scaled into the image, per-joint uniform jitter, the skeleton's edges
+rendered as dim segments and joints as Gaussian blobs whose peak brightness
+encodes the joint index (so joints are visually distinguishable at toy
+resolutions).  Every sample is a pure function of (seed, index) through the
+SplitMix64 stream on one host, but not across hosts: blobs and target
+heatmaps are float64 ``exp``, whose AVX-512 kernel in numpy and libm's differ
+by 1 ULP, so the scene and target digests in ``tests/test_data.py`` hold on
+the x86 AVX-512 host that recorded them.  Joint coordinates in annotations
+are exact floats, not pixel-quantized.
 
 Annotation files are a JSON array of
 ``{image, joints, visible, head_size}`` where ``image`` is either a path
@@ -29,10 +30,11 @@ from .errors import AnnotationError, ConfigError
 from .formats import atomic_write
 from .rng import sample_stream
 from .schema import json_value, read_json
+from .skeleton import default_skeleton
 
-# Template pose in normalized [0, 1]^2 figure coordinates, MPII joint order.
-# The head segment (head-top to upper-neck) is deliberately long so PCKh
-# thresholds stay meaningful at small image sizes.
+# Template pose in normalized [0, 1]^2 figure coordinates, in the joint order
+# of default_skeleton().names.  The head segment (head-top to upper-neck) is
+# deliberately long so PCKh thresholds stay meaningful at small image sizes.
 TEMPLATE_POSE = np.array([
     (0.36, 0.96),  # r-ankle
     (0.38, 0.74),  # r-knee
@@ -52,15 +54,7 @@ TEMPLATE_POSE = np.array([
     (0.80, 0.58),  # l-wrist
 ], dtype=np.float64)
 
-_HEAD_TOP, _UPPER_NECK = 9, 8
 _LIMB_LEVEL = 0.35
-
-# Limb segments drawn between template joints (MPII kinematic chain).
-_LIMBS = (
-    (0, 1), (1, 2), (2, 6), (5, 4), (4, 3), (3, 6),
-    (6, 7), (7, 8), (8, 9),
-    (10, 11), (11, 12), (12, 7), (15, 14), (14, 13), (13, 7),
-)
 
 
 @dataclass
@@ -102,8 +96,9 @@ class Annotation:
 
 @dataclass
 class SyntheticSceneConfig:
+    """How a synthetic figure is drawn; its joints are always ``default_skeleton()``'s."""
+
     seed: int = 0
-    joint_count: int = 16
     limb_thickness: float = 1.25
     blob_sigma: float = 1.6
     image_h: int = 64
@@ -111,11 +106,6 @@ class SyntheticSceneConfig:
     jitter: float = 6.0  # per-joint uniform jitter amplitude, pixels
 
     def __post_init__(self):
-        if self.joint_count != TEMPLATE_POSE.shape[0]:
-            raise ConfigError(
-                f"synthetic scenes use the default {TEMPLATE_POSE.shape[0]}-joint "
-                f"skeleton, got joint_count={self.joint_count}"
-            )
         if self.image_h < 8 or self.image_w < 8:
             raise ConfigError("synthetic images need at least 8x8 pixels")
         if not (0 < self.blob_sigma < math.inf and 0 < self.limb_thickness < math.inf
@@ -177,9 +167,9 @@ def _render_segment(canvas: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def render_scene(joints: np.ndarray, config: SyntheticSceneConfig) -> np.ndarray:
-    """Rasterize one figure (single channel, values in [0, 1])."""
+    """Rasterize one figure on ``default_skeleton()`` (single channel, values in [0, 1])."""
     canvas = np.zeros((config.image_h, config.image_w), dtype=np.float64)
-    for a, b in _LIMBS:
+    for a, b in default_skeleton().edges:
         _render_segment(canvas, joints[a], joints[b], config.limb_thickness, _LIMB_LEVEL)
     j = joints.shape[0]
     for idx in range(j):
@@ -193,15 +183,17 @@ def generate_sample(config: SyntheticSceneConfig, index: int):
     template = _template_in_pixels(config.image_h, config.image_w)
     rng = sample_stream(config.seed, index)
     # Draw order is part of the format: joint 0 dx, dy, joint 1 dx, dy, ...
-    jitter = rng.uniform_array((config.joint_count, 2), -config.jitter, config.jitter)
+    jitter = rng.uniform_array(TEMPLATE_POSE.shape, -config.jitter, config.jitter)
     joints = template + jitter
     joints[:, 0] = np.clip(joints[:, 0], 1.0, config.image_w - 2.0)
     joints[:, 1] = np.clip(joints[:, 1], 1.0, config.image_h - 2.0)
-    head_size = max(float(np.linalg.norm(joints[_HEAD_TOP] - joints[_UPPER_NECK])), 1.0)
+    names = default_skeleton().names
+    top, neck = joints[names.index("head-top")], joints[names.index("upper-neck")]
+    head_size = max(float(np.linalg.norm(top - neck)), 1.0)
     image = render_scene(joints, config)
     ann = Annotation(
         joints=joints,
-        visibility=np.ones(config.joint_count, dtype=bool),
+        visibility=np.ones(len(TEMPLATE_POSE), dtype=bool),
         head_size=head_size,
         image_ref=(config.seed, index),
     )
@@ -253,15 +245,15 @@ def save_annotations(annotations, path) -> None:
         fh.write(json.dumps(records, indent=2) + "\n")
 
 
-def load_annotations(path, image_h: int | None = None, image_w: int | None = None):
+def load_annotations(path, image_h: int, image_w: int):
     """Parse and validate an annotation file.
 
     JSON types are checked, never coerced: an image ref's ``seed`` and
     ``index`` are integers, joint coordinates and ``head_size`` are numbers,
     ``visible`` flags are booleans and an image path is a string.  Shapes and
     ranges are ``Annotation``'s checks; their errors gain the record index.
-    Bounds checking of visible joints needs image extents; pass them when
-    known (the file format does not embed extents).
+    Every visible joint must lie inside the ``image_h`` x ``image_w`` image
+    (the file format does not embed extents).
     """
     doc = read_json(path, AnnotationError)
     if not isinstance(doc, list):
@@ -281,11 +273,10 @@ def load_annotations(path, image_h: int | None = None, image_w: int | None = Non
             raise AnnotationError(str(exc), index=index) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise AnnotationError(f"malformed record: {exc!r}", index=index) from exc
-        if image_h is not None and image_w is not None:
-            vis = ann.joints[ann.visibility]
-            inside = ((vis[:, 0] >= 0) & (vis[:, 0] <= image_w - 1)
-                      & (vis[:, 1] >= 0) & (vis[:, 1] <= image_h - 1))
-            if not inside.all():
-                raise AnnotationError("visible joint outside image bounds", index=index)
+        vis = ann.joints[ann.visibility]
+        inside = ((vis[:, 0] >= 0) & (vis[:, 0] <= image_w - 1)
+                  & (vis[:, 1] >= 0) & (vis[:, 1] <= image_h - 1))
+        if not inside.all():
+            raise AnnotationError("visible joint outside image bounds", index=index)
         annotations.append(ann)
     return annotations

@@ -8,6 +8,8 @@ graph attention; the mask is used as a constant and never trained).
 
 Skeletons live in JSON files (keys: joint_count, names, edges,
 symmetric_pairs) so joint conventions are user-definable, never baked in.
+Synthetic scenes (``spt.data``) draw ``default_skeleton()``: its edges are
+the limbs, and its head-top to upper-neck segment sets a figure's PCKh scale.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ def read_stdout(capsys):
 def scene_of(cfg):
     """The synthetic scene of the run config at ``cfg``."""
     synthetic = json.loads(Path(cfg).read_text())["data"]["synthetic"]
-    return SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16, **synthetic)
+    return SyntheticSceneConfig(image_h=32, image_w=32, **synthetic)
 
 
 def spy(monkeypatch, name, owner=spt.cli):
@@ -585,18 +585,23 @@ def annotation_record(**fields):
     return setup
 
 
-def eval_annotations(joint_counts):
-    """An eval run on an annotation file with one record per joint count."""
+def eval_data(doc):
+    """An eval run on an annotation file holding the JSON document ``doc``."""
     def setup(tmp_path):
         cfg = write_run_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
         path = tmp_path / "annotations.json"
-        path.write_text(json.dumps([
-            {"image": {"seed": 11, "index": i}, "joints": [[5.0, 5.0]] * n,
-             "visible": [True] * n, "head_size": 3.0} for i, n in enumerate(joint_counts)]))
+        path.write_text(json.dumps(doc))
         return ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint"), "--config",
                 str(cfg), "--data", str(path), "--out", str(tmp_path / "e")]
     return setup
+
+
+def eval_annotations(joint_counts):
+    """An eval run on an annotation file with one record per joint count."""
+    return eval_data([{"image": {"seed": 11, "index": i}, "joints": [[5.0, 5.0]] * n,
+                       "visible": [True] * n, "head_size": 3.0}
+                      for i, n in enumerate(joint_counts)])
 
 
 def edited_checkpoint(name, edit):
@@ -704,6 +709,8 @@ MALFORMED = [
     ("manifest_without_params", edited_manifest(without("params")), 6),
     ("manifest_params_not_object", edited_manifest(replaced("params", 5)), 6),
     ("manifest_config_not_object", edited_manifest(replaced("config", 5)), 6),
+    ("manifest_array", edited_manifest(lambda text: f"[{text}]"), 6),
+    ("manifest_format_v2", edited_manifest(replaced("format", "spt-checkpoint-v2")), 6),
     ("tensor_cut_to_10_bytes", edited_checkpoint("head_b1.spt", lambda blob: blob[:10]), 6),
     ("tensor_trailing_byte", edited_checkpoint("head_b1.spt", lambda blob: blob + b"\0"), 6),
     ("tensor_rank_bit_flipped", edited_checkpoint("head_w2.spt", flipped(5, 1)), 6),
@@ -718,12 +725,18 @@ MALFORMED = [
     ("pgm_truncated_body", image_file(lambda blob: blob[:100]), 3),
     ("pgm_wrong_size", image_file(shape=(32, 12)), 3),
     ("pgm_sample_above_maxval", image_file(lambda blob: blob.replace(b"\n255\n", b"\n15\n")), 3),
+    ("pgm_maxval_zero", image_file(lambda blob: blob.replace(b"\n255\n", b"\n0\n")), 3),
+    ("pgm_maxval_16_bit", image_file(lambda blob: blob.replace(b"\n255\n", b"\n300\n")), 3),
     ("model_value_string", run_value("model.embed_dim", "16"), 2),
     ("model_float_for_int", run_value("model.heads", 2.0), 2),
     ("model_heads_zero", run_value("model.heads", 0), 2),
     ("model_embed_dim_zero", run_value("model.embed_dim", 0, heads=1), 2),
     ("model_patch_h_zero", run_value("model.patch_h", 0), 2),
     ("model_not_object", run_value("model", []), 2),
+    ("model_downsample_not_dividing", run_value("model.downsample", 3, image_h=16, image_w=16), 2),
+    ("model_pos_encoding_unknown", run_value("model.pos_encoding", "rope"), 2),
+    ("model_sinusoidal_width_6",
+     run_value("model.pos_encoding", "sinusoidal", embed_dim=6), 2),
     ("schedule_not_object", run_value("model.schedule", 5), 2),
     ("unknown_schedule_key", run_value("model.schedule.keepratio", 0.3), 2),
     ("keep_ratio_string", run_value("model.schedule.keep_ratio", "0.5"), 2),
@@ -737,6 +750,7 @@ MALFORMED = [
     ("data_count_float", run_value("data.train_count", 5.9), 2),
     ("synthetic_not_object", run_value("data.synthetic", 5), 2),
     ("unknown_synthetic_key", run_value("data.synthetic.blur", 1), 2),
+    ("synthetic_joint_count", run_value("data.synthetic.joint_count", 16), 2),
     ("synthetic_value_string", run_value("data.synthetic.jitter", "3"), 2),
     ("synthetic_jitter_nan", run_value("data.synthetic.jitter", math.nan), 2),
     ("synthetic_blob_sigma_infinite", run_value("data.synthetic.blob_sigma", math.inf), 2),
@@ -772,6 +786,7 @@ MALFORMED = [
     ("annotation_head_size_bool", annotation_record(head_size=True), 3),
     ("annotation_head_size_infinite", annotation_record(head_size=float("inf")), 3),
     ("eval_record_joint_count_differs", eval_annotations((16, 15)), 6),
+    ("eval_data_object", eval_data({"records": []}), 3),
     ("manifest_config_value_string", edited_manifest(replaced("config.heads", "2")), 6),
     ("manifest_schedule_not_object", edited_manifest(replaced("config.schedule", 5)), 6),
     ("manifest_config_out_of_range", edited_manifest(replaced("config.heads", 3)), 6),
@@ -796,6 +811,7 @@ REFUSED = [
     ("sweep_skeleton_joint_count", as_command("sweep", THREE_JOINTS, "--akr", "0.6"), 2),
     ("eval_skeleton_joint_count", on_checkpoint("eval", THREE_JOINTS), 2),
     ("eval_data_empty", eval_annotations(()), 3),
+    ("eval_config_without_test_annotations", on_checkpoint("eval", annotation_record()), 3),
     ("eval_record_joint_count_differs", eval_annotations((16, 15)), 6),
 ]
 

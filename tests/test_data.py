@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from spt.data import (Annotation, SyntheticSceneConfig, _render_segment, generate_sample,
-                      generate_synthetic, load_annotations, render_joint_blob,
-                      render_target_heatmaps, save_annotations)
+from spt.data import (TEMPLATE_POSE, Annotation, SyntheticSceneConfig, _render_segment,
+                      generate_sample, generate_synthetic, load_annotations,
+                      render_joint_blob, render_target_heatmaps, save_annotations)
 from spt.errors import AnnotationError, ConfigError
+from spt.skeleton import default_skeleton
 
 
 def scene(**kw):
@@ -69,9 +70,9 @@ class TestGenerator:
             assert col == int(round(x))
             assert row == int(round(y))
 
-    def test_wrong_joint_count_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_synthetic(scene(joint_count=5), 1)
+    def test_template_poses_the_default_skeleton(self):
+        # Scenes size their draw from the template and draw the skeleton's edges.
+        assert len(TEMPLATE_POSE) == default_skeleton().joint_count
 
     @pytest.mark.parametrize("field, value", [
         ("jitter", float("nan")), ("jitter", float("inf")), ("jitter", -1.0),
@@ -271,7 +272,7 @@ class TestAnnotation:
                                      "visible": [True], "head_size": 2.0}]))
         with pytest.raises(AnnotationError,
                            match=r"^record 0: joints must be \(J, 2\), got \(1, 3\)$"):
-            load_annotations(path)
+            load_annotations(path, image_h=32, image_w=32)
 
 
 class TestAnnotationIo:
@@ -290,7 +291,7 @@ class TestAnnotationIo:
     def test_empty_array(self, tmp_path):
         path = tmp_path / "ann.json"
         path.write_text("[]\n")
-        assert load_annotations(path) == []
+        assert load_annotations(path, image_h=32, image_w=32) == []
 
     def test_zero_head_size_names_record_index(self, tmp_path):
         path = tmp_path / "ann.json"
@@ -300,7 +301,7 @@ class TestAnnotationIo:
         ]
         path.write_text(json.dumps(records))
         with pytest.raises(AnnotationError, match="record 1"):
-            load_annotations(path)
+            load_annotations(path, image_h=32, image_w=32)
 
     def test_out_of_bounds_visible_joint(self, tmp_path):
         path = tmp_path / "ann.json"
@@ -318,4 +319,4 @@ class TestAnnotationIo:
         path = tmp_path / "ann.json"
         path.write_text('[{"image": "a"')
         with pytest.raises(AnnotationError, match="line"):
-            load_annotations(path)
+            load_annotations(path, image_h=32, image_w=32)

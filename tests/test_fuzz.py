@@ -37,8 +37,7 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     cfg = write_run_config(root)
     assert main(["train", "--config", str(cfg), "--steps", "0"]) == 0
-    scene = SyntheticSceneConfig(image_h=32, image_w=32, joint_count=16, seed=11,
-                                 jitter=3.0, blob_sigma=1.2)
+    scene = SyntheticSceneConfig(image_h=32, image_w=32, seed=11, jitter=3.0, blob_sigma=1.2)
     samples = generate_synthetic(scene, 2)
     save_annotations([ann for _, ann in samples], root / "annotations.json")
     save_skeleton(default_skeleton(), root / "skeleton.json")

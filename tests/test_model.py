@@ -11,13 +11,13 @@ import pytest
 import spt.model
 import spt.tensor as T
 from spt.attention import encoder_block
-from spt.errors import CheckpointError, ConfigError, NonFiniteLossError
+from spt.errors import AnnotationError, CheckpointError, ConfigError, NonFiniteLossError
 from spt.formats import save_tensor
 from spt.masks import AttentionMask
 from spt.model import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ModelConfig,
                        PoseModelParams, TrainingConfig, forward, full_token_mask,
                        load_checkpoint, loss_mse, parameter_layout, patchify_embed,
-                       save_checkpoint, train_step)
+                       save_checkpoint, train_model, train_step)
 from spt.pruning import PruneSchedule
 from spt.rng import SplitMix64
 from spt.schema import from_json
@@ -291,6 +291,11 @@ class TestLoss:
         loss = loss_mse(Tensor(pred), target, vis)
         assert abs(loss.item() - d * d / (3 * h * w)) <= 1e-15
 
+    def test_visibility_count_unlike_joint_count_rejected(self):
+        pred = Tensor(np.zeros((3, 4, 4)))
+        with pytest.raises(ConfigError, match="2 visibility flags for 3 joints"):
+            loss_mse(pred, pred.data.copy(), np.ones(2, bool))
+
     def test_invisible_joints_carry_no_gradient(self):
         rng = np.random.default_rng(2)
         pred = Tensor(rng.uniform(size=(2, 3, 3)), requires_grad=True)
@@ -533,6 +538,11 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             train_step([], params, cfg, compile_joint_mask(chain_skeleton(4)),
                        AdamState())
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(AnnotationError, match="empty"):
+            train_model([], tiny_config(), compile_joint_mask(chain_skeleton(4)),
+                        TrainingConfig(steps=1))
 
 
 @pytest.mark.parametrize("pos_encoding", ["learned", "sinusoidal"])

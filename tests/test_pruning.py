@@ -151,6 +151,10 @@ class TestTopkRowMask:
         with pytest.raises(ConfigError):
             topk_row_mask(np.ones((2, 2)), AttentionMask.ones(2), PruneSchedule(keep_ratio=1.5))
 
+    def test_scores_shaped_unlike_the_mask_are_rejected(self):
+        with pytest.raises(ConfigError, match="does not match"):
+            topk_row_mask(np.ones((2, 3)), AttentionMask.ones(2), PruneSchedule(keep_ratio=0.5))
+
     def test_non_finite_scores_are_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             attn = np.full((2, 3), 0.25)

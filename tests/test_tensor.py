@@ -328,6 +328,26 @@ def test_pullback_returns_one_adjoint_of_its_own_per_input(op, shapes):
             assert not np.shares_memory(adjoint, other)
 
 
+# op and input shapes that do not fit it, each a ShapeError before any work.
+MISFIT_OPERANDS = {
+    "matmul_rank_1": (T.matmul, [(4,), (4, 5)]),
+    "sub": (T.sub, [(3, 4), (4, 3)]),
+    "add_bias": (T.add_bias, [(2, 3, 4), (3,)]),
+    "layer_norm_gain": (T.layer_norm, [(2, 3, 4), (3,), (4,)]),
+    "avg_pool2d": (lambda x: T.avg_pool2d(x, 2, 4), [(2, 4, 6)]),
+    "rowwise_masked_softmax": (lambda x: T.rowwise_masked_softmax(
+        x, AttentionMask(np.ones((4, 4), dtype=np.uint8))), [(2, 5, 5)]),
+}
+
+
+@pytest.mark.parametrize("op, shapes", MISFIT_OPERANDS.values(), ids=MISFIT_OPERANDS)
+def test_operands_that_do_not_fit_raise_shape_error(op, shapes):
+    inputs = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+    with ComputationTape() as tape, pytest.raises(ShapeError):
+        op(*inputs)
+    assert len(tape) == 0
+
+
 class TestLayerNorm:
     def test_constant_rows_normalize_to_bias(self):
         x = Tensor(np.full((3, 4), 2.5))
@@ -387,6 +407,14 @@ class TestBackward:
             out = T.mul(p, p)
         with pytest.raises(ShapeError):
             backward(out, tape)
+
+    def test_a_leaf_loss_gets_a_unit_gradient(self):
+        # No record reads the loss, so its seed adjoint is handed over at the end.
+        loss = Tensor(3.0, requires_grad=True)
+        with ComputationTape() as tape:
+            pass
+        backward(loss, tape)
+        assert loss.grad == 1.0
 
     def test_multi_consumer_accumulation(self):
         # y = x + x: dy/dx = 2 per element, through two uses of the same leaf
